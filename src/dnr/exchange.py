@@ -41,7 +41,7 @@ class InitialInfeasibleError(RuntimeError):
     """The starting configuration cannot even be scored (not radial/diverged)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     close_branch: int
     open_branch: int

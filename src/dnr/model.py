@@ -33,7 +33,7 @@ class NotRadialError(ValueError):
     """Operation requires a radial configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bus:
     """Single node of the network.
 
@@ -64,7 +64,7 @@ class Bus:
         return self.q_min, self.q_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """Series element between two buses, optionally switchable.
 
@@ -102,6 +102,11 @@ class NetworkCase:
     @cached_property
     def branch_by_id(self) -> dict[int, Branch]:
         return {branch.id: branch for branch in self.branches}
+
+    @cached_property
+    def branch_ids(self) -> frozenset[int]:
+        """Every branch id; the configurations of this case share this one set."""
+        return frozenset(self.branch_by_id)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -161,7 +166,7 @@ class Violation:
 
 def make_config(case: NetworkCase, closed: set[int] | frozenset[int]) -> Configuration:
     """Build a configuration from the set of closed branch ids, enforcing pinning."""
-    ids = frozenset(case.branch_by_id)
+    ids = case.branch_ids
     closed = frozenset(closed)
     unknown = closed - ids
     if unknown:
@@ -308,7 +313,7 @@ def _reachable(case: NetworkCase, allowed: set[int], start: int, closed: frozens
 
 def is_radial(case: NetworkCase, config: Configuration) -> bool:
     """True when the closed branches form a spanning forest with one root per tree."""
-    if config.branch_ids != frozenset(case.branch_by_id):
+    if config.branch_ids != case.branch_ids:
         raise ConfigurationError("configuration does not cover this case's branches")
     n_buses = len(case.buses)
     if len(config.closed) != n_buses - len(case.roots):

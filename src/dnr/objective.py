@@ -16,7 +16,7 @@ from .powerflow import NotConvergedError, PowerFlowSolution
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintCheck:
     name: str
     passed: bool

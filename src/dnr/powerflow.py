@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .model import BusKind, Configuration, Island, NetworkCase
+from .model import Branch, BusKind, Configuration, Island, NetworkCase
 from .topology import forest_index
 
 
@@ -39,7 +39,7 @@ class SolverOptions:
         return 30 if method == "nr" else 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchFlow:
     """Power entering a closed branch at each end; loss = p_send + p_recv."""
 
@@ -53,7 +53,7 @@ class BranchFlow:
     current_mag: float  # pu, sending end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IslandResult:
     root: int
     buses: tuple[int, ...]
@@ -80,6 +80,16 @@ class PowerFlowSolution:
         return self.v_mag[bus_id] * cmath.exp(1j * self.v_angle[bus_id])
 
 
+def _pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
+    """(y_ff, y_ft, y_tf, y_tt) of a branch's pi model, tap on the from side."""
+    if branch.r == 0.0 and branch.x == 0.0:
+        raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
+    ys = 1.0 / complex(branch.r, branch.x)
+    bc = 1j * branch.b_shunt / 2.0
+    t = branch.tap_ratio if branch.tap_ratio else 1.0
+    return (ys + bc) / t**2, -ys / t, -ys / t, ys + bc
+
+
 def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matrix, list[int]]:
     """Nodal admittance matrix over the island's buses, and the bus ordering."""
     order = sorted(island.buses)
@@ -90,15 +100,10 @@ def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matr
     vals: list[complex] = []
     for branch_id in sorted(island.branches):
         branch = case.branch_by_id[branch_id]
-        if branch.r == 0.0 and branch.x == 0.0:
-            raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
-        ys = 1.0 / complex(branch.r, branch.x)
-        bc = 1j * branch.b_shunt / 2.0
-        t = branch.tap_ratio if branch.tap_ratio else 1.0
         f, to = pos[branch.from_bus], pos[branch.to_bus]
         rows += [f, f, to, to]
         cols += [f, to, f, to]
-        vals += [(ys + bc) / t**2, -ys / t, -ys / t, ys + bc]
+        vals += _pi_stamp(branch)
     for bus_id in order:
         bus = case.bus_by_id[bus_id]
         if bus.g_shunt or bus.b_shunt:
@@ -129,20 +134,45 @@ def mismatch_jacobian(
     pvpq: np.ndarray,
     pq: np.ndarray,
 ) -> sparse.csc_matrix:
-    """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ]."""
-    ibus = ybus @ v
-    diag_v = sparse.diags(v)
-    diag_i = sparse.diags(ibus)
-    diag_vnorm = sparse.diags(v / np.abs(v))
-    ds_dvm = (diag_v @ (ybus @ diag_vnorm).conjugate() + diag_i.conjugate() @ diag_vnorm).tocsr()
-    ds_dva = (1j * diag_v @ (diag_i - ybus @ diag_v).conjugate()).tocsr()
-    j11 = ds_dva[pvpq][:, pvpq].real
-    if pq.size == 0:
-        return sparse.csc_matrix(j11)
-    j12 = ds_dvm[pvpq][:, pq].real
-    j21 = ds_dva[pq][:, pvpq].imag
-    j22 = ds_dvm[pq][:, pq].imag
-    return sparse.bmat([[j11, j12], [j21, j22]], format="csc")
+    """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ].
+
+    Filled entry-wise on the stored pattern of Ybus, after MATPOWER's
+    dSbus_dV: each stored y_rc gives dS_r/dVa_c = -j*v_r*conj(y_rc*v_c) and
+    dS_r/dVm_c = v_r*conj(y_rc*v_c/|v_c|); the diagonal adds j*v*conj(I) and
+    conj(I)*v/|v|.  Real parts land in the P rows, imaginary parts in the Q
+    rows, and duplicate positions sum when the one matrix is built.
+    """
+    y = ybus.tocsr()
+    n = y.shape[0]
+    size = pvpq.size + pq.size
+    # bus position -> Jacobian row/column of its angle and of its magnitude, -1: none
+    ang = np.full(n, -1)
+    ang[pvpq] = np.arange(pvpq.size)
+    mag = np.full(n, -1)
+    mag[pq] = np.arange(pvpq.size, size)
+    buses = np.arange(n)
+    rows = np.concatenate([np.repeat(buses, np.diff(y.indptr)), buses])
+    cols = np.concatenate([y.indices, buses])
+    ibus = y @ v
+    vnorm = v / np.abs(v)
+    vr = v[rows[: y.nnz]]
+    ds_dva = np.concatenate([-1j * vr * np.conj(y.data * v[y.indices]), 1j * v * np.conj(ibus)])
+    ds_dvm = np.concatenate([vr * np.conj(y.data * vnorm[y.indices]), np.conj(ibus) * vnorm])
+    at_i, at_j, vals = [], [], []
+    for row_map, col_map, part in (
+        (ang, ang, ds_dva.real),
+        (ang, mag, ds_dvm.real),
+        (mag, ang, ds_dva.imag),
+        (mag, mag, ds_dvm.imag),
+    ):
+        i, j = row_map[rows], col_map[cols]
+        keep = (i >= 0) & (j >= 0)
+        at_i.append(i[keep])
+        at_j.append(j[keep])
+        vals.append(part[keep])
+    return sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(at_i), np.concatenate(at_j))), shape=(size, size)
+    )
 
 
 @dataclass
@@ -191,15 +221,16 @@ def _classify(case: NetworkCase, island: Island, options: SolverOptions,
     return _IslandSetup(order, ybus, slack, pv, pq, sbus, v, vset)
 
 
-def _apply_q_limits(case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray) -> None:
+def _apply_q_limits(case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray) -> bool:
     """Clamp regulated buses whose machine Q runs past a limit; they become PQ.
 
     A clamped bus returns to voltage control once its voltage crosses the
     setpoint in the direction that relieves the binding limit, so transient
     excursions during slow sweeps cannot freeze the bus at the wrong limit.
+    Returns whether the PV/PQ sets changed; a released bus also moves `v`.
     """
     base = case.base_mva
-    reverted = False
+    reverted = clamped_any = False
     for i, side in list(setup.clamped.items()):
         vm = abs(setup.v[i])
         if (side > 0 and vm > setup.vset[i]) or (side < 0 and vm < setup.vset[i]):
@@ -230,6 +261,8 @@ def _apply_q_limits(case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray) -
             setup.pq.append(i)
             setup.pq.sort()
             setup.sbus[i] = complex(setup.sbus[i].real, (clamped - bus.q_load) / base)
+            clamped_any = True
+    return reverted or clamped_any
 
 
 def _finish(
@@ -284,24 +317,29 @@ def solve_newton_raphson(
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
     setup = _classify(case, island, options, start)
+    ybus = setup.ybus.tocsr()
     cap = options.iteration_cap("nr")
     tol = options.tolerance
     converged = False
     iterations = 0
     max_mismatch = math.inf
+    pvpq = pq = None
     while iterations < cap:
         iterations += 1
-        scalc = setup.v * np.conj(setup.ybus @ setup.v)
-        if iterations > 1:
-            _apply_q_limits(case, setup, scalc)
-        pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
-        pq = np.array(setup.pq, dtype=int)
-        f = power_mismatch(setup.ybus, setup.v, setup.sbus, pvpq, pq)
+        scalc = setup.v * np.conj(ybus @ setup.v)
+        if iterations > 1 and _apply_q_limits(case, setup, scalc):
+            pvpq = None
+            scalc = setup.v * np.conj(ybus @ setup.v)  # a released bus may have moved v
+        if pvpq is None:
+            pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+            pq = np.array(setup.pq, dtype=int)
+        mis = scalc - setup.sbus
+        f = np.concatenate([mis[pvpq].real, mis[pq].imag])
         max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         if max_mismatch <= tol:
             converged = True
             break
-        jac = mismatch_jacobian(setup.ybus, setup.v, pvpq, pq)
+        jac = mismatch_jacobian(ybus, setup.v, pvpq, pq)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             dx = np.atleast_1d(spsolve(jac, -f))
@@ -383,13 +421,11 @@ def branch_flows(
     loss_pu = 0.0
     for branch_id in sorted(branch_ids):
         branch = case.branch_by_id[branch_id]
-        ys = 1.0 / complex(branch.r, branch.x)
-        bc = 1j * branch.b_shunt / 2.0
-        t = branch.tap_ratio if branch.tap_ratio else 1.0
+        y_ff, y_ft, y_tf, y_tt = _pi_stamp(branch)
         vf = voltages[branch.from_bus]
         vt = voltages[branch.to_bus]
-        i_from = ((ys + bc) / t**2) * vf + (-ys / t) * vt
-        i_to = (-ys / t) * vf + (ys + bc) * vt
+        i_from = y_ff * vf + y_ft * vt
+        i_to = y_tf * vf + y_tt * vt
         s_from = vf * i_from.conjugate()
         s_to = vt * i_to.conjugate()
         send_bus = sending.get(branch_id, branch.from_bus) if sending else branch.from_bus

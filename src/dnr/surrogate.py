@@ -10,7 +10,9 @@ replace a real evaluation.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,10 +22,12 @@ from .topology import forest_index
 RIDGE_DAMPING = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     names: tuple[str, ...]
-    values: tuple[float, ...]
+    # array("d") in `names` order, read-only by convention: it holds the
+    # doubles inline, where a tuple holds a float object per value
+    values: array
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,15 @@ def untrained_model(case: NetworkCase) -> LinearModel:
 
 
 def feature_names(case: NetworkCase) -> tuple[str, ...]:
+    return _names_for_roots(tuple(case.roots))
+
+
+@lru_cache(maxsize=64)
+def _names_for_roots(roots: tuple[int, ...]) -> tuple[str, ...]:
+    # one shared tuple per root set, so retained feature vectors do not
+    # each carry their own copy of the strings
     names = ["const"]
-    for root in case.roots:
+    for root in roots:
         names += [
             f"load_p[{root}]",
             f"load_q[{root}]",
@@ -91,7 +102,7 @@ def featurize(case: NetworkCase, config: Configuration) -> FeatureVector:
     values = [1.0]
     for root in case.roots:
         values.extend(per_root[root])
-    return FeatureVector(feature_names(case), tuple(values))
+    return FeatureVector(feature_names(case), array("d", values))
 
 
 def fit(case: NetworkCase, samples: list[tuple[FeatureVector, float]]) -> LinearModel:

@@ -185,6 +185,7 @@ class TestConfiguration:
         config = make_config(triangle_case, {1, 3})
         swapped = config.with_exchange(2, 3)
         assert swapped.closed == frozenset({1, 2})
+        assert swapped.branch_ids is config.branch_ids is triangle_case.branch_ids  # shared
         with pytest.raises(ConfigurationError):
             config.with_exchange(1, 2)  # 1 is already closed
         with pytest.raises(ConfigurationError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_jacobian, random_four_bus, two_bus_case, two_bus_oracle
+from dnr import powerflow
 from dnr.model import (
     Branch,
     Bus,
@@ -13,6 +14,7 @@ from dnr.model import (
     NetworkCase,
     all_closed_config,
     default_config,
+    islands as split_islands,
     make_config,
 )
 from dnr.powerflow import (
@@ -86,6 +88,8 @@ class TestAdmittance:
         )
         with pytest.raises(SingularBranchError):
             build_admittance(case, _whole_island(case))
+        with pytest.raises(SingularBranchError):
+            branch_flows(case, {1}, {1: 1.0 + 0j, 2: 1.0 + 0j})
 
 
 class TestNewtonRaphson:
@@ -281,19 +285,76 @@ class TestNetworkSolve:
         assert ieee14_meshed.islands[0].root == ieee14_case.roots[0]
 
 
+def _assert_jacobian_matches_fd(setup, seed: int) -> None:
+    """Analytic Jacobian against central differences at a random off-flat point."""
+    rng = np.random.default_rng(1000 + seed)
+    vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))
+    va = rng.uniform(-0.1, 0.1, len(setup.v))
+    v = vm * np.exp(1j * va)
+    pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+    pq = np.array(setup.pq, dtype=int)
+    analytic = mismatch_jacobian(setup.ybus, v, pvpq, pq).toarray()
+    numeric = fd_jacobian(setup.ybus, v, setup.sbus, pvpq, pq)
+    assert analytic.shape == numeric.shape
+    scale = np.maximum(np.abs(numeric), 1.0)
+    assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+
+
+def _regulated_ieee14_island(case, forest):
+    for island in split_islands(case, forest.config):
+        setup = _classify(case, island, SolverOptions(), None)
+        if setup.pv and setup.pq:
+            return setup
+    pytest.fail("no IEEE-14 island holds both regulated and load buses")
+
+
 class TestJacobian:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_matches_central_differences_off_flat(self, seed):
         case = random_four_bus(seed)
         island = Island(1, frozenset(case.bus_by_id), frozenset(case.branch_by_id))
-        setup = _classify(case, island, SolverOptions(), None)
-        rng = np.random.default_rng(1000 + seed)
-        vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))
-        va = rng.uniform(-0.1, 0.1, len(setup.v))
-        v = vm * np.exp(1j * va)
-        pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
-        pq = np.array(setup.pq, dtype=int)
-        analytic = mismatch_jacobian(setup.ybus, v, pvpq, pq).toarray()
-        numeric = fd_jacobian(setup.ybus, v, setup.sbus, pvpq, pq)
-        scale = np.maximum(np.abs(numeric), 1.0)
-        assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+        _assert_jacobian_matches_fd(_classify(case, island, SolverOptions(), None), seed)
+
+    def test_ieee14_island_with_pv_buses(self, ieee14_case, ieee14_forest):
+        setup = _regulated_ieee14_island(ieee14_case, ieee14_forest)
+        _assert_jacobian_matches_fd(setup, 14)
+
+    def test_ieee14_island_after_a_pv_bus_drops_to_pq(self, ieee14_case, ieee14_forest):
+        # the PV -> PQ switch _apply_q_limits makes when a reactive limit binds
+        setup = _regulated_ieee14_island(ieee14_case, ieee14_forest)
+        setup.pq = sorted(setup.pq + [setup.pv.pop(0)])
+        _assert_jacobian_matches_fd(setup, 14)
+
+    def test_all_regulated_island_has_no_magnitude_columns(self):
+        case = NetworkCase(
+            100.0,
+            (
+                Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+                Bus(2, BusKind.GENERATOR, p_load=30.0, q_load=10.0, v_setpoint=1.02),
+                Bus(3, BusKind.GENERATOR, p_gen=20.0, v_setpoint=0.99),
+            ),
+            (
+                Branch(1, 1, 2, r=0.02, x=0.06, b_shunt=0.03),
+                Branch(2, 2, 3, r=0.01, x=0.05, tap_ratio=0.97),
+            ),
+            roots=(1,),
+        )
+        setup = _classify(case, _whole_island(case), SolverOptions(), None)
+        assert setup.pq == [] and setup.pv == [1, 2]
+        _assert_jacobian_matches_fd(setup, 3)
+        solution = solve_newton_raphson(case, _whole_island(case))
+        assert solution.converged
+        assert solution.v_mag[2] == pytest.approx(1.02)
+
+    def test_slack_only_island_needs_no_newton_step(self, six_bus_case, monkeypatch):
+        island = Island(2, frozenset({2}), frozenset())
+        setup = _classify(six_bus_case, island, SolverOptions(), None)
+        empty = np.array([], dtype=int)
+        assert mismatch_jacobian(setup.ybus, setup.v, empty, empty).shape == (0, 0)
+
+        def no_jacobian(*args):
+            raise AssertionError("a slack-only island has nothing to solve")
+
+        monkeypatch.setattr(powerflow, "mismatch_jacobian", no_jacobian)
+        solution = solve_newton_raphson(six_bus_case, island)
+        assert solution.converged and solution.iterations == 1

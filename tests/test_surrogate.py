@@ -99,6 +99,7 @@ class TestFeaturize:
         first = featurize(ieee14_case, ieee14_forest.config)
         second = featurize(ieee14_case, ieee14_forest.config)
         assert first == second
+        assert first.names is second.names  # shared, not rebuilt per call
         assert all(abs(v) < 1e6 for v in first.values)
 
 
