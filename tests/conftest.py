@@ -311,6 +311,25 @@ def fd_jacobian(ybus, v, sbus, pvpq, pq, h: float = 1e-6) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def dense_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
+    """MATPOWER's dSbus_dV as whole dense matrices, sliced to [angles; magnitudes].
+
+    The same formulas mismatch_jacobian evaluates entry-wise on Ybus's
+    pattern, so the two agree up to summation order.
+    """
+    y = ybus.toarray()
+    ibus = y @ v
+    vnorm = v / np.abs(v)
+    ds_dvm = np.diag(v) @ np.conj(y @ np.diag(vnorm)) + np.diag(np.conj(ibus) * vnorm)
+    ds_dva = 1j * np.diag(v) @ np.conj(np.diag(ibus) - y @ np.diag(v))
+    return np.block(
+        [
+            [ds_dva[np.ix_(pvpq, pvpq)].real, ds_dvm[np.ix_(pvpq, pq)].real],
+            [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

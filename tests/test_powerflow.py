@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, random_four_bus, two_bus_case, two_bus_oracle
+from conftest import dense_jacobian, fd_jacobian, random_four_bus, two_bus_case, two_bus_oracle
 from dnr import powerflow
 from dnr.model import (
     Branch,
@@ -285,8 +285,9 @@ class TestNetworkSolve:
         assert ieee14_meshed.islands[0].root == ieee14_case.roots[0]
 
 
-def _assert_jacobian_matches_fd(setup, seed: int) -> None:
-    """Analytic Jacobian against central differences at a random off-flat point."""
+def _assert_jacobian_matches_oracles(setup, seed: int) -> None:
+    """Analytic Jacobian at a random off-flat point, against central
+    differences and against the dense matrix form of the same formulas."""
     rng = np.random.default_rng(1000 + seed)
     vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))
     va = rng.uniform(-0.1, 0.1, len(setup.v))
@@ -298,6 +299,8 @@ def _assert_jacobian_matches_fd(setup, seed: int) -> None:
     assert analytic.shape == numeric.shape
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+    reference = dense_jacobian(setup.ybus, v, pvpq, pq)
+    assert np.max(np.abs(analytic - reference) / np.maximum(np.abs(reference), 1.0)) < 1e-12
 
 
 def _regulated_ieee14_island(case, forest):
@@ -313,17 +316,17 @@ class TestJacobian:
     def test_matches_central_differences_off_flat(self, seed):
         case = random_four_bus(seed)
         island = Island(1, frozenset(case.bus_by_id), frozenset(case.branch_by_id))
-        _assert_jacobian_matches_fd(_classify(case, island, SolverOptions(), None), seed)
+        _assert_jacobian_matches_oracles(_classify(case, island, SolverOptions(), None), seed)
 
     def test_ieee14_island_with_pv_buses(self, ieee14_case, ieee14_forest):
         setup = _regulated_ieee14_island(ieee14_case, ieee14_forest)
-        _assert_jacobian_matches_fd(setup, 14)
+        _assert_jacobian_matches_oracles(setup, 14)
 
     def test_ieee14_island_after_a_pv_bus_drops_to_pq(self, ieee14_case, ieee14_forest):
         # the PV -> PQ switch _apply_q_limits makes when a reactive limit binds
         setup = _regulated_ieee14_island(ieee14_case, ieee14_forest)
         setup.pq = sorted(setup.pq + [setup.pv.pop(0)])
-        _assert_jacobian_matches_fd(setup, 14)
+        _assert_jacobian_matches_oracles(setup, 14)
 
     def test_all_regulated_island_has_no_magnitude_columns(self):
         case = NetworkCase(
@@ -341,7 +344,7 @@ class TestJacobian:
         )
         setup = _classify(case, _whole_island(case), SolverOptions(), None)
         assert setup.pq == [] and setup.pv == [1, 2]
-        _assert_jacobian_matches_fd(setup, 3)
+        _assert_jacobian_matches_oracles(setup, 3)
         solution = solve_newton_raphson(case, _whole_island(case))
         assert solution.converged
         assert solution.v_mag[2] == pytest.approx(1.02)
