@@ -124,7 +124,11 @@ def power_mismatch(
     pq: np.ndarray,
 ) -> np.ndarray:
     """[dP at PV+PQ buses; dQ at PQ buses] for the current voltage vector."""
-    mis = v * np.conj(ybus @ v) - sbus
+    return _mismatch(v * np.conj(ybus @ v), sbus, pvpq, pq)
+
+
+def _mismatch(scalc: np.ndarray, sbus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    mis = scalc - sbus
     return np.concatenate([mis[pvpq].real, mis[pq].imag])
 
 
@@ -221,13 +225,16 @@ def _classify(case: NetworkCase, island: Island, options: SolverOptions,
     return _IslandSetup(order, ybus, slack, pv, pq, sbus, v, vset)
 
 
-def _apply_q_limits(case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray) -> bool:
+def _apply_q_limits(
+    case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray
+) -> tuple[bool, np.ndarray]:
     """Clamp regulated buses whose machine Q runs past a limit; they become PQ.
 
     A clamped bus returns to voltage control once its voltage crosses the
     setpoint in the direction that relieves the binding limit, so transient
     excursions during slow sweeps cannot freeze the bus at the wrong limit.
-    Returns whether the PV/PQ sets changed; a released bus also moves `v`.
+    Returns whether the PV/PQ sets changed, and the injections at the current
+    `v` (recomputed when a released bus moved it).
     """
     base = case.base_mva
     reverted = clamped_any = False
@@ -262,7 +269,7 @@ def _apply_q_limits(case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray) -
             setup.pq.sort()
             setup.sbus[i] = complex(setup.sbus[i].real, (clamped - bus.q_load) / base)
             clamped_any = True
-    return reverted or clamped_any
+    return reverted or clamped_any, scalc
 
 
 def _finish(
@@ -327,14 +334,14 @@ def solve_newton_raphson(
     while iterations < cap:
         iterations += 1
         scalc = setup.v * np.conj(ybus @ setup.v)
-        if iterations > 1 and _apply_q_limits(case, setup, scalc):
-            pvpq = None
-            scalc = setup.v * np.conj(ybus @ setup.v)  # a released bus may have moved v
+        if iterations > 1:
+            changed, scalc = _apply_q_limits(case, setup, scalc)
+            if changed:
+                pvpq = None
         if pvpq is None:
             pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
             pq = np.array(setup.pq, dtype=int)
-        mis = scalc - setup.sbus
-        f = np.concatenate([mis[pvpq].real, mis[pq].imag])
+        f = _mismatch(scalc, setup.sbus, pvpq, pq)
         max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         if max_mismatch <= tol:
             converged = True

@@ -10,7 +10,6 @@ replace a real evaluation.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,9 +24,7 @@ RIDGE_DAMPING = 1e-8
 @dataclass(frozen=True, slots=True)
 class FeatureVector:
     names: tuple[str, ...]
-    # array("d") in `names` order, read-only by convention: it holds the
-    # doubles inline, where a tuple holds a float object per value
-    values: array
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def featurize(case: NetworkCase, config: Configuration) -> FeatureVector:
     values = [1.0]
     for root in case.roots:
         values.extend(per_root[root])
-    return FeatureVector(feature_names(case), array("d", values))
+    return FeatureVector(feature_names(case), tuple(values))
 
 
 def fit(case: NetworkCase, samples: list[tuple[FeatureVector, float]]) -> LinearModel:
