@@ -25,6 +25,7 @@ from .model import (
     BusKind,
     Configuration,
     ConfigurationError,
+    ForestIndex,
     Island,
     NetworkCase,
     NotRadialError,
@@ -33,6 +34,7 @@ from .model import (
     all_closed_config,
     config_from_states,
     default_config,
+    forest,
     is_radial,
     islands,
     make_config,

@@ -283,7 +283,7 @@ def validate_case(case: NetworkCase) -> list[Violation]:
 
     # connectivity with every branch closed; report the smaller side of a split
     if case.buses and not any(v.code in ("missing_bus", "missing_root") for v in violations):
-        reached = _reachable(case, set(case.bus_by_id), start=case.buses[0].id)
+        reached = _reachable(case, start=case.buses[0].id)
         if len(reached) != len(case.buses):
             others = sorted(set(case.bus_by_id) - reached)
             smaller = others if len(others) <= len(reached) else sorted(reached)
@@ -297,7 +297,7 @@ def validate_case(case: NetworkCase) -> list[Violation]:
     return violations
 
 
-def _reachable(case: NetworkCase, allowed: set[int], start: int, closed: frozenset[int] | None = None) -> set[int]:
+def _reachable(case: NetworkCase, start: int, closed: frozenset[int] | None = None) -> set[int]:
     seen = {start}
     queue = deque([start])
     while queue:
@@ -305,39 +305,105 @@ def _reachable(case: NetworkCase, allowed: set[int], start: int, closed: frozens
         for branch_id, other in case.adjacency[bus]:
             if closed is not None and branch_id not in closed:
                 continue
-            if other in allowed and other not in seen:
+            if other not in seen:
                 seen.add(other)
                 queue.append(other)
     return seen
 
 
+@dataclass(frozen=True)
+class ForestIndex:
+    """Per-bus tree data of a radial configuration, from one walk per root.
+
+    `order` lists every bus as the walk reached it, so a bus always comes
+    after its parent; `islands` holds one tree per root, in root order.
+    """
+
+    root_of: dict[int, int]
+    parent_bus: dict[int, int | None]
+    parent_branch: dict[int, int | None]
+    depth: dict[int, int]
+    islands: tuple[Island, ...]
+    order: tuple[int, ...]
+
+
+# the last walks, keyed by (id(case), closed): a search's working set is the
+# incumbent and the candidate it scores.  Each entry holds its case, so the id
+# cannot be reused while the entry lives.  Nothing is cached on the case or
+# the configuration, which callers may keep many of.
+_FOREST_MEMO_SIZE = 2
+_forests: dict[tuple[int, frozenset[int]], tuple[NetworkCase, ForestIndex | None]] = {}
+
+
+def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
+    """The configuration's forest, or None when it is not radial.
+
+    Radial means the closed branches form a spanning forest with exactly one
+    root per tree.  Every topology question (`is_radial`, `islands`,
+    `topology.forest_index`) is a view on this one walk, and the last few
+    results are memoised, so a configuration scored by several layers is
+    walked once.  The result is shared between callers, which only read it.
+    """
+    if config.branch_ids is not case.branch_ids and config.branch_ids != case.branch_ids:
+        raise ConfigurationError("configuration does not cover this case's branches")
+    key = (id(case), config.closed)
+    entry = _forests.pop(key, None)
+    if entry is None:
+        entry = (case, _walk(case, config.closed))
+        if len(_forests) >= _FOREST_MEMO_SIZE:
+            del _forests[next(iter(_forests))]  # least recently used
+    _forests[key] = entry
+    return entry[1]
+
+
+def _walk(case: NetworkCase, closed: frozenset[int]) -> ForestIndex | None:
+    """Breadth-first from each root over closed branches, in adjacency order."""
+    n_buses = len(case.buses)
+    if len(closed) != n_buses - len(case.roots):
+        return None
+    adjacency = case.adjacency
+    root_of: dict[int, int] = {}
+    parent_bus: dict[int, int | None] = {}
+    parent_branch: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    parts: list[Island] = []
+    for root in case.roots:
+        if root in root_of:
+            return None  # closed path between two roots
+        root_of[root] = root
+        parent_bus[root] = None
+        parent_branch[root] = None
+        depth[root] = 0
+        buses = [root]  # doubles as the queue
+        branches: list[int] = []
+        for bus in buses:
+            up = parent_branch[bus]
+            below = depth[bus] + 1
+            for branch_id, other in adjacency[bus]:
+                if branch_id == up or branch_id not in closed:
+                    continue
+                if other in root_of:
+                    return None  # a cycle, a parallel branch or a path to another root
+                root_of[other] = root
+                parent_bus[other] = bus
+                parent_branch[other] = branch_id
+                depth[other] = below
+                buses.append(other)
+                branches.append(branch_id)
+        parts.append(Island(root, frozenset(buses), frozenset(branches)))
+    if len(root_of) != n_buses:
+        return None  # some bus is left unreached
+    return ForestIndex(root_of, parent_bus, parent_branch, depth, tuple(parts), tuple(root_of))
+
+
 def is_radial(case: NetworkCase, config: Configuration) -> bool:
     """True when the closed branches form a spanning forest with one root per tree."""
-    if config.branch_ids != case.branch_ids:
-        raise ConfigurationError("configuration does not cover this case's branches")
-    n_buses = len(case.buses)
-    if len(config.closed) != n_buses - len(case.roots):
-        return False
-    reached: set[int] = set()
-    for root in case.roots:
-        component = _reachable(case, set(case.bus_by_id), root, config.closed)
-        if reached & component:
-            return False  # closed path between two roots
-        reached |= component
-    return len(reached) == n_buses
+    return forest(case, config) is not None
 
 
 def islands(case: NetworkCase, config: Configuration) -> tuple[Island, ...]:
     """Split a radial configuration into its per-root trees."""
-    if not is_radial(case, config):
+    index = forest(case, config)
+    if index is None:
         raise NotRadialError("configuration is not radial for this case")
-    result = []
-    for root in case.roots:
-        buses = _reachable(case, set(case.bus_by_id), root, config.closed)
-        branches = {
-            b.id
-            for b in case.branches
-            if b.id in config.closed and b.from_bus in buses and b.to_bus in buses
-        }
-        result.append(Island(root, frozenset(buses), frozenset(branches)))
-    return tuple(result)
+    return index.islands

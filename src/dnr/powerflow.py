@@ -282,11 +282,12 @@ def _finish(
     sending: dict[int, int] | None,
 ) -> PowerFlowSolution:
     base = case.base_mva
-    v_mag = {bus: float(abs(setup.v[i])) for i, bus in enumerate(setup.order)}
-    v_angle = {
-        bus: float(np.angle(setup.v[i])) for i, bus in enumerate(setup.order)
-    }
-    vmap = {bus: complex(setup.v[i]) for i, bus in enumerate(setup.order)}
+    # the same bits as numpy's per-element scalars: Python abs calls their
+    # hypot (array np.abs does not) and array np.angle their atan2 (cmath does not)
+    volts = setup.v.tolist()
+    v_mag = {bus: abs(volt) for bus, volt in zip(setup.order, volts)}
+    v_angle = dict(zip(setup.order, np.angle(setup.v).tolist()))
+    vmap = dict(zip(setup.order, volts))
     flows, loss_mw = branch_flows(case, island.branches, vmap, sending)
     scalc = setup.v * np.conj(setup.ybus @ setup.v)
     root_bus = case.bus_by_id[island.root]
@@ -465,8 +466,6 @@ def solve_all_islands(
     Branch sending ends follow the trees: the end nearer the island root
     sends, so downstream flow is positive.
     """
-    from .model import islands as split_islands
-
     solver = _SOLVERS[method]
     index = forest_index(case, config)
     sending = {
@@ -479,7 +478,7 @@ def solve_all_islands(
     flows: dict[int, BranchFlow] = {}
     results: list[IslandResult] = []
     total_loss = 0.0
-    for island in split_islands(case, config):
+    for island in index.islands:
         part = solver(case, island, config, options, sending=sending)
         v_mag.update(part.v_mag)
         v_angle.update(part.v_angle)
@@ -514,7 +513,7 @@ def solve_network(
     from .model import _reachable
 
     slack = case.roots[0] if slack is None else slack
-    reached = _reachable(case, set(case.bus_by_id), slack, config.closed)
+    reached = _reachable(case, slack, config.closed)
     if len(reached) != len(case.buses):
         stranded = sorted(set(case.bus_by_id) - reached)
         raise ValueError(f"buses {stranded} not connected to slack {slack}")

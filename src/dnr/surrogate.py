@@ -74,24 +74,21 @@ def featurize(case: NetworkCase, config: Configuration) -> FeatureVector:
     index = forest_index(case, config)
     base = case.base_mva
     per_root: dict[int, list[float]] = {root: [0.0, 0.0, 0.0, 0.0] for root in case.roots}
+    # resistance of each bus's path to its root, parents before children
     path_r: dict[int, float] = {}
-
-    def resistance_to_root(bus: int) -> float:
-        if bus not in path_r:
-            parent = index.parent_bus[bus]
-            if parent is None:
-                path_r[bus] = 0.0
-            else:
-                branch = case.branch_by_id[index.parent_branch[bus]]
-                path_r[bus] = resistance_to_root(parent) + branch.r
-        return path_r[bus]
+    for bus in index.order:
+        parent = index.parent_bus[bus]
+        if parent is None:
+            path_r[bus] = 0.0
+        else:
+            path_r[bus] = path_r[parent] + case.branch_by_id[index.parent_branch[bus]].r
 
     for bus in case.buses:
         agg = per_root[index.root_of[bus.id]]
         p, q = bus.p_load / base, bus.q_load / base
         agg[0] += p
         agg[1] += q
-        agg[2] += p * resistance_to_root(bus.id)
+        agg[2] += p * path_r[bus.id]
     for branch_id in config.closed:
         branch = case.branch_by_id[branch_id]
         per_root[index.root_of[branch.from_bus]][3] += branch.r

@@ -1,11 +1,21 @@
 """Forest construction and loop analysis on switch configurations."""
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .model import Configuration, Island, NetworkCase, SwitchState, islands, make_config
+# callers also look ForestIndex and islands up on this module
+from .model import (  # noqa: F401
+    Configuration,
+    ForestIndex,
+    NetworkCase,
+    NotRadialError,
+    SwitchState,
+    forest,
+    islands,
+    make_config,
+)
 
 
 class UnreachableError(ValueError):
@@ -45,38 +55,12 @@ class FundamentalLoop:
         return min(position, len(self.branch_ids) - 1 - position)
 
 
-@dataclass(frozen=True)
-class ForestIndex:
-    """Per-bus tree data for a radial configuration."""
-
-    root_of: dict[int, int]
-    parent_bus: dict[int, int | None]
-    parent_branch: dict[int, int | None]
-    depth: dict[int, int]
-
-
 def forest_index(case: NetworkCase, config: Configuration) -> ForestIndex:
-    root_of: dict[int, int] = {}
-    parent_bus: dict[int, int | None] = {}
-    parent_branch: dict[int, int | None] = {}
-    depth: dict[int, int] = {}
-    for island in islands(case, config):
-        root_of[island.root] = island.root
-        parent_bus[island.root] = None
-        parent_branch[island.root] = None
-        depth[island.root] = 0
-        queue = deque([island.root])
-        while queue:
-            bus = queue.popleft()
-            for branch_id, other in case.adjacency[bus]:
-                if branch_id not in island.branches or other in root_of:
-                    continue
-                root_of[other] = island.root
-                parent_bus[other] = bus
-                parent_branch[other] = branch_id
-                depth[other] = depth[bus] + 1
-                queue.append(other)
-    return ForestIndex(root_of, parent_bus, parent_branch, depth)
+    """Per-bus tree data of a radial configuration: a view on `model.forest`."""
+    index = forest(case, config)
+    if index is None:
+        raise NotRadialError("configuration is not radial for this case")
+    return index
 
 
 def path_to_root(index: ForestIndex, bus: int) -> list[int]:
@@ -101,34 +85,34 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
     if missing:
         raise KeyError(f"weights missing for branches {missing}")
 
-    assigned: set[int] = set(case.roots)
+    candidates = {
+        b.id: b for b in case.branches if b.switchable or b.default_state is SwitchState.CLOSED
+    }
+    assigned: set[int] = set()
     closed: set[int] = set()
     order: list[tuple[int, float]] = []
-    candidates = [
-        b
-        for b in case.branches
-        if b.switchable or b.default_state is SwitchState.CLOSED
-    ]
+    frontier: list[tuple[float, int]] = []  # (-weight, id) heap, stale entries dropped on pop
 
+    def assign(bus: int) -> None:
+        assigned.add(bus)
+        for branch_id, other in case.adjacency[bus]:
+            branch = candidates.get(branch_id)
+            if branch is not None and other not in assigned:
+                weight = math.inf if not branch.switchable else weights[branch_id]
+                heapq.heappush(frontier, (-weight, branch_id))
+
+    for root in case.roots:
+        assign(root)
     while len(assigned) < len(case.buses):
-        best = None
-        best_key = None
-        for branch in candidates:
-            if branch.id in closed:
-                continue
-            in_from = branch.from_bus in assigned
-            in_to = branch.to_bus in assigned
-            if in_from == in_to:
-                continue  # interior (cycle/merge) or fully outside
-            weight = math.inf if not branch.switchable else weights[branch.id]
-            key = (-weight, branch.id)
-            if best_key is None or key < best_key:
-                best, best_key = branch, key
-        if best is None:
+        if not frontier:
             raise UnreachableError(sorted(set(case.bus_by_id) - assigned))
-        closed.add(best.id)
-        assigned.add(best.from_bus if best.from_bus not in assigned else best.to_bus)
-        order.append((best.id, weights[best.id]))
+        _, branch_id = heapq.heappop(frontier)
+        best = candidates[branch_id]
+        if best.from_bus in assigned and best.to_bus in assigned:
+            continue  # both ends were assigned after it was pushed
+        closed.add(branch_id)
+        order.append((branch_id, weights[branch_id]))
+        assign(best.to_bus if best.from_bus in assigned else best.from_bus)
 
     config = make_config(case, closed)
     open_list = tuple(sorted(config.open_ids))

@@ -25,9 +25,15 @@ from dnr.model import (
     NetworkCase,
     SwitchState,
     all_closed_config,
+    make_config,
 )
 from dnr.powerflow import power_mismatch, solve_network
-from dnr.topology import build_spanning_forest, weights_from_flow
+from dnr.topology import (
+    ForestBuildResult,
+    UnreachableError,
+    build_spanning_forest,
+    weights_from_flow,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -154,6 +160,24 @@ def _five_bus_tworoot() -> NetworkCase:
     return NetworkCase(100.0, buses, branches, roots=(1, 2))
 
 
+def _parallel_pair() -> NetworkCase:
+    """Single feeder on a 4-bus ring with two parallel branches from bus 1 to bus 2."""
+    buses = (
+        Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+        Bus(2, p_load=10.0, q_load=3.0),
+        Bus(3, p_load=10.0, q_load=3.0),
+        Bus(4, p_load=10.0, q_load=3.0),
+    )
+    branches = (
+        Branch(1, 1, 2, r=0.01, x=0.02),
+        Branch(2, 2, 1, r=0.02, x=0.04),
+        Branch(3, 2, 3, r=0.01, x=0.02),
+        Branch(4, 3, 4, r=0.01, x=0.02),
+        Branch(5, 4, 1, r=0.01, x=0.02, default_state=SwitchState.OPEN),
+    )
+    return NetworkCase(100.0, buses, branches, roots=(1,))
+
+
 def _twin_pairs() -> NetworkCase:
     """Two electrically identical, disconnected feeder-load pairs."""
     buses = (
@@ -188,6 +212,19 @@ def two_bus_case(
     )
     branches = (Branch(1, 1, 2, r=r, x=x, mva_limit=mva_limit),)
     return NetworkCase(100.0, buses, branches, roots=(1,))
+
+
+def deep_chain(tie: tuple[int, int], n: int = 1500) -> NetworkCase:
+    """Feeder chain 1..n, deeper than the recursion limit, buses listed leaf first.
+
+    Branch i joins bus i to bus i+1; branch n is one open tie between the
+    two buses of `tie`.
+    """
+    buses = [Bus(1, BusKind.FEEDER, v_setpoint=1.0)]
+    buses += [Bus(i, p_load=0.01, q_load=0.005) for i in range(2, n + 1)]
+    branches = [Branch(i, i, i + 1, r=1e-4, x=2e-4) for i in range(1, n)]
+    branches.append(Branch(n, *tie, r=1e-4, x=2e-4, default_state=SwitchState.OPEN))
+    return NetworkCase(100.0, tuple(reversed(buses)), tuple(branches), roots=(1,))
 
 
 def random_four_bus(seed: int) -> NetworkCase:
@@ -239,6 +276,39 @@ def oracle_is_radial(case: NetworkCase, closed_ids) -> bool:
         return False
     roots = set(case.roots)
     return all(len(set(comp) & roots) == 1 for comp in nx.connected_components(graph))
+
+
+def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> ForestBuildResult:
+    """Flow-weighted forest by rescanning every candidate branch per added bus."""
+    assigned: set[int] = set(case.roots)
+    closed: set[int] = set()
+    order: list[tuple[int, float]] = []
+    candidates = [
+        b
+        for b in case.branches
+        if b.switchable or b.default_state is SwitchState.CLOSED
+    ]
+    while len(assigned) < len(case.buses):
+        best = None
+        best_key = None
+        for branch in candidates:
+            if branch.id in closed:
+                continue
+            in_from = branch.from_bus in assigned
+            in_to = branch.to_bus in assigned
+            if in_from == in_to:
+                continue  # interior (cycle/merge) or fully outside
+            weight = math.inf if not branch.switchable else weights[branch.id]
+            key = (-weight, branch.id)
+            if best_key is None or key < best_key:
+                best, best_key = branch, key
+        if best is None:
+            raise UnreachableError(sorted(set(case.bus_by_id) - assigned))
+        closed.add(best.id)
+        assigned.add(best.from_bus if best.from_bus not in assigned else best.to_bus)
+        order.append((best.id, weights[best.id]))
+    config = make_config(case, closed)
+    return ForestBuildResult(config, tuple(sorted(config.open_ids)), tuple(order))
 
 
 def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:
@@ -357,6 +427,11 @@ def path5_case() -> NetworkCase:
 @pytest.fixture(scope="session")
 def five_bus_tworoot() -> NetworkCase:
     return _five_bus_tworoot()
+
+
+@pytest.fixture(scope="session")
+def parallel_case() -> NetworkCase:
+    return _parallel_pair()
 
 
 @pytest.fixture(scope="session")

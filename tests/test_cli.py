@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from conftest import two_bus_case
+from conftest import deep_chain, two_bus_case
 from dnr.caseio import write_native_case
 from dnr.cli import main
 
@@ -149,6 +149,16 @@ class TestReconfigure:
         out = capsys.readouterr().out
         assert rc == 0
         assert out == stable_report
+
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # the tie sits near the leaf so that the search stays a few evaluations
+        path = tmp_path / "chain.json"
+        path.write_text(write_native_case(deep_chain(tie=(1490, 1500))))
+        out_path = tmp_path / "report.json"
+        assert main(["reconfigure", str(path), "--stable", "--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert len(report["open_switches"]) == 1
+        assert report["objective"]["feasible"] is True
 
     def test_unstamped_run_carries_a_timestamp(self, cdf_path, capsys):
         rc = main(["reconfigure", str(cdf_path), "--roots", "1,2"])

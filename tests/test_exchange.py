@@ -1,6 +1,7 @@
 """Branch-exchange local search: candidate scoring, acceptance, certification."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from dnr.exchange import (
     evaluate_candidate,
     improve,
 )
+from dnr import model
 from dnr.model import all_closed_config, is_radial, make_config
 from dnr.objective import ObjectiveReport
 from dnr.powerflow import SolverOptions, solve_network
@@ -44,6 +46,16 @@ class TestEvaluateCandidate:
         assert report.feasible
         assert report.fo_value == pytest.approx(8.72037, abs=1e-4)
         assert solution.converged
+
+    def test_one_candidate_walks_the_network_once(self, ieee14_case, ieee14_search, monkeypatch):
+        # gate, island split, sending ends and objective all read one walk
+        case = dataclasses.replace(ieee14_case)  # a new object, so nothing is memoised for it
+        walks = []
+        walk = model._walk
+        monkeypatch.setattr(model, "_walk", lambda *args: walks.append(args) or walk(*args))
+        result = evaluate_candidate(case, make_config(case, ieee14_search[0].closed))
+        assert not isinstance(result, Rejection)
+        assert len(walks) == 1
 
     def test_meshed_config_rejected_outright(self, ieee14_case):
         closed = set(ieee14_case.branch_by_id) - {17, 18, 19, 20, 16, 14, 15}

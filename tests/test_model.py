@@ -1,11 +1,14 @@
 """Case model: structural validation, radiality, islanding, configurations."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
+import networkx as nx
 import pytest
 
 from conftest import enumerate_radial, oracle_is_radial
+from dnr import model
 from dnr.model import (
     Branch,
     Bus,
@@ -17,6 +20,7 @@ from dnr.model import (
     all_closed_config,
     config_from_states,
     default_config,
+    forest,
     islands,
     is_radial,
     make_config,
@@ -26,6 +30,39 @@ from dnr.model import (
 
 def _sweep_cases(triangle, six_bus, ring6):
     return [("triangle", triangle), ("six_bus", six_bus), ("ring6", ring6)]
+
+
+def _assert_forest_matches_graph(case: NetworkCase, config) -> None:
+    """Islands are the networkx components; every bus hangs off its parent."""
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(case.bus_by_id)
+    for branch_id in config.closed:
+        branch = case.branch_by_id[branch_id]
+        graph.add_edge(branch.from_bus, branch.to_bus)
+    parts = islands(case, config)
+    assert {part.buses for part in parts} == {
+        frozenset(component) for component in nx.connected_components(graph)
+    }
+    assert [part.root for part in parts] == list(case.roots)
+    index = forest(case, config)
+    assert index.islands is parts
+    position = {bus: i for i, bus in enumerate(index.order)}
+    assert sorted(position) == sorted(case.bus_by_id)
+    for part in parts:
+        for bus in part.buses:
+            assert index.root_of[bus] == part.root
+        assert index.parent_bus[part.root] is None
+        assert index.parent_branch[part.root] is None
+        assert index.depth[part.root] == 0
+    for bus, branch_id in index.parent_branch.items():
+        if branch_id is None:
+            continue
+        parent = index.parent_bus[bus]
+        branch = case.branch_by_id[branch_id]
+        assert branch_id in config.closed
+        assert {branch.from_bus, branch.to_bus} == {bus, parent}
+        assert index.depth[bus] == index.depth[parent] + 1
+        assert position[parent] < position[bus]
 
 
 class TestValidateCase:
@@ -109,17 +146,22 @@ class TestRadiality:
         assert not is_radial(ieee14_case, all_closed_config(ieee14_case))
 
     def test_every_state_vector_matches_graph_oracle(
-        self, triangle_case, six_bus_case, ring6_case
+        self, triangle_case, six_bus_case, ring6_case, parallel_case
     ):
-        for name, case in _sweep_cases(triangle_case, six_bus_case, ring6_case):
+        cases = _sweep_cases(triangle_case, six_bus_case, ring6_case) + [("parallel", parallel_case)]
+        for name, case in cases:
             ids = sorted(case.branch_by_id)
             for bits in itertools.product((0, 1), repeat=len(ids)):
                 closed = {bid for bid, bit in zip(ids, bits) if bit}
                 config = make_config(case, closed)
-                assert is_radial(case, config) == oracle_is_radial(case, closed), (
-                    name,
-                    sorted(closed),
-                )
+                radial = is_radial(case, config)
+                assert radial == oracle_is_radial(case, closed), (name, sorted(closed))
+                if radial:
+                    _assert_forest_matches_graph(case, config)
+
+    def test_configuration_of_another_case_is_refused(self, triangle_case, ring6_case):
+        with pytest.raises(ConfigurationError):
+            is_radial(ring6_case, make_config(triangle_case, {1, 2}))
 
     def test_radial_implies_counting_identity(self, triangle_case, six_bus_case, ring6_case):
         for _, case in _sweep_cases(triangle_case, six_bus_case, ring6_case):
@@ -130,6 +172,56 @@ class TestRadiality:
     def test_root_to_root_path_is_rejected(self, path5_case):
         # correct count, full coverage, no cycle: still invalid with two roots tied
         assert not is_radial(path5_case, make_config(path5_case, {1, 2, 3, 4}))
+
+
+class TestForestMemo:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Arguments of every walk `forest` runs while the test does."""
+        seen: list[tuple] = []
+        walk = model._walk
+
+        def counting(*args):
+            seen.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(model, "_walk", counting)
+        return seen
+
+    def test_equal_closed_sets_share_one_walk(self, ring6_case, walks):
+        case = dataclasses.replace(ring6_case)  # a new object, so nothing is memoised for it
+        first = make_config(case, {2, 3, 4, 5, 6})
+        second = make_config(case, [2, 3, 4, 5, 6])
+        assert first is not second and first.closed is not second.closed
+        assert forest(case, first) is forest(case, second)
+        assert islands(case, second) == islands(case, first)
+        assert len(walks) == 1
+
+    def test_a_second_case_object_is_walked_on_its_own(self, walks):
+        def chain(order):
+            buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2), Bus(3))
+            branches = tuple(Branch(bid, f, t, r=0.01, x=0.02) for bid, f, t in order)
+            return NetworkCase(100.0, buses, branches, roots=(1,))
+
+        straight = chain([(1, 1, 2), (2, 2, 3)])
+        bent = chain([(1, 1, 3), (2, 3, 2)])  # same branch ids, other topology
+        twin = chain([(1, 1, 2), (2, 2, 3)])  # equal to `straight`, another object
+        config = make_config(straight, {1, 2})
+        first = forest(straight, config)
+        assert first.parent_bus == {1: None, 2: 1, 3: 2}
+        assert forest(bent, config).parent_bus == {1: None, 3: 1, 2: 3}
+        assert forest(twin, config) == first
+        assert [args[0] for args in walks] == [straight, bent, twin]
+        assert walks[0][0] is straight and walks[2][0] is twin
+
+    def test_not_radial_is_memoised_too(self, triangle_case, walks):
+        case = dataclasses.replace(triangle_case)
+        config = make_config(case, {1, 2, 3})
+        assert forest(case, config) is None
+        with pytest.raises(NotRadialError):
+            islands(case, config)
+        assert not is_radial(case, config)
+        assert len(walks) == 1
 
 
 class TestIslands:

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from conftest import enumerate_radial, two_bus_case
+from conftest import deep_chain, enumerate_radial, two_bus_case
 from dnr.exchange import Rejection, evaluate_candidate, improve
-from dnr.model import NotRadialError, all_closed_config, make_config
+from dnr.model import NotRadialError, all_closed_config, default_config, make_config
 from dnr.surrogate import (
     FeatureVector,
     LinearModel,
@@ -94,6 +94,15 @@ class TestFeaturize:
     def test_meshed_config_rejected(self, triangle_case):
         with pytest.raises(NotRadialError):
             featurize(triangle_case, all_closed_config(triangle_case))
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        case = deep_chain(tie=(1, 700))
+        fv = featurize(case, default_config(case))
+        path_r = [0.0]  # bus k sits k-1 branches of r = 1e-4 below the root
+        for _ in range(1, 1500):
+            path_r.append(path_r[-1] + 1e-4)
+        moment = sum(bus.p_load / 100.0 * path_r[bus.id - 1] for bus in case.buses)
+        assert dict(zip(fv.names, fv.values))["load_moment[1]"] == pytest.approx(moment, rel=1e-12)
 
     def test_deterministic(self, ieee14_case, ieee14_forest):
         first = featurize(ieee14_case, ieee14_forest.config)

@@ -1,12 +1,14 @@
 """Forest construction, loop tracing, and switch adjacency."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
-from conftest import enumerate_radial, oracle_is_radial, two_bus_case
+from conftest import enumerate_radial, oracle_is_radial, oracle_spanning_forest, two_bus_case
 from dnr.model import (
     Branch,
     Bus,
@@ -99,6 +101,24 @@ class TestSpanningForest:
             for closed in enumerate_radial(case):
                 other = sorted((weights[b] for b in closed), reverse=True)
                 assert chosen >= other, (case.roots, sorted(closed))
+
+    def test_heap_matches_the_rescanning_oracle(self, ieee14_case):
+        # branch 13 (6-13) pinned closed, branch 7 (4-5) pinned open
+        pins = {13: SwitchState.CLOSED, 7: SwitchState.OPEN}
+        pinned = dataclasses.replace(ieee14_case, branches=tuple(
+            dataclasses.replace(b, switchable=False, default_state=pins[b.id]) if b.id in pins else b
+            for b in ieee14_case.branches
+        ))
+        rng = random.Random(14)
+        for case in (ieee14_case, pinned):
+            for trial in range(40):
+                if trial % 2:
+                    weights = {b.id: float(rng.choice((1, 2, 3))) for b in case.branches}  # ties
+                else:
+                    weights = {b.id: rng.uniform(0.0, 100.0) for b in case.branches}
+                expected = oracle_spanning_forest(case, weights)
+                assert build_spanning_forest(case, weights) == expected, (case is pinned, trial)
+        assert 13 in expected.config.closed and 7 not in expected.config.closed  # pins held
 
     def test_determinism(self, six_bus_case):
         weights = {b.id: 2.0 for b in six_bus_case.branches}
