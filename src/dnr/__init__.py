@@ -15,7 +15,6 @@ from .exchange import (
     Rejection,
     SearchOptions,
     SearchTrace,
-    SurrogateMode,
     evaluate_candidate,
     improve,
 )
@@ -43,7 +42,6 @@ from .model import (
 from .objective import (
     ConstraintCheck,
     ObjectiveReport,
-    compare,
     evaluate_fo,
     sort_key,
 )

@@ -8,6 +8,7 @@ traces serialize to deterministic JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 from .exchange import SearchTrace
@@ -201,7 +202,31 @@ _BUS_FIELDS = (
     "p_load", "q_load", "p_gen", "q_gen", "v_setpoint",
     "v_min", "v_max", "q_min", "q_max", "g_shunt", "b_shunt",
 )
-_BRANCH_FIELDS = ("r", "x", "b_shunt", "tap_ratio", "mva_limit", "switchable")
+_BRANCH_NUMBERS = ("r", "x", "b_shunt", "tap_ratio", "mva_limit")
+_BRANCH_FIELDS = (*_BRANCH_NUMBERS, "switchable")
+_NULLABLE = frozenset({"v_setpoint", "q_min", "q_max", "mva_limit"})
+
+
+def _numbers(entry: dict, fields: tuple[str, ...], kind: str) -> dict[str, float | None]:
+    """The entry's numeric fields as finite floats; null stays None where the model allows it."""
+    # one plain loop: this runs for every field of every bus and branch
+    numbers: dict[str, float | None] = {}
+    for name in fields:
+        if name not in entry:
+            continue
+        value = entry[name]
+        if value is None and name in _NULLABLE:
+            numbers[name] = None
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            owner = f"{kind} {entry['id']}" if "id" in entry else kind
+            raise ValueError(f"{owner} {name} {value!r} is not a finite number")
+        numbers[name] = number
+    return numbers
 
 
 def _parse_native(text: str) -> NetworkCase:
@@ -214,7 +239,7 @@ def _parse_native(text: str) -> NetworkCase:
             Bus(
                 id=int(entry["id"]),
                 kind=BusKind(entry.get("kind", "load")),
-                **{f: entry[f] for f in _BUS_FIELDS if f in entry},
+                **_numbers(entry, _BUS_FIELDS, "bus"),
             )
             for entry in payload["buses"]
         )
@@ -224,18 +249,20 @@ def _parse_native(text: str) -> NetworkCase:
                 from_bus=int(entry["from_bus"]),
                 to_bus=int(entry["to_bus"]),
                 default_state=SwitchState(entry.get("default_state", "closed")),
-                **{f: entry[f] for f in _BRANCH_FIELDS if f in entry},
+                **_numbers(entry, _BRANCH_NUMBERS, "branch"),
+                switchable=entry.get("switchable", True),
             )
             for entry in payload["branches"]
         )
+        settings = _numbers(payload, ("base_mva", "delta_t_hours"), "case")
         return NetworkCase(
-            base_mva=float(payload["base_mva"]),
+            base_mva=settings["base_mva"],
             buses=buses,
             branches=branches,
             roots=tuple(int(r) for r in payload["roots"]),
-            delta_t_hours=float(payload.get("delta_t_hours", 1.0)),
+            delta_t_hours=settings.get("delta_t_hours", 1.0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed native case: {exc}") from exc
 
 

@@ -14,12 +14,7 @@ from .caseio import (
     trace_to_json,
     write_report,
 )
-from .exchange import (
-    InitialInfeasibleError,
-    SearchOptions,
-    SurrogateMode,
-    improve,
-)
+from .exchange import InitialInfeasibleError, SearchOptions, improve
 from .model import all_closed_config, default_config, is_radial, validate_case
 from .objective import evaluate_fo
 from .powerflow import SolverOptions, solve_all_islands, solve_network
@@ -103,8 +98,14 @@ def _load_case(args: argparse.Namespace, validate: bool = True):
             fmt = "json"
         elif suffix in (".cdf", ".txt"):
             fmt = "cdf"
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"case file {path} is not text: {exc.reason}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read case file {path}: {exc.strerror}") from None
     return parse_case(
-        path.read_text(),
+        text,
         fmt=fmt,
         roots=args.roots,
         delta_t_hours=getattr(args, "delta_t", None),
@@ -146,10 +147,7 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
     search_options = SearchOptions(
         max_passes=args.max_passes,
         use_surrogate=not args.no_surrogate,
-        surrogate_mode=(
-            SurrogateMode.PRUNE if args.surrogate_prune is not None else SurrogateMode.RANK_ONLY
-        ),
-        prune_threshold=args.surrogate_prune if args.surrogate_prune is not None else 0.1,
+        prune_threshold=args.surrogate_prune,
         solver=args.solver,
         solver_options=solver_options,
     )
@@ -201,10 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -23,18 +23,13 @@ from .surrogate import (
     rank_candidates,
     untrained_model,
 )
-from .topology import adjacent_switches, fundamental_loop
+from .topology import FundamentalLoop, fundamental_loop
 
 
 class RejectReason(Enum):
     WORSE_OBJECTIVE = "worse_objective"
     INFEASIBLE = "infeasible"
     POWER_FLOW_DIVERGED = "power_flow_diverged"
-
-
-class SurrogateMode(Enum):
-    RANK_ONLY = "rank_only"
-    PRUNE = "prune"
 
 
 class InitialInfeasibleError(RuntimeError):
@@ -68,8 +63,9 @@ class SearchTrace:
 class SearchOptions:
     max_passes: int = 20
     use_surrogate: bool = True
-    surrogate_mode: SurrogateMode = SurrogateMode.RANK_ONLY
-    prune_threshold: float = 0.1
+    # None ranks only; a threshold also skips switches predicted above
+    # incumbent * (1 + threshold)
+    prune_threshold: float | None = None
     solver: str = "nr"
     solver_options: SolverOptions = SolverOptions()
 
@@ -99,12 +95,13 @@ def evaluate_candidate(
     return report, solution
 
 
-# incumbent ordering: feasibility dominates, then the objective value
-_Key = tuple[bool, float]
+# incumbent ordering: objective.sort_key without a branch tie-break
+_Key = tuple[bool, float, tuple[int, ...]]
 
 
-def _report_key(report: ObjectiveReport) -> _Key:
-    return (not report.feasible, report.fo_value)
+def _nearest(case: NetworkCase, loop: FundamentalLoop) -> int | None:
+    """The loop's switchable branch nearest its open branch, None when it has none."""
+    return next((b for b in loop.nearest_first() if case.branch_by_id[b].switchable), None)
 
 
 class _Search:
@@ -113,52 +110,47 @@ class _Search:
         self.options = options
         self.trace = SearchTrace()
 
-    @property
-    def samples(self) -> list[tuple[FeatureVector, float]]:
-        return self.trace.samples
+    def score(self, config: Configuration) -> tuple[ObjectiveReport | None, Rejection | None]:
+        """Evaluate one configuration, count it and keep its surrogate sample.
 
-    def evaluate(self, config: Configuration) -> tuple[ObjectiveReport, PowerFlowSolution] | Rejection:
+        The report is None when the candidate could not be scored; the
+        rejection is None when it passed every check.
+        """
         outcome = evaluate_candidate(self.case, config, self.options)
-        skipped_solve = isinstance(outcome, Rejection) and outcome.detail == "not radial"
-        if not skipped_solve:
-            self.trace.evaluations += 1
-        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+        self.trace.evaluations += 1
+        if isinstance(outcome, Rejection):
+            report, rejection = outcome.report, outcome
+        else:
+            report, rejection = outcome[0], None
         if report is not None:
-            self.samples.append((featurize(self.case, config), report.fo_value))
-        return outcome
+            self.trace.samples.append((featurize(self.case, config), report.fo_value))
+        return report, rejection
+
+    def log(
+        self,
+        close_id: int,
+        open_id: int,
+        key: _Key,
+        report: ObjectiveReport | None,
+        reason: RejectReason | None,
+    ) -> None:
+        """Record one tried exchange; it was accepted exactly when no reason is given."""
+        fo_after = report.fo_value if report is not None else None
+        self.trace.moves.append(Move(close_id, open_id, key[1], fo_after, reason is None, reason))
 
     def attempt(
         self, config: Configuration, key: _Key, close_id: int, open_id: int
     ) -> tuple[Configuration, _Key] | None:
         """Try one exchange against the incumbent; log it either way."""
         candidate = config.with_exchange(close_id, open_id)
-        outcome = self.evaluate(candidate)
-        if isinstance(outcome, Rejection):
-            # a scored-but-infeasible candidate can still better an infeasible
-            # incumbent; anything unscorable cannot
-            if outcome.report is not None and _report_key(outcome.report) < key:
-                self.trace.moves.append(
-                    Move(close_id, open_id, key[1], outcome.report.fo_value, True)
-                )
-                return candidate, _report_key(outcome.report)
-            self.trace.moves.append(
-                Move(
-                    close_id,
-                    open_id,
-                    key[1],
-                    outcome.report.fo_value if outcome.report else None,
-                    False,
-                    outcome.reason,
-                )
-            )
-            return None
-        report, _ = outcome
-        if _report_key(report) < key:
-            self.trace.moves.append(Move(close_id, open_id, key[1], report.fo_value, True))
-            return candidate, _report_key(report)
-        self.trace.moves.append(
-            Move(close_id, open_id, key[1], report.fo_value, False, RejectReason.WORSE_OBJECTIVE)
-        )
+        report, rejection = self.score(candidate)
+        # a scored-but-infeasible candidate can still better an infeasible
+        # incumbent; anything unscorable cannot
+        if report is not None and sort_key(report) < key:
+            self.log(close_id, open_id, key, report, None)
+            return candidate, sort_key(report)
+        reason = rejection.reason if rejection else RejectReason.WORSE_OBJECTIVE
+        self.log(close_id, open_id, key, report, reason)
         return None
 
     def walk_loop(
@@ -172,10 +164,8 @@ class _Search:
         flips direction, a second consecutive failure ends the walk.
         """
         loop = fundamental_loop(self.case, config, switch)
-        switchable = {
-            b for b in loop.branch_ids if self.case.branch_by_id[b].switchable
-        }
-        if not switchable:
+        nearest = _nearest(self.case, loop)
+        if nearest is None:
             return config, key
         ordered = list(loop.branch_ids)
         if loop.inter_feeder:
@@ -186,11 +176,8 @@ class _Search:
             # a cycle: either direction can slide the whole way around
             arm_u = ordered
             arm_v = list(reversed(ordered))
-        arm_u = [b for b in arm_u if b in switchable]
-        arm_v = [b for b in arm_v if b in switchable]
-        nearest = next(
-            b for b in adjacent_switches(self.case, config, switch) if b in switchable
-        )
+        arm_u = [b for b in arm_u if self.case.branch_by_id[b].switchable]
+        arm_v = [b for b in arm_v if self.case.branch_by_id[b].switchable]
         arms = [arm_u, arm_v] if arm_u and arm_u[0] == nearest else [arm_v, arm_u]
 
         open_position = switch
@@ -222,7 +209,7 @@ class _Search:
         self, config: Configuration, key: _Key
     ) -> tuple[Configuration, _Key] | None:
         """Evaluate every single exchange; apply the best strict improvement."""
-        best: tuple[tuple, Configuration, _Key, int, int] | None = None
+        best: tuple[tuple, Configuration, int, int, ObjectiveReport] | None = None
         for switch in sorted(config.open_ids):
             if not self.case.branch_by_id[switch].switchable:
                 continue
@@ -231,32 +218,19 @@ class _Search:
                 if not self.case.branch_by_id[target].switchable:
                     continue
                 candidate = config.with_exchange(switch, target)
-                outcome = self.evaluate(candidate)
-                report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
-                if report is not None and _report_key(report) < key:
+                report, rejection = self.score(candidate)
+                if report is not None and sort_key(report) < key:
                     rank = sort_key(report, branch_key=tuple(sorted(candidate.open_ids)))
                     if best is None or rank < best[0]:
-                        best = (rank, candidate, _report_key(report), switch, target)
+                        best = (rank, candidate, switch, target, report)
                     continue
-                if isinstance(outcome, Rejection):
-                    reason = outcome.reason
-                else:
-                    reason = RejectReason.WORSE_OBJECTIVE
-                self.trace.moves.append(
-                    Move(
-                        switch,
-                        target,
-                        key[1],
-                        report.fo_value if report is not None else None,
-                        False,
-                        reason,
-                    )
-                )
+                reason = rejection.reason if rejection else RejectReason.WORSE_OBJECTIVE
+                self.log(switch, target, key, report, reason)
         if best is None:
             return None
-        _, candidate, best_key, switch, target = best
-        self.trace.moves.append(Move(switch, target, key[1], best_key[1], True))
-        return candidate, best_key
+        _, candidate, switch, target, report = best
+        self.log(switch, target, key, report, None)
+        return candidate, sort_key(report)
 
     def order_switches(
         self, config: Configuration, fo: float, model: LinearModel
@@ -267,10 +241,7 @@ class _Search:
             return open_ids
         first_moves: dict[int, Configuration] = {}
         for switch in open_ids:
-            ranked = adjacent_switches(self.case, config, switch)
-            nearest = next(
-                (b for b in ranked if self.case.branch_by_id[b].switchable), None
-            )
+            nearest = _nearest(self.case, fundamental_loop(self.case, config, switch))
             if nearest is not None:
                 first_moves[switch] = config.with_exchange(switch, nearest)
         scoreable = list(first_moves)
@@ -281,7 +252,8 @@ class _Search:
         self.trace.surrogate_hits += sum(
             1 for before, after in zip(open_ids, reordered) if before != after
         )
-        if self.options.surrogate_mode is SurrogateMode.PRUNE:
+        threshold = self.options.prune_threshold
+        if threshold is not None:
             keep = []
             for switch in reordered:
                 cfg = first_moves.get(switch)
@@ -289,7 +261,7 @@ class _Search:
                     keep.append(switch)
                     continue
                 predicted = model.predict(featurize(self.case, cfg))
-                if predicted <= fo * (1.0 + self.options.prune_threshold):
+                if predicted <= fo * (1.0 + threshold):
                     keep.append(switch)
             return keep
         return reordered
@@ -310,24 +282,21 @@ def improve(
     move, the exhaustive sweep either certifies local optimality or supplies
     the improvement the walks missed.
     """
+    # every later candidate is a fundamental-loop exchange, radial by construction
+    if not is_radial(case, initial):
+        raise InitialInfeasibleError("initial configuration rejected: not radial")
     search = _Search(case, options)
-    outcome = search.evaluate(initial)
-    if isinstance(outcome, Rejection):
-        if outcome.report is None:
-            raise InitialInfeasibleError(
-                f"initial configuration rejected: {outcome.detail or outcome.reason.value}"
-            )
-        report = outcome.report
-    else:
-        report, _ = outcome
-    config, key = initial, _report_key(report)
+    report, rejection = search.score(initial)
+    if report is None:
+        raise InitialInfeasibleError(f"initial configuration rejected: {rejection.detail}")
+    config, key = initial, sort_key(report)
     model = model if model is not None and model.trained else untrained_model(case)
 
     passes = 0
     while passes < options.max_passes:
         passes += 1
         if options.use_surrogate:
-            refit = fit(case, search.samples)
+            refit = fit(case, search.trace.samples)
             if refit.trained:
                 model = refit
         key_at_pass_start = key

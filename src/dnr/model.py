@@ -7,6 +7,7 @@ case base, voltages in per-unit.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -217,6 +218,13 @@ def all_closed_config(case: NetworkCase) -> Configuration:
 def validate_case(case: NetworkCase) -> list[Violation]:
     """Structural checks; an empty list means the case is usable."""
     violations: list[Violation] = []
+    if not case.base_mva > 0.0:
+        violations.append(Violation("bad_base", f"system base {case.base_mva} MVA is not positive"))
+    if not 0.0 < case.delta_t_hours < math.inf:
+        # a non-positive interval flips the objective's sign: the search would maximize losses
+        violations.append(
+            Violation("bad_interval", f"study interval {case.delta_t_hours} h is not positive and finite")
+        )
 
     seen_buses: set[int] = set()
     for bus in case.buses:
@@ -268,6 +276,10 @@ def validate_case(case: NetworkCase) -> list[Violation]:
         if branch.mva_limit is not None and branch.mva_limit <= 0.0:
             violations.append(
                 Violation("bad_rating", f"branch {branch.id} has a non-positive MVA rating", branch_id=branch.id)
+            )
+        if branch.tap_ratio <= 0.0:
+            violations.append(
+                Violation("bad_tap", f"branch {branch.id} has a non-positive tap ratio", branch_id=branch.id)
             )
 
     if not case.roots:

@@ -111,23 +111,7 @@ def _feeder_check(case: NetworkCase, solution: PowerFlowSolution) -> ConstraintC
 
 
 def sort_key(
-    report: ObjectiveReport,
-    switch_changes: int = 0,
-    branch_key: tuple[int, ...] = (),
-) -> tuple:
-    """Ordering tuple: feasible first, lower objective, fewer moves, lower ids."""
-    return (not report.feasible, report.fo_value, switch_changes, branch_key)
-
-
-def compare(
-    a: ObjectiveReport,
-    b: ObjectiveReport,
-    *,
-    changes_a: int = 0,
-    changes_b: int = 0,
-    key_a: tuple[int, ...] = (),
-    key_b: tuple[int, ...] = (),
-) -> int:
-    """-1 when a ranks better than b, 1 when worse, 0 on a full tie."""
-    ka, kb = sort_key(a, changes_a, key_a), sort_key(b, changes_b, key_b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
+    report: ObjectiveReport, branch_key: tuple[int, ...] = ()
+) -> tuple[bool, float, tuple[int, ...]]:
+    """Ordering tuple: feasible first, then lower objective, then lower ids."""
+    return (not report.feasible, report.fo_value, branch_key)

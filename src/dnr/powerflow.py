@@ -31,7 +31,6 @@ class NotConvergedError(RuntimeError):
 class SolverOptions:
     tolerance: float = 1e-8
     max_iterations: int | None = None  # None: 30 for NR, 5000 for GS
-    flat_start: bool = True
 
     def iteration_cap(self, method: str) -> int:
         if self.max_iterations is not None:
@@ -192,8 +191,7 @@ class _IslandSetup:
     clamped: dict[int, int] = field(default_factory=dict)  # position -> limit side
 
 
-def _classify(case: NetworkCase, island: Island, options: SolverOptions,
-              start: dict[int, complex] | None) -> _IslandSetup:
+def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     ybus, order = build_admittance(case, island)
     pos = {bus: i for i, bus in enumerate(order)}
     n = len(order)
@@ -218,10 +216,6 @@ def _classify(case: NetworkCase, island: Island, options: SolverOptions,
             v[i] = vset[i]
         else:
             pq.append(i)
-    if not options.flat_start and start:
-        for bus_id, volt in start.items():
-            if bus_id in pos:
-                v[pos[bus_id]] = volt
     return _IslandSetup(order, ybus, slack, pv, pq, sbus, v, vset)
 
 
@@ -314,7 +308,6 @@ def solve_newton_raphson(
     config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
     sending: dict[int, int] | None = None,
-    start: dict[int, complex] | None = None,
 ) -> PowerFlowSolution:
     """Full Newton power flow on one island; the root is the slack bus.
 
@@ -324,7 +317,7 @@ def solve_newton_raphson(
     """
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
-    setup = _classify(case, island, options, start)
+    setup = _classify(case, island)
     ybus = setup.ybus.tocsr()
     cap = options.iteration_cap("nr")
     tol = options.tolerance
@@ -367,12 +360,11 @@ def solve_gauss_seidel(
     config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
     sending: dict[int, int] | None = None,
-    start: dict[int, complex] | None = None,
 ) -> PowerFlowSolution:
     """Gauss-Seidel sweeps; slow but independent of the Newton machinery."""
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
-    setup = _classify(case, island, options, start)
+    setup = _classify(case, island)
     ydense = setup.ybus.toarray()
     cap = options.iteration_cap("gs")
     tol = options.tolerance

@@ -54,6 +54,11 @@ class FundamentalLoop:
             return k - 1 - position if position < k else position - k
         return min(position, len(self.branch_ids) - 1 - position)
 
+    def nearest_first(self) -> tuple[int, ...]:
+        """Branch ids by hop distance from the open branch, lower id on ties."""
+        ranked = sorted((self.hop_distance(pos), b) for pos, b in enumerate(self.branch_ids))
+        return tuple(branch_id for _, branch_id in ranked)
+
 
 def forest_index(case: NetworkCase, config: Configuration) -> ForestIndex:
     """Per-bus tree data of a radial configuration: a view on `model.forest`."""
@@ -162,9 +167,4 @@ def adjacent_switches(case: NetworkCase, config: Configuration, reference: int) 
     Distance is the hop count from the reference branch along the loop walk;
     equal distances fall back to the lower branch id.
     """
-    loop = fundamental_loop(case, config, reference)
-    ranked = sorted(
-        (loop.hop_distance(pos), branch_id)
-        for pos, branch_id in enumerate(loop.branch_ids)
-    )
-    return tuple(branch_id for _, branch_id in ranked)
+    return fundamental_loop(case, config, reference).nearest_first()

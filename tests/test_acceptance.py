@@ -178,7 +178,7 @@ def test_criterion_4_solver_cross_validation(
     for seed in range(20):
         case = random_four_bus(seed)
         island = Island(1, frozenset(case.bus_by_id), frozenset(case.branch_by_id))
-        setup = _classify(case, island, SolverOptions(), None)
+        setup = _classify(case, island)
         rng = np.random.default_rng(4000 + seed)
         vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))
         va = rng.uniform(-0.1, 0.1, len(setup.v))

@@ -104,6 +104,39 @@ class TestNativeFormat:
         with pytest.raises(ParseError):
             parse_case("{not json", fmt="json")
 
+    @pytest.mark.parametrize(
+        ("owner", "field", "value", "complaint"),
+        [
+            ("buses", "p_load", "ten", "bus 2 p_load 'ten'"),
+            ("branches", "r", "x", "branch 1 r 'x'"),
+            ("branches", "x", None, "branch 1 x None"),
+            ("buses", "q_load", float("nan"), "bus 2 q_load nan"),
+            ("buses", "v_max", float("inf"), "bus 2 v_max inf"),
+            (None, "base_mva", float("nan"), "case base_mva nan"),
+            (None, "delta_t_hours", "soon", "case delta_t_hours 'soon'"),
+        ],
+    )
+    def test_numeric_fields_must_be_finite_numbers(self, owner, field, value, complaint):
+        payload = json.loads(write_native_case(two_bus_case(10.0, 5.0)))
+        target = payload if owner is None else payload[owner][-1]
+        target[field] = value
+        with pytest.raises(ParseError, match=f"{complaint} is not a finite number"):
+            parse_case(json.dumps(payload), fmt="json")
+
+    def test_infinite_id_rejected(self):
+        text = write_native_case(two_bus_case(10.0, 5.0)).replace('"id": 2', '"id": Infinity')
+        with pytest.raises(ParseError):
+            parse_case(text, fmt="json")
+
+    def test_numeric_fields_are_coerced_to_float(self):
+        payload = json.loads(write_native_case(two_bus_case(10.0, 5.0)))
+        payload["buses"][1]["p_load"] = 10
+        payload["branches"][0]["tap_ratio"] = "1"
+        case = parse_case(json.dumps(payload), fmt="json")
+        assert type(case.bus_by_id[2].p_load) is float
+        assert case.branch_by_id[1].tap_ratio == 1.0
+        assert case == two_bus_case(10.0, 5.0)
+
     def test_validation_gate(self):
         case = two_bus_case(10.0, 5.0)
         text = write_native_case(case).replace('"to_bus": 2', '"to_bus": 99')

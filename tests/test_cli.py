@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +57,20 @@ class TestArgumentHandling:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_exits_two(self, tmp_path, capsys):
+        rc = main(["validate", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_binary_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "image.cdf"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe")
+        rc = main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_roots_list_is_a_usage_error(self, cdf_path):
         with pytest.raises(SystemExit) as err:
             main(["powerflow", str(cdf_path), "--roots", "1,two"])
@@ -89,6 +106,46 @@ class TestValidate:
         rc = main(["reconfigure", str(path), "--stable"])
         assert rc == 1
         assert "missing_bus" in capsys.readouterr().err
+
+
+def _native_payload() -> dict:
+    return json.loads(write_native_case(two_bus_case(10.0, 5.0)))
+
+
+def _set(owner: str | None, field: str, value):
+    def change(payload: dict) -> None:
+        (payload if owner is None else payload[owner][-1])[field] = value
+    return change
+
+
+class TestInputBoundary:
+    """Malformed native input ends with an exit code and a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        ("change", "code", "message"),
+        [
+            pytest.param(_set("buses", "p_load", "ten"), 2, "p_load", id="text-load"),
+            pytest.param(_set("branches", "r", "x"), 2, "r 'x'", id="text-resistance"),
+            pytest.param(_set("buses", "q_load", float("nan")), 2, "not a finite number", id="nan-load"),
+            pytest.param(_set(None, "base_mva", 0), 1, "bad_base", id="zero-base"),
+            pytest.param(_set("branches", "tap_ratio", 0), 1, "bad_tap", id="zero-tap"),
+            pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
+        ],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, change, code, message):
+        payload = _native_payload()
+        change(payload)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(payload))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnr.cli", "reconfigure", str(path), "--stable"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
 
 class TestPowerflow:
@@ -233,6 +290,15 @@ class TestReconfigure:
             assert rc == 0
             values[hours] = json.loads(out_path.read_text())["objective"]["fo_value_mwh"]
         assert values["2.0"] == pytest.approx(2.0 * values["1.0"], abs=1e-9)
+
+    @pytest.mark.parametrize("hours", ["-1", "0"])
+    def test_non_positive_interval_is_refused(self, cdf_path, capsys, hours):
+        # a negative interval flips the objective's sign, so the search would maximize losses
+        rc = main(["reconfigure", str(cdf_path), "--roots", "1,2", "--delta-t", hours])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "bad_interval" in captured.err
+        assert captured.out == ""
 
     def test_unavoidable_violation_exits_one(self, tmp_path, capsys):
         case = two_bus_case(80.0, 30.0, v_min=0.99)

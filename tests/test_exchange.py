@@ -12,11 +12,10 @@ from dnr.exchange import (
     RejectReason,
     Rejection,
     SearchOptions,
-    SurrogateMode,
     evaluate_candidate,
     improve,
 )
-from dnr import model
+from dnr import exchange, model
 from dnr.model import all_closed_config, is_radial, make_config
 from dnr.objective import ObjectiveReport
 from dnr.powerflow import SolverOptions, solve_network
@@ -253,8 +252,8 @@ def three_runs(ieee14_case, ieee14_forest):
     runs = {}
     for label, opts in (
         ("none", SearchOptions(use_surrogate=False)),
-        ("rank", SearchOptions(surrogate_mode=SurrogateMode.RANK_ONLY)),
-        ("prune", SearchOptions(surrogate_mode=SurrogateMode.PRUNE)),
+        ("rank", SearchOptions()),
+        ("prune", SearchOptions(prune_threshold=0.1)),
     ):
         runs[label] = improve(ieee14_case, ieee14_forest.config, options=opts)
     return runs
@@ -281,3 +280,40 @@ class TestSurrogateNeutrality:
     def test_rank_mode_reorders_but_none_mode_never_consults(self, three_runs):
         assert three_runs["none"][1].surrogate_hits == 0
         assert three_runs["rank"][1].surrogate_hits > 0
+
+
+class TestSingleScoringPath:
+    """Every candidate is scored, counted and logged by the same two steps."""
+
+    def test_accepted_exactly_when_no_reason(self, three_runs):
+        for _, trace in three_runs.values():
+            assert trace.moves
+            for move in trace.moves:
+                assert move.accepted == (move.rejected_reason is None)
+                diverged = move.rejected_reason is RejectReason.POWER_FLOW_DIVERGED
+                assert (move.fo_after is None) == diverged
+
+    @pytest.mark.parametrize(
+        "options",
+        [SearchOptions(use_surrogate=False), SearchOptions(), SearchOptions(prune_threshold=0.1)],
+        ids=["none", "rank", "prune"],
+    )
+    def test_evaluations_count_every_candidate_call(
+        self, ieee14_case, ieee14_forest, monkeypatch, options
+    ):
+        calls = []
+        score = exchange.evaluate_candidate
+        monkeypatch.setattr(
+            exchange, "evaluate_candidate", lambda *args: calls.append(args[1]) or score(*args)
+        )
+        _, trace = improve(ieee14_case, ieee14_forest.config, options=options)
+        assert trace.evaluations == len(calls)
+        # the start is scored once and every other call is a logged move
+        assert len(calls) == len(trace.moves) + 1
+
+    def test_non_radial_start_is_refused_before_scoring(self, triangle_case, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exchange, "evaluate_candidate", lambda *args: calls.append(args))
+        with pytest.raises(InitialInfeasibleError, match="not radial"):
+            improve(triangle_case, all_closed_config(triangle_case))
+        assert calls == []

@@ -125,6 +125,16 @@ class TestValidateCase:
             "missing_root",
         } <= codes
 
+    def test_base_interval_and_tap_must_be_positive(self):
+        buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2))
+        tapped = (Branch(1, 1, 2, r=0.01, x=0.02, tap_ratio=0.0),)
+        plain = (Branch(1, 1, 2, r=0.01, x=0.02),)
+        assert {v.code for v in validate_case(NetworkCase(0.0, buses, plain, (1,)))} == {"bad_base"}
+        assert {v.code for v in validate_case(NetworkCase(100.0, buses, tapped, (1,)))} == {"bad_tap"}
+        for hours in (-1.0, 0.0, float("inf"), float("nan")):
+            case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
+            assert {v.code for v in validate_case(case)} == {"bad_interval"}
+
     def test_root_must_be_a_feeder(self):
         case = NetworkCase(
             100.0,

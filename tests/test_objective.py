@@ -7,7 +7,7 @@ import pytest
 
 from conftest import two_bus_case
 from dnr.model import NotRadialError, make_config
-from dnr.objective import ConstraintCheck, ObjectiveReport, compare, evaluate_fo, sort_key
+from dnr.objective import ConstraintCheck, ObjectiveReport, evaluate_fo, sort_key
 from dnr.powerflow import (
     BranchFlow,
     IslandResult,
@@ -152,20 +152,24 @@ class TestConstraints:
 
 class TestOrdering:
     def test_lower_objective_wins(self):
-        assert compare(_report(3.7), _report(4.3)) == -1
-        assert compare(_report(4.3), _report(3.7)) == 1
+        assert sort_key(_report(3.7)) < sort_key(_report(4.3))
+        assert sort_key(_report(4.3)) > sort_key(_report(3.7))
 
     def test_feasibility_dominates_value(self):
-        assert compare(_report(9.0), _report(2.0, feasible=False)) == -1
+        assert sort_key(_report(9.0)) < sort_key(_report(2.0, feasible=False))
+        assert sort_key(_report(5.0, feasible=False)) > sort_key(_report(99.0))
+        # among infeasible reports the objective still orders
+        assert sort_key(_report(2.0, feasible=False)) < sort_key(_report(3.0, feasible=False))
 
-    def test_fewer_changes_break_ties(self):
+    def test_equal_reports_tie_without_a_branch_key(self):
         a, b = _report(5.0), _report(5.0)
-        assert compare(a, b, changes_a=1, changes_b=2) == -1
-        assert compare(a, b, changes_a=2, changes_b=1) == 1
-        assert compare(a, b) == 0
+        assert sort_key(a) == sort_key(b)
+        assert not sort_key(a) < sort_key(b)
 
     def test_branch_key_is_the_last_resort(self):
         a, b = _report(5.0), _report(5.0)
-        assert compare(a, b, key_a=(1, 4), key_b=(1, 5)) == -1
-        assert sort_key(a, 2, (1, 4)) < sort_key(b, 2, (1, 5))
-        assert sort_key(_report(5.0, feasible=False)) > sort_key(_report(99.0))
+        assert sort_key(a, (1, 4)) < sort_key(b, (1, 5))
+        assert sort_key(a, branch_key=(1, 5)) > sort_key(b, branch_key=(1, 4))
+        # the branch key never overrides the objective or feasibility
+        assert sort_key(_report(4.0), (9, 9)) < sort_key(_report(5.0), (1, 1))
+        assert sort_key(_report(9.0), (9, 9)) < sort_key(_report(1.0, feasible=False), (1, 1))

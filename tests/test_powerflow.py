@@ -305,7 +305,7 @@ def _assert_jacobian_matches_oracles(setup, seed: int) -> None:
 
 def _regulated_ieee14_island(case, forest):
     for island in split_islands(case, forest.config):
-        setup = _classify(case, island, SolverOptions(), None)
+        setup = _classify(case, island)
         if setup.pv and setup.pq:
             return setup
     pytest.fail("no IEEE-14 island holds both regulated and load buses")
@@ -316,7 +316,7 @@ class TestJacobian:
     def test_matches_central_differences_off_flat(self, seed):
         case = random_four_bus(seed)
         island = Island(1, frozenset(case.bus_by_id), frozenset(case.branch_by_id))
-        _assert_jacobian_matches_oracles(_classify(case, island, SolverOptions(), None), seed)
+        _assert_jacobian_matches_oracles(_classify(case, island), seed)
 
     def test_ieee14_island_with_pv_buses(self, ieee14_case, ieee14_forest):
         setup = _regulated_ieee14_island(ieee14_case, ieee14_forest)
@@ -342,7 +342,7 @@ class TestJacobian:
             ),
             roots=(1,),
         )
-        setup = _classify(case, _whole_island(case), SolverOptions(), None)
+        setup = _classify(case, _whole_island(case))
         assert setup.pq == [] and setup.pv == [1, 2]
         _assert_jacobian_matches_oracles(setup, 3)
         solution = solve_newton_raphson(case, _whole_island(case))
@@ -351,7 +351,7 @@ class TestJacobian:
 
     def test_slack_only_island_needs_no_newton_step(self, six_bus_case, monkeypatch):
         island = Island(2, frozenset({2}), frozenset())
-        setup = _classify(six_bus_case, island, SolverOptions(), None)
+        setup = _classify(six_bus_case, island)
         empty = np.array([], dtype=int)
         assert mismatch_jacobian(setup.ybus, setup.v, empty, empty).shape == (0, 0)
 
