@@ -229,6 +229,14 @@ def _numbers(entry: dict, fields: tuple[str, ...], kind: str) -> dict[str, float
     return numbers
 
 
+def _switchable(entry: dict) -> bool:
+    value = entry.get("switchable", True)
+    if not isinstance(value, bool):
+        # a string such as "no" would otherwise read as true
+        raise ValueError(f"branch {entry['id']} switchable {value!r} is not true or false")
+    return value
+
+
 def _parse_native(text: str) -> NetworkCase:
     try:
         payload = json.loads(text)
@@ -250,7 +258,7 @@ def _parse_native(text: str) -> NetworkCase:
                 to_bus=int(entry["to_bus"]),
                 default_state=SwitchState(entry.get("default_state", "closed")),
                 **_numbers(entry, _BRANCH_NUMBERS, "branch"),
-                switchable=entry.get("switchable", True),
+                switchable=_switchable(entry),
             )
             for entry in payload["branches"]
         )

@@ -15,10 +15,10 @@ from .caseio import (
     write_report,
 )
 from .exchange import InitialInfeasibleError, SearchOptions, improve
-from .model import all_closed_config, default_config, is_radial, validate_case
+from .model import NetworkCase, all_closed_config, default_config, is_radial, validate_case
 from .objective import evaluate_fo
 from .powerflow import SolverOptions, solve_all_islands, solve_network
-from .surrogate import fit, model_from_json, model_to_json
+from .surrogate import LinearModel, feature_names, fit, model_from_json, model_to_json
 from .topology import build_spanning_forest, weights_from_flow
 
 
@@ -141,8 +141,24 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     return 0 if solution.converged else 1
 
 
+def _load_model(path: Path, case: NetworkCase) -> LinearModel:
+    """A saved surrogate that fits this case's features, or ParseError."""
+    try:
+        model = model_from_json(path.read_text())
+    except ValueError as exc:  # undecodable bytes, bad JSON, wrong keys or types
+        raise ParseError(f"model file {path}: {exc}") from None
+    expected = feature_names(case)
+    if model.feature_names != expected:
+        raise ParseError(
+            f"model file {path} has features {list(model.feature_names)}, "
+            f"this case needs {list(expected)}"
+        )
+    return model
+
+
 def _cmd_reconfigure(args: argparse.Namespace) -> int:
     case = _load_case(args)
+    model = None if args.model_in is None else _load_model(args.model_in, case)
     solver_options = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter)
     search_options = SearchOptions(
         max_passes=args.max_passes,
@@ -158,9 +174,6 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
         return 1
     forest = build_spanning_forest(case, weights_from_flow(case, meshed))
 
-    model = None
-    if args.model_in is not None:
-        model = model_from_json(args.model_in.read_text())
     config, trace = improve(case, forest.config, search_options, model)
 
     solution = solve_all_islands(case, config, solver_options, args.solver)

@@ -89,30 +89,117 @@ def _pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
     return (ys + bc) / t**2, -ys / t, -ys / t, ys + bc
 
 
-def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matrix, list[int]]:
-    """Nodal admittance matrix over the island's buses, and the bus ordering."""
-    order = sorted(island.buses)
-    pos = {bus: i for i, bus in enumerate(order)}
-    n = len(order)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for branch_id in sorted(island.branches):
-        branch = case.branch_by_id[branch_id]
-        f, to = pos[branch.from_bus], pos[branch.to_bus]
-        rows += [f, f, to, to]
-        cols += [f, to, f, to]
-        vals += _pi_stamp(branch)
-    for bus_id in order:
-        bus = case.bus_by_id[bus_id]
-        if bus.g_shunt or bus.b_shunt:
-            rows.append(pos[bus_id])
-            cols.append(pos[bus_id])
-            vals.append(complex(bus.g_shunt, bus.b_shunt))
-    ybus = sparse.csc_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n)
+@dataclass(frozen=True, eq=False)
+class _CompiledCase:
+    """A case as index arrays: everything an island solve reads of it.
+
+    Buses and branches are sorted by id; `ends` holds each branch's from/to
+    bus positions and `stamp` its (y_ff, y_ft, y_tf, y_tt) from `_pi_stamp`,
+    zero where `singular` marks a branch without series impedance.  Per bus:
+    shunt admittance, per-unit injection, whether the bus regulates its
+    voltage as a PV bus, and its setpoint (1.0 where none).
+    """
+
+    bus_ids: np.ndarray
+    branch_ids: np.ndarray
+    ends: np.ndarray
+    stamp: np.ndarray
+    singular: np.ndarray
+    shunt: np.ndarray
+    has_shunt: np.ndarray
+    injection: np.ndarray
+    regulated: np.ndarray
+    setpoint: np.ndarray
+
+
+def _compile(case: NetworkCase) -> _CompiledCase:
+    bus_ids = sorted(case.bus_by_id)
+    branch_ids = sorted(case.branch_by_id)
+    pos = {bus: i for i, bus in enumerate(bus_ids)}
+    buses = [case.bus_by_id[bus] for bus in bus_ids]
+    branches = [case.branch_by_id[branch] for branch in branch_ids]
+    singular = [b.r == 0.0 and b.x == 0.0 for b in branches]
+    base = case.base_mva
+    return _CompiledCase(
+        bus_ids=np.array(bus_ids, dtype=np.int64),
+        branch_ids=np.array(branch_ids, dtype=np.int64),
+        ends=np.array(
+            [(pos[b.from_bus], pos[b.to_bus]) for b in branches], dtype=np.intp
+        ).reshape(-1, 2),
+        stamp=np.array(
+            [(0j,) * 4 if bad else _pi_stamp(b) for b, bad in zip(branches, singular)],
+            dtype=complex,
+        ).reshape(-1, 4),
+        singular=np.array(singular, dtype=bool),
+        shunt=np.array([complex(b.g_shunt, b.b_shunt) for b in buses], dtype=complex),
+        has_shunt=np.array([bool(b.g_shunt or b.b_shunt) for b in buses], dtype=bool),
+        injection=np.array(
+            [complex(b.p_gen - b.p_load, b.q_gen - b.q_load) / base for b in buses], dtype=complex
+        ),
+        regulated=np.array(
+            [b.v_setpoint is not None and b.kind is not BusKind.LOAD for b in buses], dtype=bool
+        ),
+        setpoint=np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in buses]),
     )
-    return ybus, order
+
+
+# the last compiled cases, keyed by id(case).  Each entry holds its case, so
+# the id cannot be reused while the entry lives.  Nothing is cached on the
+# case, which callers may keep many of.
+_COMPILED_MEMO_SIZE = 2
+_compiled_memo: dict[int, tuple[NetworkCase, _CompiledCase]] = {}
+
+
+def _compiled_case(case: NetworkCase) -> _CompiledCase:
+    """The case's compiled form, built on first use and memoised."""
+    entry = _compiled_memo.pop(id(case), None)
+    if entry is None:
+        entry = (case, _compile(case))
+        if len(_compiled_memo) >= _COMPILED_MEMO_SIZE:
+            del _compiled_memo[next(iter(_compiled_memo))]  # least recently used
+    _compiled_memo[id(case)] = entry
+    return entry[1]
+
+
+def _positions(ids: np.ndarray, wanted) -> np.ndarray:
+    """Ascending positions in the sorted `ids` of the ids in `wanted`."""
+    keys = np.sort(np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
+    pos = np.searchsorted(ids, keys)
+    if (ids.take(pos, mode="clip") != keys).any():
+        unknown = sorted(set(keys.tolist()) - set(ids.tolist()))
+        raise KeyError(f"ids {unknown} are not in the case")
+    return pos
+
+
+def _closed_branches(compiled: _CompiledCase, branch_ids) -> np.ndarray:
+    """Positions of the branches, in id order; a singular one is an error."""
+    pos = _positions(compiled.branch_ids, branch_ids)
+    bad = compiled.singular[pos]
+    if bad.any():
+        first = int(compiled.branch_ids[pos[bad.argmax()]])
+        raise SingularBranchError(f"closed branch {first} has zero impedance")
+    return pos
+
+
+def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matrix, list[int]]:
+    """Nodal admittance matrix over the island's buses, and the bus ordering.
+
+    The COO input lists ff, ft, tf, tt per branch in id order, then the bus
+    shunts, so duplicate entries sum in a fixed order.
+    """
+    compiled = _compiled_case(case)
+    buses = _positions(compiled.bus_ids, island.buses)
+    n = buses.size
+    local = np.empty(compiled.bus_ids.size, dtype=np.intp)
+    local[buses] = np.arange(n)
+    branches = _closed_branches(compiled, island.branches)
+    ends = local[compiled.ends[branches]]
+    shunted = buses[compiled.has_shunt[buses]]
+    rows = np.concatenate([ends[:, [0, 0, 1, 1]].ravel(), local[shunted]])
+    cols = np.concatenate([ends[:, [0, 1, 0, 1]].ravel(), local[shunted]])
+    vals = np.concatenate([compiled.stamp[branches].ravel(), compiled.shunt[shunted]])
+    ybus = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return ybus, compiled.bus_ids[buses].tolist()
 
 
 def power_mismatch(
@@ -131,21 +218,28 @@ def _mismatch(scalc: np.ndarray, sbus: np.ndarray, pvpq: np.ndarray, pq: np.ndar
     return np.concatenate([mis[pvpq].real, mis[pq].imag])
 
 
-def mismatch_jacobian(
-    ybus: sparse.spmatrix,
-    v: np.ndarray,
-    pvpq: np.ndarray,
-    pq: np.ndarray,
-) -> sparse.csc_matrix:
-    """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ].
+@dataclass(frozen=True, slots=True)
+class JacobianPattern:
+    """Where the Jacobian's terms land, for one Ybus pattern and one PV/PQ split.
 
-    Filled entry-wise on the stored pattern of Ybus, after MATPOWER's
-    dSbus_dV: each stored y_rc gives dS_r/dVa_c = -j*v_r*conj(y_rc*v_c) and
-    dS_r/dVm_c = v_r*conj(y_rc*v_c/|v_c|); the diagonal adds j*v*conj(I) and
-    conj(I)*v/|v|.  Real parts land in the P rows, imaginary parts in the Q
-    rows, and duplicate positions sum when the one matrix is built.
+    `columns` is the bus column of each stored Ybus entry in CSC order.
+    `take` picks the kept terms out of [dS/dVa real, dS/dVm real, dS/dVa
+    imag, dS/dVm imag], each listing the stored entries and then the
+    diagonal terms; `slots` puts each kept term at its place in the data of
+    `jacobian`, where the two terms of a diagonal entry sum in that order.
+    `jacobian` is the matrix every fill with this pattern writes its values
+    into and returns.
     """
-    y = ybus.tocsr()
+
+    columns: np.ndarray
+    take: np.ndarray
+    slots: np.ndarray
+    jacobian: sparse.csc_matrix
+
+
+def jacobian_pattern(ybus: sparse.spmatrix, pvpq: np.ndarray, pq: np.ndarray) -> JacobianPattern:
+    """The structure of mismatch_jacobian for this Ybus pattern and PV/PQ split."""
+    y = ybus.tocsc()
     n = y.shape[0]
     size = pvpq.size + pq.size
     # bus position -> Jacobian row/column of its angle and of its magnitude, -1: none
@@ -154,28 +248,53 @@ def mismatch_jacobian(
     mag = np.full(n, -1)
     mag[pq] = np.arange(pvpq.size, size)
     buses = np.arange(n)
-    rows = np.concatenate([np.repeat(buses, np.diff(y.indptr)), buses])
-    cols = np.concatenate([y.indices, buses])
+    columns = np.repeat(buses, np.diff(y.indptr))
+    rows = np.concatenate([y.indices, buses])
+    cols = np.concatenate([columns, buses])
+    # the four blocks: angle and magnitude rows against angle and magnitude columns
+    at_i = np.concatenate([ang[rows], ang[rows], mag[rows], mag[rows]])
+    at_j = np.concatenate([ang[cols], mag[cols], ang[cols], mag[cols]])
+    take = np.flatnonzero((at_i >= 0) & (at_j >= 0))
+    cells, slots = np.unique(at_j[take] * size + at_i[take], return_inverse=True)
+    indptr = np.searchsorted(cells, np.arange(size + 1) * size)
+    jacobian = sparse.csc_matrix(
+        (np.zeros(cells.size), (cells % size).astype(np.int32), indptr.astype(np.int32)),
+        shape=(size, size),
+    )
+    return JacobianPattern(columns, take, slots, jacobian)
+
+
+def mismatch_jacobian(
+    ybus: sparse.spmatrix,
+    v: np.ndarray,
+    pvpq: np.ndarray,
+    pq: np.ndarray,
+    pattern: JacobianPattern | None = None,
+) -> sparse.csc_matrix:
+    """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ].
+
+    Filled entry-wise on the stored pattern of Ybus, after MATPOWER's
+    dSbus_dV: each stored y_rc gives dS_r/dVa_c = -j*v_r*conj(y_rc*v_c) and
+    dS_r/dVm_c = v_r*conj(y_rc*v_c/|v_c|); the diagonal adds j*v*conj(I) and
+    conj(I)*v/|v|.  Real parts land in the P rows, imaginary parts in the Q
+    rows.  `pattern` is jacobian_pattern(ybus, pvpq, pq), built here when not
+    given; a caller that fills many Jacobians for one Ybus pattern and PV/PQ
+    split passes it in, so each call only computes the values.  The matrix
+    returned is then the pattern's own, overwritten by its next fill.
+    """
+    y = ybus.tocsc()
+    if pattern is None:
+        pattern = jacobian_pattern(y, pvpq, pq)
     ibus = y @ v
     vnorm = v / np.abs(v)
-    vr = v[rows[: y.nnz]]
-    ds_dva = np.concatenate([-1j * vr * np.conj(y.data * v[y.indices]), 1j * v * np.conj(ibus)])
-    ds_dvm = np.concatenate([vr * np.conj(y.data * vnorm[y.indices]), np.conj(ibus) * vnorm])
-    at_i, at_j, vals = [], [], []
-    for row_map, col_map, part in (
-        (ang, ang, ds_dva.real),
-        (ang, mag, ds_dvm.real),
-        (mag, ang, ds_dva.imag),
-        (mag, mag, ds_dvm.imag),
-    ):
-        i, j = row_map[rows], col_map[cols]
-        keep = (i >= 0) & (j >= 0)
-        at_i.append(i[keep])
-        at_j.append(j[keep])
-        vals.append(part[keep])
-    return sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(at_i), np.concatenate(at_j))), shape=(size, size)
-    )
+    vr = v[y.indices]
+    cols = pattern.columns
+    ds_dva = np.concatenate([-1j * vr * np.conj(y.data * v[cols]), 1j * v * np.conj(ibus)])
+    ds_dvm = np.concatenate([vr * np.conj(y.data * vnorm[cols]), np.conj(ibus) * vnorm])
+    terms = np.concatenate([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag])[pattern.take]
+    jacobian = pattern.jacobian
+    jacobian.data = np.bincount(pattern.slots, weights=terms, minlength=jacobian.data.size)
+    return jacobian
 
 
 @dataclass
@@ -193,30 +312,25 @@ class _IslandSetup:
 
 def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     ybus, order = build_admittance(case, island)
-    pos = {bus: i for i, bus in enumerate(order)}
-    n = len(order)
-    slack = pos[island.root]
-    base = case.base_mva
-    pv: list[int] = []
-    pq: list[int] = []
-    sbus = np.zeros(n, dtype=complex)
-    v = np.ones(n, dtype=complex)
-    vset = np.ones(n)
-    for bus_id in order:
-        bus = case.bus_by_id[bus_id]
-        i = pos[bus_id]
-        sbus[i] = complex(bus.p_gen - bus.p_load, bus.q_gen - bus.q_load) / base
-        if i == slack:
-            vset[i] = bus.v_setpoint if bus.v_setpoint is not None else 1.0
-            v[i] = vset[i]
-            continue
-        if bus.v_setpoint is not None and bus.kind is not BusKind.LOAD:
-            pv.append(i)
-            vset[i] = bus.v_setpoint
-            v[i] = vset[i]
-        else:
-            pq.append(i)
-    return _IslandSetup(order, ybus, slack, pv, pq, sbus, v, vset)
+    compiled = _compiled_case(case)
+    buses = np.searchsorted(compiled.bus_ids, order)
+    slack = order.index(island.root)
+    regulated = compiled.regulated[buses]
+    regulated[slack] = False
+    load = ~regulated
+    load[slack] = False
+    vset = np.where(regulated, compiled.setpoint[buses], 1.0)
+    vset[slack] = compiled.setpoint[buses[slack]]
+    return _IslandSetup(
+        order,
+        ybus,
+        slack,
+        np.flatnonzero(regulated).tolist(),
+        np.flatnonzero(load).tolist(),
+        compiled.injection[buses],
+        vset.astype(complex),
+        vset,
+    )
 
 
 def _apply_q_limits(
@@ -318,13 +432,13 @@ def solve_newton_raphson(
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
     setup = _classify(case, island)
-    ybus = setup.ybus.tocsr()
+    ybus = setup.ybus
     cap = options.iteration_cap("nr")
     tol = options.tolerance
     converged = False
     iterations = 0
     max_mismatch = math.inf
-    pvpq = pq = None
+    pvpq = pq = pattern = None
     while iterations < cap:
         iterations += 1
         scalc = setup.v * np.conj(ybus @ setup.v)
@@ -335,12 +449,15 @@ def solve_newton_raphson(
         if pvpq is None:
             pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
             pq = np.array(setup.pq, dtype=int)
+            pattern = None
         f = _mismatch(scalc, setup.sbus, pvpq, pq)
         max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         if max_mismatch <= tol:
             converged = True
             break
-        jac = mismatch_jacobian(ybus, setup.v, pvpq, pq)
+        if pattern is None:
+            pattern = jacobian_pattern(ybus, pvpq, pq)
+        jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             dx = np.atleast_1d(spsolve(jac, -f))
@@ -405,6 +522,22 @@ def solve_gauss_seidel(
 _SOLVERS = {"nr": solve_newton_raphson, "gs": solve_gauss_seidel}
 
 
+# branch_flows writes the complex products of i = y*v and s = v*conj(i) out
+# in real arithmetic, so each value has the bits of the same expression on
+# Python complex scalars (numpy's complex multiply may fuse a multiply-add and
+# round differently).  Per branch, `v` below is [vf.r, vf.i, vt.r, vt.i] and
+# their negatives, the stamp [y_ff.r, y_ff.i, y_ft.r, ..., y_tt.i]; row k of
+# these index pairs lists the four products that sum to i_from.r, i_from.i,
+# i_to.r and i_to.i.
+_CURRENT_Y = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7], [4, 5, 6, 7]])
+_CURRENT_V = np.array([[0, 5, 2, 7], [1, 0, 3, 2], [0, 5, 2, 7], [1, 0, 3, 2]])
+# the product pairs that sum to s_from.r, s_from.i, s_to.r and s_to.i
+_POWER_V = np.array([0, 1, 1, 4, 2, 3, 3, 6])
+_POWER_I = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+# a row of branch_flows' results with its two ends swapped
+_SWAP_ENDS = np.array([2, 3, 0, 1, 6, 7, 4, 5, 8])
+
+
 def branch_flows(
     case: NetworkCase,
     branch_ids: frozenset[int] | set[int],
@@ -416,34 +549,37 @@ def branch_flows(
     `sending` names the sending-end bus per branch id (defaults to from_bus,
     which is only meaningful on meshed snapshots).
     """
+    compiled = _compiled_case(case)
+    branches = _closed_branches(compiled, branch_ids)
+    ids = compiled.branch_ids[branches].tolist()
+    end_ids = compiled.bus_ids[compiled.ends[branches]]
+    ends = end_ids.tolist()
+    v = np.array([voltages[bus] for bus in end_ids.ravel().tolist()], dtype=complex)
+    v = v.reshape(-1, 2).view(float)
+    v = np.concatenate([v, -v], axis=1)
+    prod = compiled.stamp[branches].view(float)[:, _CURRENT_Y] * v[:, _CURRENT_V]
+    current = (prod[:, :, 0] + prod[:, :, 1]) + (prod[:, :, 2] + prod[:, :, 3])
+    prod = v[:, _POWER_V] * current[:, _POWER_I]
+    power = prod[:, 0::2] + prod[:, 1::2]
     base = case.base_mva
+    # per branch: p, q at the from end, p, q at the to end, i_from, i_to, loss
+    rows = np.concatenate([power * base, current, (power[:, 0] + power[:, 2])[:, None]], axis=1)
+    send_ids = end_ids[:, 0].tolist()
+    if sending:
+        send_ids = [sending.get(b, f) for b, f in zip(ids, send_ids)]
+        reverse = np.array(send_ids, dtype=np.int64) != end_ids[:, 0]
+        if reverse.any():
+            rows[reverse] = rows[reverse][:, _SWAP_ENDS]
     flows: dict[int, BranchFlow] = {}
     loss_pu = 0.0
-    for branch_id in sorted(branch_ids):
-        branch = case.branch_by_id[branch_id]
-        y_ff, y_ft, y_tf, y_tt = _pi_stamp(branch)
-        vf = voltages[branch.from_bus]
-        vt = voltages[branch.to_bus]
-        i_from = y_ff * vf + y_ft * vt
-        i_to = y_tf * vf + y_tt * vt
-        s_from = vf * i_from.conjugate()
-        s_to = vt * i_to.conjugate()
-        send_bus = sending.get(branch_id, branch.from_bus) if sending else branch.from_bus
-        if send_bus == branch.from_bus:
-            s_send, s_recv, i_send, recv_bus = s_from, s_to, i_from, branch.to_bus
-        else:
-            s_send, s_recv, i_send, recv_bus = s_to, s_from, i_to, branch.from_bus
-        flows[branch_id] = BranchFlow(
-            branch_id,
-            send_bus,
-            recv_bus,
-            s_send.real * base,
-            s_send.imag * base,
-            s_recv.real * base,
-            s_recv.imag * base,
-            abs(i_send),
-        )
-        loss_pu += (s_from + s_to).real
+    for branch_id, send_bus, (f, t), (ps, qs, pr, qr, ir, ii, _, _, lost) in zip(
+        ids, send_ids, ends, rows.tolist()
+    ):
+        # Python abs on the scalar: array np.abs rounds differently
+        current_mag = abs(complex(ir, ii))
+        recv_bus = t if send_bus == f else f
+        flows[branch_id] = BranchFlow(branch_id, send_bus, recv_bus, ps, qs, pr, qr, current_mag)
+        loss_pu += lost  # one branch at a time in id order, as a scalar loop sums
     return flows, loss_pu * base
 
 

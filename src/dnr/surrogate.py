@@ -10,6 +10,7 @@ replace a real evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,12 +147,38 @@ def model_to_json(model: LinearModel) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def model_from_json(text: str) -> LinearModel:
+    """Read what model_to_json wrote; ValueError says what is malformed."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("model is not a JSON object")
+    keys = ("features", "coefficients", "training_count", "r_squared")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"model lacks {', '.join(missing)}")
+    features = payload["features"]
+    if not isinstance(features, list) or not all(isinstance(name, str) for name in features):
+        raise ValueError("model features are not a list of names")
     coefficients = payload["coefficients"]
+    if coefficients is not None:
+        if not isinstance(coefficients, list) or not all(_finite_number(c) for c in coefficients):
+            raise ValueError("model coefficients are neither null nor a list of finite numbers")
+        if len(coefficients) != len(features):
+            raise ValueError(
+                f"model has {len(coefficients)} coefficients for {len(features)} features"
+            )
+    count = payload["training_count"]
+    if not (_finite_number(count) and count == int(count) and count >= 0):
+        raise ValueError(f"model training_count {count!r} is not a count")
+    if not _finite_number(payload["r_squared"]):
+        raise ValueError(f"model r_squared {payload['r_squared']!r} is not a finite number")
     return LinearModel(
-        tuple(payload["features"]),
-        tuple(coefficients) if coefficients is not None else None,
-        int(payload["training_count"]),
+        tuple(features),
+        tuple(float(c) for c in coefficients) if coefficients is not None else None,
+        int(count),
         float(payload["r_squared"]),
     )

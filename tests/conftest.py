@@ -27,7 +27,7 @@ from dnr.model import (
     all_closed_config,
     make_config,
 )
-from dnr.powerflow import power_mismatch, solve_network
+from dnr.powerflow import BranchFlow, SingularBranchError, power_mismatch, solve_network
 from dnr.topology import (
     ForestBuildResult,
     UnreachableError,
@@ -261,6 +261,44 @@ def random_four_bus(seed: int) -> NetworkCase:
     return NetworkCase(100.0, tuple(buses), tuple(branches), roots=(1,))
 
 
+def random_radial_feeder(seed: int, buses: int, roots: int = 1) -> NetworkCase:
+    """A seeded radial feeder with taps, line charging and bus shunts.
+
+    Buses 1..roots are feeders; every later bus hangs off a random earlier
+    one, so the default configuration is radial.  About half the branches
+    are stored against the flow, their from_bus being the downstream end.
+    """
+    rng = np.random.default_rng(seed)
+    bus_list = [
+        Bus(i, BusKind.FEEDER, v_setpoint=float(rng.uniform(1.0, 1.05))) for i in range(1, roots + 1)
+    ]
+    branches = []
+    for i in range(roots + 1, buses + 1):
+        shunted = rng.random() < 0.3
+        bus_list.append(
+            Bus(
+                i,
+                p_load=float(rng.uniform(0.0, 5.0)),
+                q_load=float(rng.uniform(0.0, 2.0)),
+                g_shunt=float(rng.uniform(0.0, 0.01)) if shunted else 0.0,
+                b_shunt=float(rng.uniform(-0.02, 0.02)) if shunted else 0.0,
+            )
+        )
+        parent = int(rng.integers(1, i))
+        ends = (i, parent) if rng.random() < 0.5 else (parent, i)
+        branches.append(
+            Branch(
+                i - roots,
+                *ends,
+                r=float(rng.uniform(0.005, 0.05)),
+                x=float(rng.uniform(0.0, 0.1)),
+                b_shunt=float(rng.uniform(0.0, 0.05)) if rng.random() < 0.4 else 0.0,
+                tap_ratio=float(rng.uniform(0.95, 1.05)) if rng.random() < 0.3 else 1.0,
+            )
+        )
+    return NetworkCase(100.0, tuple(bus_list), tuple(branches), roots=tuple(range(1, roots + 1)))
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -309,6 +347,67 @@ def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fore
         order.append((best.id, weights[best.id]))
     config = make_config(case, closed)
     return ForestBuildResult(config, tuple(sorted(config.open_ids)), tuple(order))
+
+
+def _oracle_pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
+    if branch.r == 0.0 and branch.x == 0.0:
+        raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
+    ys = 1.0 / complex(branch.r, branch.x)
+    bc = 1j * branch.b_shunt / 2.0
+    t = branch.tap_ratio if branch.tap_ratio else 1.0
+    return (ys + bc) / t**2, -ys / t, -ys / t, ys + bc
+
+
+def oracle_admittance(case: NetworkCase, island) -> tuple[np.ndarray, list[int]]:
+    """Dense Ybus over the island's sorted buses, one branch and one shunt at a time."""
+    order = sorted(island.buses)
+    pos = {bus: i for i, bus in enumerate(order)}
+    ybus = np.zeros((len(order), len(order)), dtype=complex)
+    for branch_id in sorted(island.branches):
+        branch = case.branch_by_id[branch_id]
+        f, t = pos[branch.from_bus], pos[branch.to_bus]
+        y_ff, y_ft, y_tf, y_tt = _oracle_pi_stamp(branch)
+        ybus[f, f] += y_ff
+        ybus[f, t] += y_ft
+        ybus[t, f] += y_tf
+        ybus[t, t] += y_tt
+    for bus_id in order:
+        bus = case.bus_by_id[bus_id]
+        ybus[pos[bus_id], pos[bus_id]] += complex(bus.g_shunt, bus.b_shunt)
+    return ybus, order
+
+
+def oracle_branch_flows(case: NetworkCase, branch_ids, voltages, sending=None):
+    """Branch flows and summed loss by a scalar loop over the branches in id order."""
+    base = case.base_mva
+    flows = {}
+    loss_pu = 0.0
+    for branch_id in sorted(branch_ids):
+        branch = case.branch_by_id[branch_id]
+        y_ff, y_ft, y_tf, y_tt = _oracle_pi_stamp(branch)
+        vf = voltages[branch.from_bus]
+        vt = voltages[branch.to_bus]
+        i_from = y_ff * vf + y_ft * vt
+        i_to = y_tf * vf + y_tt * vt
+        s_from = vf * i_from.conjugate()
+        s_to = vt * i_to.conjugate()
+        send_bus = sending.get(branch_id, branch.from_bus) if sending else branch.from_bus
+        if send_bus == branch.from_bus:
+            s_send, s_recv, i_send, recv_bus = s_from, s_to, i_from, branch.to_bus
+        else:
+            s_send, s_recv, i_send, recv_bus = s_to, s_from, i_to, branch.from_bus
+        flows[branch_id] = BranchFlow(
+            branch_id,
+            send_bus,
+            recv_bus,
+            s_send.real * base,
+            s_send.imag * base,
+            s_recv.real * base,
+            s_recv.imag * base,
+            abs(i_send),
+        )
+        loss_pu += (s_from + s_to).real
+    return flows, loss_pu * base
 
 
 def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:

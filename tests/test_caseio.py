@@ -1,6 +1,7 @@
 """Parsing, serialization, and report generation."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -122,6 +123,21 @@ class TestNativeFormat:
         target[field] = value
         with pytest.raises(ParseError, match=f"{complaint} is not a finite number"):
             parse_case(json.dumps(payload), fmt="json")
+
+    @pytest.mark.parametrize("value", ["no", "true", 1, None])
+    def test_switchable_must_be_a_boolean(self, value):
+        payload = json.loads(write_native_case(two_bus_case(10.0, 5.0)))
+        payload["branches"][0]["switchable"] = value
+        with pytest.raises(ParseError, match=f"branch 1 switchable {value!r} is not true or false"):
+            parse_case(json.dumps(payload), fmt="json")
+
+    def test_switchable_round_trips_byte_identical(self):
+        case = two_bus_case(10.0, 5.0)
+        pinned = dataclasses.replace(case.branches[0], switchable=False)
+        case = dataclasses.replace(case, branches=(pinned,))
+        text = write_native_case(case)
+        assert '"switchable": false' in text
+        assert write_native_case(parse_case(text, fmt="json")) == text
 
     def test_infinite_id_rejected(self):
         text = write_native_case(two_bus_case(10.0, 5.0)).replace('"id": 2', '"id": Infinity')

@@ -113,13 +113,33 @@ def _native_payload() -> dict:
 
 
 def _set(owner: str | None, field: str, value):
-    def change(payload: dict) -> None:
+    def change(payload: dict, tmp_path: Path) -> list[str]:
         (payload if owner is None else payload[owner][-1])[field] = value
+        return []
     return change
 
 
+def _model(text: str):
+    """Leave the case alone and pass a model file holding `text`."""
+    def change(payload: dict, tmp_path: Path) -> list[str]:
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        return ["--model-in", str(path)]
+    return change
+
+
+# the surrogate features of the two-bus case, fed from bus 1
+_TWO_BUS_FEATURES = ["const", "load_p[1]", "load_q[1]", "load_moment[1]", "resistance[1]"]
+
+
+def _model_json(features: list[str], coefficients: list[float]) -> str:
+    return json.dumps(
+        {"features": features, "coefficients": coefficients, "training_count": 9, "r_squared": 0.5}
+    )
+
+
 class TestInputBoundary:
-    """Malformed native input ends with an exit code and a message, never a traceback."""
+    """Malformed input ends with an exit code and a message, never a traceback."""
 
     @pytest.mark.parametrize(
         ("change", "code", "message"),
@@ -127,25 +147,38 @@ class TestInputBoundary:
             pytest.param(_set("buses", "p_load", "ten"), 2, "p_load", id="text-load"),
             pytest.param(_set("branches", "r", "x"), 2, "r 'x'", id="text-resistance"),
             pytest.param(_set("buses", "q_load", float("nan")), 2, "not a finite number", id="nan-load"),
+            pytest.param(_set("branches", "switchable", "no"), 2, "branch 1 switchable 'no'", id="text-switchable"),
             pytest.param(_set(None, "base_mva", 0), 1, "bad_base", id="zero-base"),
             pytest.param(_set("branches", "tap_ratio", 0), 1, "bad_tap", id="zero-tap"),
             pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
+            pytest.param(_model("{}"), 2, "model lacks features", id="empty-model"),
+            pytest.param(_model("not json"), 2, "model file", id="model-not-json"),
+            pytest.param(
+                _model(_model_json(_TWO_BUS_FEATURES, [1.0, 2.0])), 2, "2 coefficients for 5 features",
+                id="model-coefficient-count",
+            ),
+            pytest.param(
+                _model(_model_json([name.replace("[1]", "[7]") for name in _TWO_BUS_FEATURES], [1.0] * 5)),
+                2, "load_p[7]", id="model-for-other-roots",
+            ),
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, change, code, message):
         payload = _native_payload()
-        change(payload)
+        extra = change(payload, tmp_path)
         path = tmp_path / "case.json"
         path.write_text(json.dumps(payload))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "dnr.cli", "reconfigure", str(path), "--stable"],
+            [sys.executable, "-m", "dnr.cli", "reconfigure", str(path), "--stable", *extra],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 class TestPowerflow:

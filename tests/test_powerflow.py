@@ -1,11 +1,24 @@
 """AC power flow: admittance assembly, NR and GS solvers, branch flows."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import dense_jacobian, fd_jacobian, random_four_bus, two_bus_case, two_bus_oracle
+from conftest import (
+    dense_jacobian,
+    fd_jacobian,
+    oracle_admittance,
+    oracle_branch_flows,
+    random_four_bus,
+    random_radial_feeder,
+    two_bus_case,
+    two_bus_oracle,
+)
 from dnr import powerflow
+from dnr.exchange import improve
 from dnr.model import (
     Branch,
     Bus,
@@ -29,6 +42,7 @@ from dnr.powerflow import (
     solve_network,
     solve_newton_raphson,
 )
+from dnr.topology import build_spanning_forest, forest_index, weights_from_flow
 
 # voltage profile of the meshed IEEE-14 solve, frozen from two independent
 # solver routes agreeing to 1e-9 pu
@@ -361,3 +375,183 @@ class TestJacobian:
         monkeypatch.setattr(powerflow, "mismatch_jacobian", no_jacobian)
         solution = solve_newton_raphson(six_bus_case, island)
         assert solution.converged and solution.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# the compiled layers against the scalar oracles, and the Jacobian pattern
+
+
+def _assert_close(actual, expected) -> None:
+    """Equal to 1e-12 of the largest magnitude involved."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= 1e-12 * scale
+
+
+def _assert_admittance_matches_oracle(case, island) -> None:
+    ybus, order = build_admittance(case, island)
+    expected, expected_order = oracle_admittance(case, island)
+    assert order == expected_order
+    _assert_close(ybus.toarray(), expected)
+
+
+def _assert_flows_match_oracle(case, branch_ids, voltages, sending) -> None:
+    flows, loss = branch_flows(case, branch_ids, voltages, sending)
+    expected, expected_loss = oracle_branch_flows(case, branch_ids, voltages, sending)
+    assert list(flows) == list(expected)
+    for branch_id, flow in flows.items():
+        want = expected[branch_id]
+        assert (flow.branch_id, flow.sending_bus, flow.receiving_bus) == (
+            want.branch_id, want.sending_bus, want.receiving_bus
+        )
+        _assert_close(
+            [flow.p_send, flow.q_send, flow.p_recv, flow.q_recv, flow.current_mag],
+            [want.p_send, want.q_send, want.p_recv, want.q_recv, want.current_mag],
+        )
+    _assert_close(loss, expected_loss)
+
+
+@dataclasses.dataclass
+class _SolveWork:
+    """Newton work inside one island solve."""
+
+    island: Island
+    jacobians: int = 0
+    patterns: int = 0
+    switches: int = 0  # calls of _apply_q_limits that changed the PV/PQ sets
+
+
+@pytest.fixture(scope="module")
+def ieee14_recorded(ieee14_case):
+    """One IEEE-14 reconfiguration as the CLI runs it, recording the power-flow calls."""
+    calls = {"admittance": [], "flows": [], "solves": []}
+
+    def wrap(name, record):
+        inner = getattr(powerflow, name)
+
+        def wrapped(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            record(args, kwargs, result)
+            return result
+
+        return wrapped
+
+    def count(field):
+        def record(args, kwargs, result):
+            setattr(calls["solves"][-1], field, getattr(calls["solves"][-1], field) + 1)
+        return record
+
+    def switched(args, kwargs, result):
+        if result[0]:
+            calls["solves"][-1].switches += 1
+
+    solve = powerflow._SOLVERS["nr"]
+
+    def recorded_solve(case, island, *args, **kwargs):
+        calls["solves"].append(_SolveWork(island))
+        return solve(case, island, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "build_admittance", wrap(
+            "build_admittance", lambda args, kwargs, result: calls["admittance"].append(args[1])
+        ))
+        mp.setattr(powerflow, "branch_flows", wrap(
+            "branch_flows", lambda args, kwargs, result: calls["flows"].append(args[1:])
+        ))
+        mp.setattr(powerflow, "mismatch_jacobian", wrap("mismatch_jacobian", count("jacobians")))
+        mp.setattr(powerflow, "jacobian_pattern", wrap("jacobian_pattern", count("patterns")))
+        mp.setattr(powerflow, "_apply_q_limits", wrap("_apply_q_limits", switched))
+        mp.setitem(powerflow._SOLVERS, "nr", recorded_solve)
+        meshed = solve_network(ieee14_case, all_closed_config(ieee14_case))
+        forest = build_spanning_forest(ieee14_case, weights_from_flow(ieee14_case, meshed))
+        config, _ = improve(ieee14_case, forest.config)
+        solve_all_islands(ieee14_case, config)
+    return calls
+
+
+class TestCompiledLayers:
+    """build_admittance and branch_flows gather from the compiled case; the
+    scalar loops in conftest are the reference."""
+
+    def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
+        islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
+        assert len(islands) == 42  # 41 radial islands and the meshed network
+        for island in islands.values():
+            _assert_admittance_matches_oracle(ieee14_case, island)
+        assert len(ieee14_recorded["flows"]) == len(ieee14_recorded["solves"]) == 107
+        for branch_ids, voltages, sending in ieee14_recorded["flows"]:
+            _assert_flows_match_oracle(ieee14_case, branch_ids, voltages, sending)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        buses=st.integers(2, 30),
+        roots=st.integers(1, 2),
+        singular=st.booleans(),
+    )
+    def test_seeded_radial_feeders(self, seed, buses, roots, singular):
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        if singular:
+            # the last branch loses its series impedance
+            last = dataclasses.replace(case.branches[-1], r=0.0, x=0.0)
+            case = dataclasses.replace(case, branches=case.branches[:-1] + (last,))
+        index = forest_index(case, default_config(case))
+        sending = {
+            branch: index.parent_bus[bus]
+            for bus, branch in index.parent_branch.items()
+            if branch is not None
+        }
+        rng = np.random.default_rng(seed)
+        voltages = {
+            bus: complex(rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)) for bus in case.bus_by_id
+        }
+        for island in index.islands:
+            if singular and len(case.branches) in island.branches:
+                with pytest.raises(SingularBranchError):
+                    oracle_admittance(case, island)
+                with pytest.raises(SingularBranchError):
+                    build_admittance(case, island)
+                with pytest.raises(SingularBranchError):
+                    oracle_branch_flows(case, island.branches, voltages, sending)
+                with pytest.raises(SingularBranchError):
+                    branch_flows(case, island.branches, voltages, sending)
+                continue
+            _assert_admittance_matches_oracle(case, island)
+            _assert_flows_match_oracle(case, island.branches, voltages, sending)
+            _assert_flows_match_oracle(case, island.branches, voltages, None)
+
+
+class TestJacobianPattern:
+    def test_pv_buses_clamping_mid_solve(self, ieee14_case, ieee14_forest, monkeypatch):
+        # buses 6 and 8 of the island fed from bus 1 reach a reactive limit
+        # and turn PQ; every Jacobian after the switch must fit the new split
+        island = next(
+            isl for isl in split_islands(ieee14_case, ieee14_forest.config) if isl.root == 1
+        )
+        seen = []
+        jacobian = powerflow.mismatch_jacobian
+
+        def checked(ybus, v, pvpq, pq, pattern=None):
+            result = jacobian(ybus, v, pvpq, pq, pattern)
+            seen.append((ybus, v.copy(), pvpq.copy(), pq.copy(), result.toarray()))
+            return result
+
+        monkeypatch.setattr(powerflow, "mismatch_jacobian", checked)
+        solution = solve_newton_raphson(ieee14_case, island)
+        assert solution.converged
+        splits = [tuple(pq) for _, _, _, pq, _ in seen]
+        assert len(set(splits)) == 2 and len(splits[-1]) == len(splits[0]) + 2
+        for ybus, v, pvpq, pq, analytic in seen:
+            numeric = fd_jacobian(ybus, v, np.zeros(len(v), dtype=complex), pvpq, pq)
+            assert analytic.shape == numeric.shape
+            assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)) < 1e-5
+            reference = dense_jacobian(ybus, v, pvpq, pq)
+            assert np.max(np.abs(analytic - reference) / np.maximum(np.abs(reference), 1.0)) < 1e-12
+
+    def test_one_pattern_per_solve_and_per_switch(self, ieee14_recorded):
+        solves = ieee14_recorded["solves"]
+        assert sum(work.jacobians for work in solves) == 881
+        for work in solves:
+            assert work.patterns == (1 if work.jacobians else 0) + work.switches, work.island
+        assert sum(work.switches for work in solves) > 0
