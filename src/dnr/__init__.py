@@ -55,7 +55,6 @@ from .powerflow import (
     branch_flows,
     build_admittance,
     solve_all_islands,
-    solve_gauss_seidel,
     solve_network,
     solve_newton_raphson,
 )
@@ -72,7 +71,6 @@ from .topology import (
     ForestBuildResult,
     FundamentalLoop,
     UnreachableError,
-    adjacent_switches,
     build_spanning_forest,
     fundamental_loop,
     weights_from_flow,

@@ -42,12 +42,40 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta-t", type=float, default=None, metavar="HOURS",
                         help="study interval length in hours (default 1.0)")
-    parser.add_argument("--tolerance", type=float, default=1e-8,
+    parser.add_argument("--tolerance", type=_positive_finite, default=1e-8,
                         help="power-flow mismatch tolerance in pu")
-    parser.add_argument("--max-iter", type=int, default=None,
-                        help="iteration cap (default 30 Newton, 5000 Gauss-Seidel)")
-    parser.add_argument("--solver", choices=("nr", "gs"), default="nr",
-                        help="power-flow method")
+    parser.add_argument("--max-iter", type=_integer_from(1), default=30,
+                        help="Newton iteration cap (default 30)")
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _integer_from(low: int):
+    """An argparse type for integers no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line, like every other exit-2 failure."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}; see '{self.prog} --help'\n")
 
 
 def _root_list(text: str) -> tuple[int, ...]:
@@ -58,7 +86,7 @@ def _root_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnr",
         description="Radial distribution network reconfiguration for loss reduction.",
     )
@@ -75,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the linear ranking model")
     p_rec.add_argument("--surrogate-prune", type=float, default=None, metavar="THRESHOLD",
                        help="skip switches predicted worse than incumbent*(1+THRESHOLD)")
-    p_rec.add_argument("--max-passes", type=int, default=20,
+    p_rec.add_argument("--max-passes", type=_integer_from(0), default=20,
                        help="cap on improvement passes")
     p_rec.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     p_rec.add_argument("--trace", type=Path, default=None, help="write the move-by-move trace here")
@@ -118,9 +146,9 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     options = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter)
     config = default_config(case)
     if is_radial(case, config):
-        solution = solve_all_islands(case, config, options, args.solver)
+        solution = solve_all_islands(case, config, options)
     else:
-        solution = solve_network(case, config, options=options, method=args.solver)
+        solution = solve_network(case, config, options=options)
     for island in solution.islands:
         status = "converged" if island.converged else "DID NOT CONVERGE"
         print(
@@ -164,11 +192,10 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
         max_passes=args.max_passes,
         use_surrogate=not args.no_surrogate,
         prune_threshold=args.surrogate_prune,
-        solver=args.solver,
         solver_options=solver_options,
     )
 
-    meshed = solve_network(case, all_closed_config(case), options=solver_options, method=args.solver)
+    meshed = solve_network(case, all_closed_config(case), options=solver_options)
     if not meshed.converged:
         print("all-closed power flow did not converge", file=sys.stderr)
         return 1
@@ -176,7 +203,7 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
 
     config, trace = improve(case, forest.config, search_options, model)
 
-    solution = solve_all_islands(case, config, solver_options, args.solver)
+    solution = solve_all_islands(case, config, solver_options)
     objective = evaluate_fo(case, config, solution)
     timestamp = None if args.stable else datetime.now(timezone.utc).isoformat()
     report = write_report(case, config, solution, objective, trace, timestamp)

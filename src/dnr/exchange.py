@@ -66,7 +66,6 @@ class SearchOptions:
     # None ranks only; a threshold also skips switches predicted above
     # incumbent * (1 + threshold)
     prune_threshold: float | None = None
-    solver: str = "nr"
     solver_options: SolverOptions = SolverOptions()
 
 
@@ -85,7 +84,7 @@ def evaluate_candidate(
     """Score one configuration: radiality gate, power flow, then objective."""
     if not is_radial(case, config):
         return Rejection(RejectReason.INFEASIBLE, detail="not radial")
-    solution = solve_all_islands(case, config, options.solver_options, options.solver)
+    solution = solve_all_islands(case, config, options.solver_options)
     if not solution.converged:
         return Rejection(RejectReason.POWER_FLOW_DIVERGED, detail="power flow diverged")
     report = evaluate_fo(case, config, solution)

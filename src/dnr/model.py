@@ -339,12 +339,32 @@ class ForestIndex:
     order: tuple[int, ...]
 
 
-# the last walks, keyed by (id(case), closed): a search's working set is the
-# incumbent and the candidate it scores.  Each entry holds its case, so the id
-# cannot be reused while the entry lives.  Nothing is cached on the case or
-# the configuration, which callers may keep many of.
-_FOREST_MEMO_SIZE = 2
-_forests: dict[tuple[int, frozenset[int]], tuple[NetworkCase, ForestIndex | None]] = {}
+class CaseMemo:
+    """The last `size` results of a function of a case, least recently used out.
+
+    Keys are `(id(case), *args)`.  Each entry holds its case, so the id
+    cannot be reused while the entry lives.  Nothing is cached on the case,
+    which callers may keep many of.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._entries: dict[tuple, tuple[NetworkCase, object]] = {}
+
+    def lookup(self, build, case: NetworkCase, *args):
+        """`build(case, *args)`, computed on the first lookup of these arguments."""
+        key = (id(case), *args)
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            entry = (case, build(case, *args))
+            if len(self._entries) >= self._size:
+                del self._entries[next(iter(self._entries))]  # least recently used
+        self._entries[key] = entry
+        return entry[1]
+
+
+# a search's working set is the incumbent and the candidate it scores
+_forests = CaseMemo(2)
 
 
 def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
@@ -358,14 +378,7 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
     """
     if config.branch_ids is not case.branch_ids and config.branch_ids != case.branch_ids:
         raise ConfigurationError("configuration does not cover this case's branches")
-    key = (id(case), config.closed)
-    entry = _forests.pop(key, None)
-    if entry is None:
-        entry = (case, _walk(case, config.closed))
-        if len(_forests) >= _FOREST_MEMO_SIZE:
-            del _forests[next(iter(_forests))]  # least recently used
-    _forests[key] = entry
-    return entry[1]
+    return _forests.lookup(_walk, case, config.closed)
 
 
 def _walk(case: NetworkCase, closed: frozenset[int]) -> ForestIndex | None:

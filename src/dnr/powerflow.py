@@ -1,8 +1,7 @@
 """AC power flow on configured networks.
 
-Newton-Raphson in polar form is the workhorse; a Gauss-Seidel sweep solver
-is kept as an independent cross-check.  Everything internal runs per-unit
-on the case base; solutions expose MW/MVAr at the branch level.
+Newton-Raphson in polar form solves every island.  Everything internal runs
+per-unit on the case base; solutions expose MW/MVAr at the branch level.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .model import Branch, BusKind, Configuration, Island, NetworkCase
+from .model import Branch, BusKind, CaseMemo, Configuration, Island, NetworkCase
 from .topology import forest_index
 
 
@@ -30,12 +29,7 @@ class NotConvergedError(RuntimeError):
 @dataclass(frozen=True)
 class SolverOptions:
     tolerance: float = 1e-8
-    max_iterations: int | None = None  # None: 30 for NR, 5000 for GS
-
-    def iteration_cap(self, method: str) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 30 if method == "nr" else 5000
+    max_iterations: int = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,22 +137,12 @@ def _compile(case: NetworkCase) -> _CompiledCase:
     )
 
 
-# the last compiled cases, keyed by id(case).  Each entry holds its case, so
-# the id cannot be reused while the entry lives.  Nothing is cached on the
-# case, which callers may keep many of.
-_COMPILED_MEMO_SIZE = 2
-_compiled_memo: dict[int, tuple[NetworkCase, _CompiledCase]] = {}
+_compiled = CaseMemo(2)
 
 
 def _compiled_case(case: NetworkCase) -> _CompiledCase:
     """The case's compiled form, built on first use and memoised."""
-    entry = _compiled_memo.pop(id(case), None)
-    if entry is None:
-        entry = (case, _compile(case))
-        if len(_compiled_memo) >= _COMPILED_MEMO_SIZE:
-            del _compiled_memo[next(iter(_compiled_memo))]  # least recently used
-    _compiled_memo[id(case)] = entry
-    return entry[1]
+    return _compiled.lookup(_compile, case)
 
 
 def _positions(ids: np.ndarray, wanted) -> np.ndarray:
@@ -433,7 +417,7 @@ def solve_newton_raphson(
         raise ValueError("island branches are not closed in the given configuration")
     setup = _classify(case, island)
     ybus = setup.ybus
-    cap = options.iteration_cap("nr")
+    cap = options.max_iterations
     tol = options.tolerance
     converged = False
     iterations = 0
@@ -471,55 +455,9 @@ def solve_newton_raphson(
     return _finish(case, island, setup, converged, iterations, max_mismatch, sending)
 
 
-def solve_gauss_seidel(
-    case: NetworkCase,
-    island: Island,
-    config: Configuration | None = None,
-    options: SolverOptions = SolverOptions(),
-    sending: dict[int, int] | None = None,
-) -> PowerFlowSolution:
-    """Gauss-Seidel sweeps; slow but independent of the Newton machinery."""
-    if config is not None and not island.branches <= config.closed:
-        raise ValueError("island branches are not closed in the given configuration")
-    setup = _classify(case, island)
-    ydense = setup.ybus.toarray()
-    cap = options.iteration_cap("gs")
-    tol = options.tolerance
-    converged = False
-    iterations = 0
-    max_mismatch = math.inf
-    sweep_order = [i for i in range(len(setup.order)) if i != setup.slack]
-    while iterations < cap:
-        iterations += 1
-        scalc = setup.v * np.conj(ydense @ setup.v)
-        if iterations > 1:
-            _apply_q_limits(case, setup, scalc)
-        pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
-        pq = np.array(setup.pq, dtype=int)
-        f = power_mismatch(setup.ybus, setup.v, setup.sbus, pvpq, pq)
-        max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
-        if max_mismatch <= tol:
-            converged = True
-            break
-        pv_set = set(setup.pv)
-        for i in sweep_order:
-            row = ydense[i]
-            if ydense[i, i] == 0.0:
-                continue
-            if i in pv_set:
-                s_i = setup.v[i] * np.conj(row @ setup.v)
-                target = complex(setup.sbus[i].real, s_i.imag)
-                rest = row @ setup.v - row[i] * setup.v[i]
-                v_new = (np.conj(target / setup.v[i]) - rest) / ydense[i, i]
-                if abs(v_new) > 0.0:
-                    setup.v[i] = setup.vset[i] * v_new / abs(v_new)
-            else:
-                rest = row @ setup.v - row[i] * setup.v[i]
-                setup.v[i] = (np.conj(setup.sbus[i] / setup.v[i]) - rest) / ydense[i, i]
-    return _finish(case, island, setup, converged, iterations, max_mismatch, sending)
-
-
-_SOLVERS = {"nr": solve_newton_raphson, "gs": solve_gauss_seidel}
+# one entry, looked up by name on each call: the benchmark traces island solves
+# by replacing _SOLVERS["nr"], and callers pass method="nr"
+_SOLVERS = {"nr": solve_newton_raphson}
 
 
 # branch_flows writes the complex products of i = y*v and s = v*conj(i) out

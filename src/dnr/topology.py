@@ -159,12 +159,3 @@ def fundamental_loop(case: NetworkCase, config: Configuration, open_branch: int)
         shared += 1
     cycle = up[: len(up) - shared] + list(reversed(vp[: len(vp) - shared]))
     return FundamentalLoop(tuple(cycle), inter_feeder=False, u_side_count=len(cycle))
-
-
-def adjacent_switches(case: NetworkCase, config: Configuration, reference: int) -> tuple[int, ...]:
-    """Loop branches of an open reference switch, nearest ends first.
-
-    Distance is the hop count from the reference branch along the loop walk;
-    equal distances fall back to the lower branch id.
-    """
-    return fundamental_loop(case, config, reference).nearest_first()

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the package's own machinery wherever an
 independent route exists: radiality via networkx, two-bus flows via
 bisection on the receiving-voltage quadratic, Jacobians via central
-finite differences.  Slow artifacts (IEEE-14 parse, meshed solve, the
-full search) are session-scoped so every module can reuse them.
+finite differences, island solves via Gauss-Seidel sweeps.  Slow artifacts
+(IEEE-14 parse, meshed solve, the full search) are session-scoped so every
+module can reuse them.
 """
 from __future__ import annotations
 
@@ -22,12 +23,24 @@ from dnr.model import (
     Branch,
     Bus,
     BusKind,
+    Configuration,
+    Island,
     NetworkCase,
     SwitchState,
     all_closed_config,
     make_config,
 )
-from dnr.powerflow import BranchFlow, SingularBranchError, power_mismatch, solve_network
+from dnr.powerflow import (
+    BranchFlow,
+    PowerFlowSolution,
+    SingularBranchError,
+    SolverOptions,
+    _apply_q_limits,
+    _classify,
+    _finish,
+    power_mismatch,
+    solve_network,
+)
 from dnr.topology import (
     ForestBuildResult,
     UnreachableError,
@@ -457,6 +470,62 @@ def two_bus_oracle(v1: float, p_pu: float, q_pu: float, r: float, x: float) -> d
         "q_send": q_pu + s2 * x,
         "current": math.sqrt(s2),
     }
+
+
+GAUSS_SEIDEL_MAX_SWEEPS = 5000
+
+
+def solve_gauss_seidel(
+    case: NetworkCase,
+    island: Island,
+    config: Configuration | None = None,
+    options: SolverOptions = SolverOptions(),
+    sending: dict[int, int] | None = None,
+) -> PowerFlowSolution:
+    """Gauss-Seidel sweeps; slow but independent of the Newton machinery.
+
+    Shares the package's bus classification, reactive-limit handling and
+    result assembly, and uses only `options.tolerance`: the sweep cap is
+    GAUSS_SEIDEL_MAX_SWEEPS, since the method converges linearly.
+    """
+    if config is not None and not island.branches <= config.closed:
+        raise ValueError("island branches are not closed in the given configuration")
+    setup = _classify(case, island)
+    ydense = setup.ybus.toarray()
+    cap = GAUSS_SEIDEL_MAX_SWEEPS
+    tol = options.tolerance
+    converged = False
+    iterations = 0
+    max_mismatch = math.inf
+    sweep_order = [i for i in range(len(setup.order)) if i != setup.slack]
+    while iterations < cap:
+        iterations += 1
+        scalc = setup.v * np.conj(ydense @ setup.v)
+        if iterations > 1:
+            _apply_q_limits(case, setup, scalc)
+        pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+        pq = np.array(setup.pq, dtype=int)
+        f = power_mismatch(setup.ybus, setup.v, setup.sbus, pvpq, pq)
+        max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
+        if max_mismatch <= tol:
+            converged = True
+            break
+        pv_set = set(setup.pv)
+        for i in sweep_order:
+            row = ydense[i]
+            if ydense[i, i] == 0.0:
+                continue
+            if i in pv_set:
+                s_i = setup.v[i] * np.conj(row @ setup.v)
+                target = complex(setup.sbus[i].real, s_i.imag)
+                rest = row @ setup.v - row[i] * setup.v[i]
+                v_new = (np.conj(target / setup.v[i]) - rest) / ydense[i, i]
+                if abs(v_new) > 0.0:
+                    setup.v[i] = setup.vset[i] * v_new / abs(v_new)
+            else:
+                rest = row @ setup.v - row[i] * setup.v[i]
+                setup.v[i] = (np.conj(setup.sbus[i] / setup.v[i]) - rest) / ydense[i, i]
+    return _finish(case, island, setup, converged, iterations, max_mismatch, sending)
 
 
 def fd_jacobian(ybus, v, sbus, pvpq, pq, h: float = 1e-6) -> np.ndarray:

@@ -119,6 +119,13 @@ def _set(owner: str | None, field: str, value):
     return change
 
 
+def _flags(*flags: str):
+    """Leave the case alone and pass these command-line flags."""
+    def change(payload: dict, tmp_path: Path) -> list[str]:
+        return list(flags)
+    return change
+
+
 def _model(text: str):
     """Leave the case alone and pass a model file holding `text`."""
     def change(payload: dict, tmp_path: Path) -> list[str]:
@@ -161,6 +168,14 @@ class TestInputBoundary:
                 _model(_model_json([name.replace("[1]", "[7]") for name in _TWO_BUS_FEATURES], [1.0] * 5)),
                 2, "load_p[7]", id="model-for-other-roots",
             ),
+            pytest.param(_flags("--tolerance", "inf"), 2, "--tolerance", id="infinite-tolerance"),
+            pytest.param(_flags("--tolerance", "nan"), 2, "--tolerance", id="nan-tolerance"),
+            pytest.param(_flags("--tolerance", "-1"), 2, "--tolerance", id="negative-tolerance"),
+            pytest.param(_flags("--tolerance", "0"), 2, "--tolerance", id="zero-tolerance"),
+            pytest.param(_flags("--max-iter", "0"), 2, "--max-iter", id="zero-iterations"),
+            pytest.param(_flags("--max-iter", "-3"), 2, "--max-iter", id="negative-iterations"),
+            pytest.param(_flags("--max-iter", "2.5"), 2, "--max-iter", id="fractional-iterations"),
+            pytest.param(_flags("--max-passes", "-1"), 2, "--max-passes", id="negative-passes"),
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, change, code, message):
@@ -197,17 +212,6 @@ class TestPowerflow:
         assert rc == 0
         assert "island 1:" in out
         assert "island 2:" in out
-
-    def test_solver_flag_switches_methods(self, tmp_path, capsys):
-        path = tmp_path / "two.json"
-        path.write_text(write_native_case(two_bus_case(50.0, 20.0)))
-        losses = {}
-        for solver in ("nr", "gs"):
-            rc = main(["powerflow", str(path), "--solver", solver])
-            out = capsys.readouterr().out
-            assert rc == 0
-            losses[solver] = float(out.rsplit("total loss:", 1)[1].split("MW")[0])
-        assert losses["gs"] == pytest.approx(losses["nr"], abs=1e-4)
 
     def test_iteration_starved_run_fails(self, cdf_path, capsys):
         rc = main(["powerflow", str(cdf_path), "--max-iter", "1"])

@@ -220,14 +220,6 @@ class TestImproveSixBus:
             if swaps <= 1:
                 assert result[0].fo_value >= base[0].fo_value - 1e-9
 
-    def test_gauss_seidel_lane_agrees(self, six_bus_case):
-        initial = _forest_config(six_bus_case)
-        nr_final, _ = improve(six_bus_case, initial)
-        gs_final, _ = improve(
-            six_bus_case, initial, options=SearchOptions(solver="gs")
-        )
-        assert sorted(gs_final.open_ids) == sorted(nr_final.open_ids)
-
 
 class TestImproveGuards:
     def test_meshed_start_raises(self, triangle_case):

@@ -1,0 +1,115 @@
+"""Properties of the solver and the search on the benchmark's generated feeders.
+
+`bench/feeders.py` grows seeded radial feeders with normally-open ties and
+imports nothing from `dnr`.  It is loaded read-only from its file, as
+`tests/test_bench_sites.py` loads `bench/run.py`.  Each property runs on a
+small single feeder and on a pair of feeders joined by ties, with bounded,
+derandomized examples over the generator's seed.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import oracle_is_radial, solve_gauss_seidel
+from dnr.caseio import parse_case
+from dnr.exchange import Rejection, evaluate_candidate, improve
+from dnr.model import NetworkCase, all_closed_config, islands, make_config
+from dnr.objective import sort_key
+from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
+from dnr.topology import build_spanning_forest, weights_from_flow
+
+BENCH_FEEDERS = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
+
+
+def _load_bench_feeders():
+    spec = importlib.util.spec_from_file_location("bench_feeders", BENCH_FEEDERS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+feeders = _load_bench_feeders()
+
+# (roots, buses, ties) of the generated cases
+SIZES = [pytest.param((1, 20, 2), id="1x20"), pytest.param((2, 30, 3), id="2x30")]
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _generated(seed: int, size: tuple[int, int, int]) -> NetworkCase:
+    try:
+        text, _ = feeders.generate(seed, *size)
+    except ValueError as exc:
+        if "no room for" not in str(exc):
+            raise
+        assume(False)  # the seed's tree leaves no place for the ties
+    return parse_case(text, fmt="json")
+
+
+def _flow_forest(case: NetworkCase):
+    """The search's start, as `dnr reconfigure` builds it."""
+    meshed = solve_network(case, all_closed_config(case))
+    return build_spanning_forest(case, weights_from_flow(case, meshed)).config
+
+
+def _rank(case: NetworkCase, closed) -> tuple[bool, float] | None:
+    """Feasibility, then objective, of a configuration; None when it cannot be scored."""
+    outcome = evaluate_candidate(case, make_config(case, closed))
+    report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+    return None if report is None else sort_key(report)[:2]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_newton_matches_gauss_seidel_on_the_flow_forest(size, seed):
+    case = _generated(seed, size)
+    config = _flow_forest(case)
+    tight = SolverOptions(tolerance=1e-10)
+    newton = solve_all_islands(case, config, tight)
+    assert newton.converged
+    for island in islands(case, config):
+        oracle = solve_gauss_seidel(case, island, config, tight)
+        assert oracle.converged
+        for bus_id in island.buses:
+            delta = abs(newton.voltage(bus_id) - oracle.voltage(bus_id))
+            assert delta <= 1e-6, f"bus {bus_id} disagrees by {delta:.2e}"
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_every_replayed_move_keeps_radiality(size, seed):
+    case = _generated(seed, size)
+    incumbent = _flow_forest(case)
+    _, trace = improve(case, incumbent)
+    assert trace.moves
+    for move in trace.moves:
+        candidate = incumbent.with_exchange(move.close_branch, move.open_branch)
+        assert oracle_is_radial(case, candidate.closed), move
+        if move.accepted:
+            incumbent = candidate
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_improve_ends_one_exchange_optimal(size, seed):
+    case = _generated(seed, size)
+    final, _ = improve(case, _flow_forest(case))
+    best = _rank(case, final.closed)
+    assert best is not None
+    switchable = {b.id for b in case.branches if b.switchable}
+    for close_id in sorted(final.open_ids & switchable):
+        for open_id in sorted(final.closed & switchable):
+            closed = (final.closed - {open_id}) | {close_id}
+            if not oracle_is_radial(case, closed):
+                continue
+            rank = _rank(case, closed)
+            if rank is not None:
+                assert not rank < (best[0], best[1] - 1e-9), (close_id, open_id, rank, best)

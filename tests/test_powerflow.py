@@ -1,4 +1,4 @@
-"""AC power flow: admittance assembly, NR and GS solvers, branch flows."""
+"""AC power flow: admittance assembly, the Newton solver against the Gauss-Seidel oracle, branch flows."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,6 +14,7 @@ from conftest import (
     oracle_branch_flows,
     random_four_bus,
     random_radial_feeder,
+    solve_gauss_seidel,
     two_bus_case,
     two_bus_oracle,
 )
@@ -38,7 +39,6 @@ from dnr.powerflow import (
     build_admittance,
     mismatch_jacobian,
     solve_all_islands,
-    solve_gauss_seidel,
     solve_network,
     solve_newton_raphson,
 )
@@ -196,9 +196,9 @@ class TestGaussSeidel:
 
     def test_agrees_with_newton_on_meshed_ieee14(self, ieee14_case, ieee14_meshed):
         # exercises reactive-limit clamping and release during the slow sweeps
-        gs = solve_network(
-            ieee14_case, all_closed_config(ieee14_case), method="gs",
-            options=SolverOptions(tolerance=1e-10),
+        gs = solve_gauss_seidel(
+            ieee14_case, _whole_island(ieee14_case), all_closed_config(ieee14_case),
+            SolverOptions(tolerance=1e-10),
         )
         assert gs.converged
         assert abs(gs.total_loss_mw - ieee14_meshed.total_loss_mw) <= 0.01

@@ -22,7 +22,6 @@ from dnr.model import (
 from dnr.powerflow import NotConvergedError, solve_all_islands, solve_network
 from dnr.topology import (
     UnreachableError,
-    adjacent_switches,
     build_spanning_forest,
     forest_index,
     fundamental_loop,
@@ -218,9 +217,11 @@ class TestFundamentalLoop:
 
 
 class TestAdjacentSwitches:
+    """A tie's loop branches, nearest the tie first (FundamentalLoop.nearest_first)."""
+
     def test_triangle_order(self, triangle_case):
         config = make_config(triangle_case, {1, 2})
-        assert adjacent_switches(triangle_case, config, 3) == (1, 2)
+        assert fundamental_loop(triangle_case, config, 3).nearest_first() == (1, 2)
 
     def test_two_branch_tie_returns_both_nearest_first(self):
         case = NetworkCase(
@@ -239,11 +240,11 @@ class TestAdjacentSwitches:
             roots=(1, 2),
         )
         config = make_config(case, {1, 2})
-        assert adjacent_switches(case, config, 3) == (1, 2)  # both at hop 0, id order
+        assert fundamental_loop(case, config, 3).nearest_first() == (1, 2)  # both at hop 0, id order
 
     def test_ring_gives_all_five_ordered_by_hops(self, ring6_case):
         config = make_config(ring6_case, {1, 2, 4, 5, 6})  # branch 3 open
-        assert adjacent_switches(ring6_case, config, 3) == (2, 4, 1, 5, 6)
+        assert fundamental_loop(ring6_case, config, 3).nearest_first() == (2, 4, 1, 5, 6)
 
     def test_matches_loop_hop_ranking(self, six_bus_case):
         for closed in enumerate_radial(six_bus_case):
@@ -254,6 +255,6 @@ class TestAdjacentSwitches:
                     (loop.hop_distance(pos), bid)
                     for pos, bid in enumerate(loop.branch_ids)
                 )
-                assert adjacent_switches(six_bus_case, config, open_id) == tuple(
+                assert loop.nearest_first() == tuple(
                     bid for _, bid in ranked
                 )
