@@ -58,15 +58,7 @@ from .powerflow import (
     solve_network,
     solve_newton_raphson,
 )
-from .surrogate import (
-    FeatureVector,
-    LinearModel,
-    featurize,
-    fit,
-    model_from_json,
-    model_to_json,
-    rank_candidates,
-)
+from .surrogate import LinearModel, featurize, fit, rank_candidates
 from .topology import (
     ForestBuildResult,
     FundamentalLoop,

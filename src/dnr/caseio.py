@@ -88,13 +88,25 @@ def _promote_roots(case: NetworkCase) -> NetworkCase:
 
 
 def _num(line: str, lo: int, hi: int, line_no: int, default: float = 0.0) -> float:
+    """The finite number in columns lo+1..hi, `default` when they are blank."""
     raw = line[lo:hi].strip() if len(line) > lo else ""
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(f"bad numeric field {raw!r} in columns {lo + 1}-{hi}", line_no)
+    return value
+
+
+def _int(line: str, lo: int, hi: int, line_no: int) -> int:
+    """The whole number in columns lo+1..hi, 0 when they are blank."""
+    value = _num(line, lo, hi, line_no)
+    if not value.is_integer():
+        raise ParseError(f"non-integer field {line[lo:hi].strip()!r} in columns {lo + 1}-{hi}", line_no)
+    return int(value)
 
 
 def _section(lines: list[str], header: str) -> tuple[list[tuple[int, str]], bool]:
@@ -131,8 +143,8 @@ def _parse_cdf(text: str) -> NetworkCase:
     buses: list[Bus] = []
     slacks: list[int] = []
     for no, line in bus_rows:
-        bus_id = int(_num(line, 0, 4, no))
-        kind_code = int(_num(line, 24, 26, no))
+        bus_id = _int(line, 0, 4, no)
+        kind_code = _int(line, 24, 26, no)
         voltage = _num(line, 27, 33, no, default=1.0)
         p_load = _num(line, 40, 49, no)
         q_load = _num(line, 49, 59, no)
@@ -175,8 +187,8 @@ def _parse_cdf(text: str) -> NetworkCase:
         branches.append(
             Branch(
                 id=seq,
-                from_bus=int(_num(line, 0, 4, no)),
-                to_bus=int(_num(line, 5, 9, no)),
+                from_bus=_int(line, 0, 4, no),
+                to_bus=_int(line, 5, 9, no),
                 r=_num(line, 19, 29, no),
                 x=_num(line, 29, 40, no),
                 b_shunt=_num(line, 40, 50, no),

@@ -15,10 +15,9 @@ from .caseio import (
     write_report,
 )
 from .exchange import InitialInfeasibleError, SearchOptions, improve
-from .model import NetworkCase, all_closed_config, default_config, is_radial, validate_case
+from .model import all_closed_config, default_config, is_radial, validate_case
 from .objective import evaluate_fo
 from .powerflow import SolverOptions, solve_all_islands, solve_network
-from .surrogate import LinearModel, feature_names, fit, model_from_json, model_to_json
 from .topology import build_spanning_forest, weights_from_flow
 
 
@@ -42,20 +41,24 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta-t", type=float, default=None, metavar="HOURS",
                         help="study interval length in hours (default 1.0)")
-    parser.add_argument("--tolerance", type=_positive_finite, default=1e-8,
+    parser.add_argument("--tolerance", type=_finite_above(0.0), default=1e-8,
                         help="power-flow mismatch tolerance in pu")
     parser.add_argument("--max-iter", type=_integer_from(1), default=30,
                         help="Newton iteration cap (default 30)")
 
 
-def _positive_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _finite_above(low: float, inclusive: bool = False):
+    """An argparse type for finite numbers above `low`, or equal to it when `inclusive`."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+            bound = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(f"expected a finite number {bound} {low:g}, got {text!r}")
+        return value
+    return parse
 
 
 def _integer_from(low: int):
@@ -101,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_arguments(p_rec)
     p_rec.add_argument("--no-surrogate", action="store_true",
                        help="disable the linear ranking model")
-    p_rec.add_argument("--surrogate-prune", type=float, default=None, metavar="THRESHOLD",
+    p_rec.add_argument("--surrogate-prune", type=_finite_above(0.0, inclusive=True),
+                       default=None, metavar="THRESHOLD",
                        help="skip switches predicted worse than incumbent*(1+THRESHOLD)")
     p_rec.add_argument("--max-passes", type=_integer_from(0), default=20,
                        help="cap on improvement passes")
@@ -109,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--trace", type=Path, default=None, help="write the move-by-move trace here")
     p_rec.add_argument("--stable", action="store_true",
                        help="omit timestamps so identical runs emit identical bytes")
-    p_rec.add_argument("--model-in", type=Path, default=None, help="warm-start surrogate coefficients")
-    p_rec.add_argument("--model-out", type=Path, default=None, help="write fitted surrogate coefficients")
 
     p_val = sub.add_parser("validate", help="check case structure and report violations")
     _add_case_arguments(p_val)
@@ -169,24 +171,8 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     return 0 if solution.converged else 1
 
 
-def _load_model(path: Path, case: NetworkCase) -> LinearModel:
-    """A saved surrogate that fits this case's features, or ParseError."""
-    try:
-        model = model_from_json(path.read_text())
-    except ValueError as exc:  # undecodable bytes, bad JSON, wrong keys or types
-        raise ParseError(f"model file {path}: {exc}") from None
-    expected = feature_names(case)
-    if model.feature_names != expected:
-        raise ParseError(
-            f"model file {path} has features {list(model.feature_names)}, "
-            f"this case needs {list(expected)}"
-        )
-    return model
-
-
 def _cmd_reconfigure(args: argparse.Namespace) -> int:
     case = _load_case(args)
-    model = None if args.model_in is None else _load_model(args.model_in, case)
     solver_options = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter)
     search_options = SearchOptions(
         max_passes=args.max_passes,
@@ -201,7 +187,7 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
         return 1
     forest = build_spanning_forest(case, weights_from_flow(case, meshed))
 
-    config, trace = improve(case, forest.config, search_options, model)
+    config, trace = improve(case, forest.config, search_options)
 
     solution = solve_all_islands(case, config, solver_options)
     objective = evaluate_fo(case, config, solution)
@@ -213,8 +199,6 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
         print(report, end="")
     if args.trace is not None:
         args.trace.write_text(trace_to_json(trace))
-    if args.model_out is not None:
-        args.model_out.write_text(model_to_json(fit(case, trace.samples)))
     return 0 if objective.feasible and solution.converged else 1
 
 

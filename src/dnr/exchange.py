@@ -15,14 +15,7 @@ from enum import Enum
 from .model import Configuration, NetworkCase, is_radial
 from .objective import ObjectiveReport, evaluate_fo, sort_key
 from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands
-from .surrogate import (
-    FeatureVector,
-    LinearModel,
-    featurize,
-    fit,
-    rank_candidates,
-    untrained_model,
-)
+from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
 from .topology import FundamentalLoop, fundamental_loop
 
 
@@ -51,8 +44,8 @@ class SearchTrace:
     moves: list[Move] = field(default_factory=list)
     evaluations: int = 0
     surrogate_hits: int = 0
-    # every scored configuration, fuel for offline surrogate fits
-    samples: list[tuple[FeatureVector, float]] = field(default_factory=list)
+    # features and objective of every scored configuration, for surrogate fits
+    samples: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
 
     @property
     def accepted_moves(self) -> list[Move]:
@@ -280,6 +273,9 @@ def improve(
     falls, keeping the accepted trace monotone.  After a pass with no accepted
     move, the exhaustive sweep either certifies local optimality or supplies
     the improvement the walks missed.
+
+    `model` warm-starts the surrogate's ranking until the search history
+    can fit its own; the parameter goes when the surrogate does.
     """
     # every later candidate is a fundamental-loop exchange, radial by construction
     if not is_radial(case, initial):
@@ -289,7 +285,7 @@ def improve(
     if report is None:
         raise InitialInfeasibleError(f"initial configuration rejected: {rejection.detail}")
     config, key = initial, sort_key(report)
-    model = model if model is not None and model.trained else untrained_model(case)
+    model = model if model is not None and model.trained else untrained_model()
 
     passes = 0
     while passes < options.max_passes:

@@ -296,7 +296,7 @@ def validate_case(case: NetworkCase) -> list[Violation]:
     # connectivity with every branch closed; report the smaller side of a split
     if case.buses and not any(v.code in ("missing_bus", "missing_root") for v in violations):
         reached = _reachable(case, start=case.buses[0].id)
-        if len(reached) != len(case.buses):
+        if len(reached) != len(case.bus_by_id):  # a duplicate id is its own violation
             others = sorted(set(case.bus_by_id) - reached)
             smaller = others if len(others) <= len(reached) else sorted(reached)
             violations.append(

@@ -240,6 +240,14 @@ def deep_chain(tie: tuple[int, int], n: int = 1500) -> NetworkCase:
     return NetworkCase(100.0, tuple(reversed(buses)), tuple(branches), roots=(1,))
 
 
+def ieee14_with_field(row: int, lo: int, hi: int, text: str) -> str:
+    """IEEE-14 case text whose line row+1 holds `text` in columns lo+1..hi, right-aligned and cut to fit."""
+    lines = (DATA_DIR / "ieee14.cdf").read_text().splitlines()
+    line = lines[row].ljust(hi)
+    lines[row] = line[:lo] + text.rjust(hi - lo)[: hi - lo] + line[hi:]
+    return "\n".join(lines) + "\n"
+
+
 def random_four_bus(seed: int) -> NetworkCase:
     """Randomized 4-bus system: path 1-2-3-4 plus up to two extra ties."""
     rng = np.random.default_rng(seed)

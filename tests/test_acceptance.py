@@ -170,6 +170,9 @@ def test_criterion_4_solver_cross_validation(
         config = make_config(case, closed)
         nr = solve_all_islands(case, config, tight)
         for island, result in zip(islands(case, config), nr.islands, strict=True):
+            if result.converged:
+                # a converged island met the tolerance it was given
+                assert result.max_mismatch <= tight.tolerance, (island.root, result.max_mismatch)
             gs = solve_gauss_seidel(case, island, config, tight)
             if not (result.converged and gs.converged):
                 continue

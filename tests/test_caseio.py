@@ -5,8 +5,9 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import two_bus_case
+from conftest import DATA_DIR, ieee14_with_field, two_bus_case
 from dnr.caseio import (
     ParseError,
     ValidationError,
@@ -67,6 +68,22 @@ class TestCdfParsing:
         assert err.value.line_no == 5
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize(
+        ("row", "lo", "hi", "text", "complaint"),
+        [
+            pytest.param(4, 40, 49, "nan", "bad numeric field 'nan'", id="nan-load"),
+            pytest.param(19, 19, 29, "nan", "bad numeric field 'nan'", id="nan-resistance"),
+            pytest.param(4, 0, 4, "inf", "bad numeric field 'inf'", id="infinite-bus-id"),
+            pytest.param(4, 0, 4, "nan", "bad numeric field 'nan'", id="nan-bus-id"),
+            pytest.param(4, 24, 26, ".5", "non-integer field '.5'", id="fractional-bus-type"),
+            pytest.param(19, 5, 9, "2.5", "non-integer field '2.5'", id="fractional-branch-end"),
+        ],
+    )
+    def test_fields_must_be_finite_and_ids_whole(self, row, lo, hi, text, complaint):
+        with pytest.raises(ParseError, match=complaint) as err:
+            parse_case(ieee14_with_field(row, lo, hi, text), fmt="cdf")
+        assert err.value.line_no == row + 1
+
     def test_missing_sections_fail(self):
         title = " " * 31 + "100.0"  # a valid title card and nothing else
         with pytest.raises(ParseError, match="bus data"):
@@ -77,6 +94,55 @@ class TestCdfParsing:
     def test_delta_t_override(self, ieee14_text):
         case = parse_case(ieee14_text, fmt="cdf", roots=(1, 2), delta_t_hours=0.5)
         assert case.delta_t_hours == 0.5
+
+
+IEEE14_LINES = (DATA_DIR / "ieee14.cdf").read_text().splitlines()
+# (lo, hi) of every column field the reader takes from a bus or branch row
+BUS_FIELDS = [(0, 4), (24, 26), (27, 33), (40, 49), (49, 59), (59, 67), (67, 75),
+              (90, 98), (98, 106), (106, 114), (114, 122)]
+BRANCH_FIELDS = [(0, 4), (5, 9), (19, 29), (29, 40), (40, 50), (50, 55), (76, 82)]
+SECTION_MARKERS = [
+    no for no, line in enumerate(IEEE14_LINES)
+    if "FOLLOWS" in line or line.startswith(("-9", "END OF DATA"))
+]
+FIELD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "2.5", "0x10", "1_0"]),
+)
+
+
+@st.composite
+def damaged_ieee14(draw) -> str:
+    """IEEE-14 with one field rewritten, one line cut short or one section marker gone."""
+    damage = draw(st.sampled_from(["field", "truncate", "marker"]))
+    if damage == "field":
+        row, (lo, hi) = draw(st.one_of(
+            st.tuples(st.integers(2, 15), st.sampled_from(BUS_FIELDS)),
+            st.tuples(st.integers(18, 37), st.sampled_from(BRANCH_FIELDS)),
+            st.tuples(st.just(0), st.just((31, 37))),  # the title card's MVA base
+        ))
+        return ieee14_with_field(row, lo, hi, draw(FIELD_TEXT))
+    lines = list(IEEE14_LINES)
+    if damage == "truncate":
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] = lines[row][: draw(st.integers(0, len(lines[row])))]
+        if draw(st.booleans()):
+            lines = lines[: row + 1]
+    else:
+        del lines[draw(st.sampled_from(SECTION_MARKERS))]
+    return "\n".join(lines) + "\n"
+
+
+class TestCdfFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=damaged_ieee14())
+    def test_damaged_text_fails_only_as_parse_or_validation_error(self, text):
+        try:
+            parse_case(text, fmt="cdf")
+        except (ParseError, ValidationError):
+            pass
 
 
 class TestNativeFormat:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import deep_chain, two_bus_case
+from conftest import deep_chain, ieee14_with_field, two_bus_case
 from dnr.caseio import write_native_case
 from dnr.cli import main
 
@@ -112,44 +112,42 @@ def _native_payload() -> dict:
     return json.loads(write_native_case(two_bus_case(10.0, 5.0)))
 
 
+def _native(tmp_path: Path, payload: dict) -> str:
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def _set(owner: str | None, field: str, value):
-    def change(payload: dict, tmp_path: Path) -> list[str]:
+    """The two-bus native case with one field changed."""
+    def args(tmp_path: Path) -> list[str]:
+        payload = _native_payload()
         (payload if owner is None else payload[owner][-1])[field] = value
-        return []
-    return change
+        return [_native(tmp_path, payload)]
+    return args
 
 
 def _flags(*flags: str):
-    """Leave the case alone and pass these command-line flags."""
-    def change(payload: dict, tmp_path: Path) -> list[str]:
-        return list(flags)
-    return change
+    """The two-bus native case with these command-line flags."""
+    def args(tmp_path: Path) -> list[str]:
+        return [_native(tmp_path, _native_payload()), *flags]
+    return args
 
 
-def _model(text: str):
-    """Leave the case alone and pass a model file holding `text`."""
-    def change(payload: dict, tmp_path: Path) -> list[str]:
-        path = tmp_path / "model.json"
-        path.write_text(text)
-        return ["--model-in", str(path)]
-    return change
-
-
-# the surrogate features of the two-bus case, fed from bus 1
-_TWO_BUS_FEATURES = ["const", "load_p[1]", "load_q[1]", "load_moment[1]", "resistance[1]"]
-
-
-def _model_json(features: list[str], coefficients: list[float]) -> str:
-    return json.dumps(
-        {"features": features, "coefficients": coefficients, "training_count": 9, "r_squared": 0.5}
-    )
+def _cdf(row: int, lo: int, hi: int, text: str):
+    """IEEE-14, fed from buses 1 and 2, with one column field rewritten."""
+    def args(tmp_path: Path) -> list[str]:
+        path = tmp_path / "case.cdf"
+        path.write_text(ieee14_with_field(row, lo, hi, text))
+        return [str(path), "--roots", "1,2"]
+    return args
 
 
 class TestInputBoundary:
     """Malformed input ends with an exit code and a message, never a traceback."""
 
     @pytest.mark.parametrize(
-        ("change", "code", "message"),
+        ("case_args", "code", "message"),
         [
             pytest.param(_set("buses", "p_load", "ten"), 2, "p_load", id="text-load"),
             pytest.param(_set("branches", "r", "x"), 2, "r 'x'", id="text-resistance"),
@@ -158,16 +156,12 @@ class TestInputBoundary:
             pytest.param(_set(None, "base_mva", 0), 1, "bad_base", id="zero-base"),
             pytest.param(_set("branches", "tap_ratio", 0), 1, "bad_tap", id="zero-tap"),
             pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
-            pytest.param(_model("{}"), 2, "model lacks features", id="empty-model"),
-            pytest.param(_model("not json"), 2, "model file", id="model-not-json"),
-            pytest.param(
-                _model(_model_json(_TWO_BUS_FEATURES, [1.0, 2.0])), 2, "2 coefficients for 5 features",
-                id="model-coefficient-count",
-            ),
-            pytest.param(
-                _model(_model_json([name.replace("[1]", "[7]") for name in _TWO_BUS_FEATURES], [1.0] * 5)),
-                2, "load_p[7]", id="model-for-other-roots",
-            ),
+            pytest.param(_cdf(4, 40, 49, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-load"),
+            pytest.param(_cdf(19, 19, 29, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-resistance"),
+            pytest.param(_cdf(4, 0, 4, "inf"), 2, "bad numeric field 'inf'", id="cdf-infinite-bus-id"),
+            pytest.param(_cdf(4, 0, 4, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-bus-id"),
+            pytest.param(_flags("--model-in", "m.json"), 2, "unrecognized arguments", id="model-in-flag"),
+            pytest.param(_flags("--model-out", "m.json"), 2, "unrecognized arguments", id="model-out-flag"),
             pytest.param(_flags("--tolerance", "inf"), 2, "--tolerance", id="infinite-tolerance"),
             pytest.param(_flags("--tolerance", "nan"), 2, "--tolerance", id="nan-tolerance"),
             pytest.param(_flags("--tolerance", "-1"), 2, "--tolerance", id="negative-tolerance"),
@@ -176,17 +170,16 @@ class TestInputBoundary:
             pytest.param(_flags("--max-iter", "-3"), 2, "--max-iter", id="negative-iterations"),
             pytest.param(_flags("--max-iter", "2.5"), 2, "--max-iter", id="fractional-iterations"),
             pytest.param(_flags("--max-passes", "-1"), 2, "--max-passes", id="negative-passes"),
+            pytest.param(_flags("--surrogate-prune", "nan"), 2, "--surrogate-prune", id="nan-prune"),
+            pytest.param(_flags("--surrogate-prune", "-5"), 2, "--surrogate-prune", id="negative-prune"),
+            pytest.param(_flags("--surrogate-prune", "inf"), 2, "--surrogate-prune", id="infinite-prune"),
         ],
     )
-    def test_exit_code_without_traceback(self, tmp_path, change, code, message):
-        payload = _native_payload()
-        extra = change(payload, tmp_path)
-        path = tmp_path / "case.json"
-        path.write_text(json.dumps(payload))
+    def test_exit_code_without_traceback(self, tmp_path, case_args, code, message):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "dnr.cli", "reconfigure", str(path), "--stable", *extra],
+            [sys.executable, "-m", "dnr.cli", "reconfigure", *case_args(tmp_path), "--stable"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == code
@@ -296,25 +289,14 @@ class TestReconfigure:
         assert report["open_switches"] == baseline["open_switches"]
         assert report["search"]["evaluations"] < baseline["search"]["evaluations"]
 
-    def test_model_round_trips_through_files(self, cdf_path, tmp_path, capsys):
-        model_path = tmp_path / "model.json"
+    def test_zero_prune_threshold_is_accepted(self, cdf_path, stable_report, capsys):
         rc = main([
             "reconfigure", str(cdf_path), "--roots", "1,2", "--stable",
-            "--model-out", str(model_path), "--out", str(tmp_path / "first.json"),
+            "--surrogate-prune", "0",
         ])
+        report = json.loads(capsys.readouterr().out)
         assert rc == 0
-        saved = json.loads(model_path.read_text())
-        assert saved["features"][0] == "const"
-        rc = main([
-            "reconfigure", str(cdf_path), "--roots", "1,2", "--stable",
-            "--model-in", str(model_path), "--out", str(tmp_path / "second.json"),
-        ])
-        assert rc == 0
-        capsys.readouterr()
-        first = json.loads((tmp_path / "first.json").read_text())
-        second = json.loads((tmp_path / "second.json").read_text())
-        assert second["open_switches"] == first["open_switches"]
-        assert second["total_loss_mw"] == pytest.approx(first["total_loss_mw"], abs=1e-9)
+        assert report["open_switches"] == json.loads(stable_report)["open_switches"]
 
     def test_delta_t_scales_the_objective(self, cdf_path, tmp_path, capsys):
         values = {}

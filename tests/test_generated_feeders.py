@@ -16,9 +16,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import oracle_is_radial, solve_gauss_seidel
-from dnr.caseio import parse_case
+from dnr.caseio import parse_case, write_native_case
 from dnr.exchange import Rejection, evaluate_candidate, improve
-from dnr.model import NetworkCase, all_closed_config, islands, make_config
+from dnr.model import NetworkCase, all_closed_config, default_config, is_radial, islands, make_config
 from dnr.objective import sort_key
 from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
 from dnr.topology import build_spanning_forest, weights_from_flow
@@ -113,3 +113,27 @@ def test_improve_ends_one_exchange_optimal(size, seed):
             rank = _rank(case, closed)
             if rank is not None:
                 assert not rank < (best[0], best[1] - 1e-9), (close_id, open_id, rank, best)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=SEEDS, data=st.data())
+def test_is_radial_agrees_with_networkx(size, seed, data):
+    case = _generated(seed, size)
+    # one random exchange from the as-built tree keeps its branch count, so
+    # only a cycle or a split can make it non-radial (about a quarter stay
+    # radial); an arbitrary closed set rarely has that count
+    built = default_config(case).closed
+    close_id = data.draw(st.sampled_from(sorted(case.branch_ids - built)))
+    near = (built - {data.draw(st.sampled_from(sorted(built)))}) | {close_id}
+    arbitrary = data.draw(st.sets(st.sampled_from(sorted(case.branch_ids))))
+    for closed in (near, arbitrary):
+        assert is_radial(case, make_config(case, closed)) == oracle_is_radial(case, closed), sorted(closed)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=SEEDS)
+def test_native_text_round_trips(size, seed):
+    case = _generated(seed, size)
+    assert parse_case(write_native_case(case), fmt="json") == case

@@ -95,6 +95,15 @@ class TestValidateCase:
         assert len(hits) == 1
         assert "3" in hits[0].message and "4" in hits[0].message
 
+    def test_duplicate_bus_in_a_connected_case(self):
+        case = NetworkCase(
+            100.0,
+            (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2), Bus(2)),
+            (Branch(1, 1, 2, r=0.01, x=0.02),),
+            roots=(1,),
+        )
+        assert [v.code for v in validate_case(case)] == ["duplicate_bus"]
+
     def test_local_gripes_each_get_a_code(self):
         case = NetworkCase(
             100.0,
