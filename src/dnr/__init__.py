@@ -47,6 +47,8 @@ from .objective import (
 )
 from .powerflow import (
     BranchFlow,
+    BranchFlows,
+    BusValues,
     IslandResult,
     NotConvergedError,
     PowerFlowSolution,

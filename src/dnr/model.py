@@ -109,14 +109,14 @@ class NetworkCase:
         """Every branch id; the configurations of this case share this one set."""
         return frozenset(self.branch_by_id)
 
-    @cached_property
+    @property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Bus id -> ((branch id, neighbour bus id), ...) over all branches."""
-        adj: dict[int, list[tuple[int, int]]] = {bus.id: [] for bus in self.buses}
-        for branch in self.branches:
-            adj[branch.from_bus].append((branch.id, branch.to_bus))
-            adj[branch.to_bus].append((branch.id, branch.from_bus))
-        return {bus: tuple(sorted(entries)) for bus, entries in adj.items()}
+        """Bus id -> ((branch id, neighbour bus id), ...) over all branches.
+
+        The largest table derived from a case, so it is memoised for the
+        last few cases instead of kept on each one.
+        """
+        return _adjacencies.lookup(_adjacency, self)
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,9 @@ def validate_case(case: NetworkCase) -> list[Violation]:
 
     # connectivity with every branch closed; report the smaller side of a split
     if case.buses and not any(v.code in ("missing_bus", "missing_root") for v in violations):
-        reached = _reachable(case, start=case.buses[0].id)
+        # built for this walk, not memoised: a memo entry would keep every
+        # parsed case alive until two more cases had been walked
+        reached = _reachable(_adjacency(case), start=case.buses[0].id)
         if len(reached) != len(case.bus_by_id):  # a duplicate id is its own violation
             others = sorted(set(case.bus_by_id) - reached)
             smaller = others if len(others) <= len(reached) else sorted(reached)
@@ -309,12 +311,14 @@ def validate_case(case: NetworkCase) -> list[Violation]:
     return violations
 
 
-def _reachable(case: NetworkCase, start: int, closed: frozenset[int] | None = None) -> set[int]:
+def _reachable(
+    adjacency: dict[int, tuple[tuple[int, int], ...]], start: int, closed: frozenset[int] | None = None
+) -> set[int]:
     seen = {start}
     queue = deque([start])
     while queue:
         bus = queue.popleft()
-        for branch_id, other in case.adjacency[bus]:
+        for branch_id, other in adjacency[bus]:
             if closed is not None and branch_id not in closed:
                 continue
             if other not in seen:
@@ -363,6 +367,15 @@ class CaseMemo:
         return entry[1]
 
 
+def _adjacency(case: NetworkCase) -> dict[int, tuple[tuple[int, int], ...]]:
+    adj: dict[int, list[tuple[int, int]]] = {bus.id: [] for bus in case.buses}
+    for branch in case.branches:
+        adj[branch.from_bus].append((branch.id, branch.to_bus))
+        adj[branch.to_bus].append((branch.id, branch.from_bus))
+    return {bus: tuple(sorted(entries)) for bus, entries in adj.items()}
+
+
+_adjacencies = CaseMemo(2)
 # a search's working set is the incumbent and the candidate it scores
 _forests = CaseMemo(2)
 

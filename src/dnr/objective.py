@@ -10,8 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Configuration, NetworkCase, NotRadialError, is_radial
-from .powerflow import NotConvergedError, PowerFlowSolution
+from .powerflow import (
+    BranchFlows,
+    BusValues,
+    NotConvergedError,
+    PowerFlowSolution,
+    _compiled_case,
+    _find,
+    sequential_sum,
+)
 
 _EPS = 1e-9
 
@@ -34,56 +44,66 @@ class ObjectiveReport:
 def evaluate_fo(
     case: NetworkCase, config: Configuration, solution: PowerFlowSolution
 ) -> ObjectiveReport:
-    """Score a converged radial solution; closed branches carry unit weight."""
+    """Score a converged radial solution; closed branches carry unit weight.
+
+    It reads the solution's columns, with the bits of a scalar loop over the
+    branches in id order: elementwise float64 arithmetic, a sequential sum.
+    """
     if not solution.converged:
         raise NotConvergedError("objective needs a converged power flow")
     if not is_radial(case, config):
         raise NotRadialError("objective is defined on radial configurations")
 
     base = case.base_mva
-    terms: list[tuple[int, float]] = []
-    fo_pu = 0.0
-    for branch_id in sorted(config.closed):
-        flow = solution.flows[branch_id]
-        branch = case.branch_by_id[branch_id]
-        v = solution.v_mag[flow.sending_bus]
-        p, q = flow.p_send / base, flow.q_send / base
-        term = branch.r * (p * p + q * q) / (v * v)
-        fo_pu += term
-        terms.append((branch_id, term * base * case.delta_t_hours))
+    compiled = _compiled_case(case)
+    v_mag = BusValues.of(solution.v_mag)
+    flows = BranchFlows.of(solution.flows)
+    closed = np.array(sorted(config.closed), dtype=np.int64)
+    rows = flows.rows(closed)
+    v = v_mag.take(flows.ends[rows, 0])
+    p = flows.power[rows, 0] / base
+    q = flows.power[rows, 1] / base
+    r = compiled.resistance[compiled.branch_ids.searchsorted(closed)]  # a radial config's own ids
+    terms = r * (p * p + q * q) / (v * v)
+    fo_pu = sequential_sum(terms)
+    per_branch = tuple(zip(closed.tolist(), (terms * base * case.delta_t_hours).tolist()))
     fo_value = fo_pu * base * case.delta_t_hours
 
     checks = (
         ConstraintCheck("radiality", True, "closed branches form a rooted spanning forest"),
-        _voltage_check(case, solution),
-        _current_check(case, solution),
+        _voltage_check(case, v_mag),
+        _current_check(case, flows),
         _feeder_check(case, solution),
     )
-    return ObjectiveReport(fo_value, tuple(terms), checks, all(c.passed for c in checks))
+    return ObjectiveReport(fo_value, per_branch, checks, all(c.passed for c in checks))
 
 
-def _voltage_check(case: NetworkCase, solution: PowerFlowSolution) -> ConstraintCheck:
-    worst: tuple[float, str] | None = None
-    for bus_id, v in solution.v_mag.items():
+def _voltage_check(case: NetworkCase, v_mag: BusValues) -> ConstraintCheck:
+    compiled = _compiled_case(case)
+    at = _find(compiled.bus_ids, v_mag.ids)
+    v = v_mag.values
+    low, high = compiled.v_min[at] - v, v - compiled.v_max[at]
+    excess = np.where(high > low, high, low)  # Python max(low, high)
+    over = np.flatnonzero(excess > _EPS)
+    if over.size:
+        worst = over[excess[over].argmax()]  # the first of the largest, as a scan keeps it
+        bus_id, v = v_mag.ids[worst].item(), v[worst].item()
         bus = case.bus_by_id[bus_id]
-        excess = max(bus.v_min - v, v - bus.v_max)
-        if excess > _EPS and (worst is None or excess > worst[0]):
-            worst = (excess, f"bus {bus_id} at {v:.4f} pu outside [{bus.v_min}, {bus.v_max}]")
-    if worst:
-        return ConstraintCheck("voltage_limits", False, worst[1])
+        detail = f"bus {bus_id} at {v:.4f} pu outside [{bus.v_min}, {bus.v_max}]"
+        return ConstraintCheck("voltage_limits", False, detail)
     return ConstraintCheck("voltage_limits", True, "all bus voltages within bounds")
 
 
-def _current_check(case: NetworkCase, solution: PowerFlowSolution) -> ConstraintCheck:
+def _current_check(case: NetworkCase, flows: BranchFlows) -> ConstraintCheck:
+    compiled = _compiled_case(case)
+    limits = compiled.mva_limit[_find(compiled.branch_ids, flows.ids)]
+    rated = np.flatnonzero(~np.isnan(limits))
     worst: tuple[float, str] | None = None
-    for branch_id, flow in solution.flows.items():
-        limit = case.branch_by_id[branch_id].mva_limit
-        if limit is None:
-            continue
-        loading = max(
-            math.hypot(flow.p_send, flow.q_send),
-            math.hypot(flow.p_recv, flow.q_recv),
-        )
+    # math.hypot per branch: np.hypot rounds differently
+    for branch_id, (ps, qs, pr, qr), limit in zip(
+        flows.ids[rated].tolist(), flows.power[rated].tolist(), limits[rated].tolist()
+    ):
+        loading = max(math.hypot(ps, qs), math.hypot(pr, qr))
         excess = loading - limit
         if excess > 1e-6 and (worst is None or excess > worst[0]):
             worst = (excess, f"branch {branch_id} at {loading:.2f} MVA over its {limit:.2f} MVA rating")

@@ -98,9 +98,11 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
     order: list[tuple[int, float]] = []
     frontier: list[tuple[float, int]] = []  # (-weight, id) heap, stale entries dropped on pop
 
+    adjacency = case.adjacency
+
     def assign(bus: int) -> None:
         assigned.add(bus)
-        for branch_id, other in case.adjacency[bus]:
+        for branch_id, other in adjacency[bus]:
             branch = candidates.get(branch_id)
             if branch is not None and other not in assigned:
                 weight = math.inf if not branch.switchable else weights[branch_id]
@@ -126,13 +128,14 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
 
 def weights_from_flow(case: NetworkCase, solution) -> dict[int, float]:
     """Branch weights for forest growth: sending-end apparent power in MVA."""
-    from .powerflow import NotConvergedError
+    from .powerflow import BranchFlows, NotConvergedError
 
     if not solution.converged:
         raise NotConvergedError("flow weights need a converged solution")
     weights = {b.id: 0.0 for b in case.branches}
-    for branch_id, flow in solution.flows.items():
-        weights[branch_id] = math.hypot(flow.p_send, flow.q_send)
+    flows = BranchFlows.of(solution.flows)
+    for branch_id, (p_send, q_send) in zip(flows.ids.tolist(), flows.power[:, :2].tolist()):
+        weights[branch_id] = math.hypot(p_send, q_send)
     return weights
 
 

@@ -175,18 +175,32 @@ class TestInputBoundary:
             pytest.param(_flags("--surrogate-prune", "inf"), 2, "--surrogate-prune", id="infinite-prune"),
         ],
     )
-    def test_exit_code_without_traceback(self, tmp_path, case_args, code, message):
+    def test_exit_code_without_traceback(self, tmp_path, capsys, case_args, code, message):
+        # in-process: an exception escaping main() fails the test outright
+        try:
+            returned = main(["reconfigure", *case_args(tmp_path), "--stable"])
+        except SystemExit as exc:  # argparse's usage errors
+            returned = exc.code
+        err = capsys.readouterr().err
+        assert returned == code
+        assert "Traceback" not in err
+        assert message in err
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m dnr.cli` runs the same main() and exits with its code
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        case_args = _set("buses", "q_load", float("nan"))(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "dnr.cli", "reconfigure", *case_args(tmp_path), "--stable"],
+            [sys.executable, "-m", "dnr.cli", "reconfigure", *case_args, "--stable"],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == code
+        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert message in proc.stderr
-        if code == 2:
-            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "not a finite number" in proc.stderr
 
 
 class TestPowerflow:

@@ -10,11 +10,14 @@ from dnr.model import NotRadialError, make_config
 from dnr.objective import ConstraintCheck, ObjectiveReport, evaluate_fo, sort_key
 from dnr.powerflow import (
     BranchFlow,
+    BranchFlows,
+    BusValues,
     IslandResult,
     NotConvergedError,
     PowerFlowSolution,
     solve_all_islands,
 )
+from dnr.topology import forest_index
 
 PASS = ConstraintCheck("radiality", True, "")
 
@@ -148,6 +151,80 @@ class TestConstraints:
             "feeder_overload",
         ]
         assert report.feasible == all(c.passed for c in report.constraints)
+
+
+def _as_dicts(solution: PowerFlowSolution) -> PowerFlowSolution:
+    """The same solution with plain dicts where a solve leaves column views."""
+    return replace(
+        solution,
+        v_mag=dict(solution.v_mag),
+        v_angle=dict(solution.v_angle),
+        flows={branch_id: solution.flows[branch_id] for branch_id in solution.flows},
+    )
+
+
+class TestColumnarSolution:
+    """A solve keeps per-bus and per-branch values as columns behind
+    read-only mappings; the objective reads the columns and must score them
+    exactly as it scores the dicts they stand for."""
+
+    def test_hand_built_dicts_and_their_columns_score_alike(self):
+        case = two_bus_case(98.75, 43.75, r=0.01, x=0.05)
+        config = make_config(case, {1})
+        plain = _fabricated_two_bus_solution()
+        columnar = replace(
+            plain,
+            v_mag=BusValues.of(plain.v_mag),
+            v_angle=BusValues.of(plain.v_angle),
+            flows=BranchFlows.of(plain.flows),
+        )
+        for name in ("v_mag", "v_angle", "flows"):
+            assert list(getattr(columnar, name).items()) == list(getattr(plain, name).items())
+        assert evaluate_fo(case, config, columnar) == evaluate_fo(case, config, plain)
+
+    @pytest.mark.parametrize(
+        "case_name, closed",
+        [
+            ("six_bus_case", {1, 2, 3, 4}),
+            ("five_bus_tworoot", {1, 2, 3}),
+            ("sagging", {1}),
+            ("rated", {1}),
+            ("overloaded_feeder", {1}),
+        ],
+    )
+    def test_solved_islands_score_as_their_dicts(self, request, case_name, closed):
+        case = {
+            "sagging": lambda: two_bus_case(80.0, 30.0, v_min=0.99),
+            "rated": lambda: two_bus_case(50.0, 20.0, mva_limit=30.0),
+            "overloaded_feeder": lambda: two_bus_case(50.0, 20.0, q_min=-1.0, q_max=1.0),
+        }.get(case_name, lambda: request.getfixturevalue(case_name))()
+        config = make_config(case, closed)
+        solution = solve_all_islands(case, config)
+        assert isinstance(solution.v_mag, BusValues) and isinstance(solution.flows, BranchFlows)
+        # the key order of the dicts merged island by island: buses in id
+        # order within an island, then branches in id order within it
+        islands = forest_index(case, config).islands
+        assert list(solution.v_mag) == [bus for island in islands for bus in sorted(island.buses)]
+        assert list(solution.v_angle) == list(solution.v_mag)
+        assert list(solution.flows) == [b for island in islands for b in sorted(island.branches)]
+        assert evaluate_fo(case, config, solution) == evaluate_fo(case, config, _as_dicts(solution))
+
+    def test_ieee14_forest_scores_as_its_dicts(self, ieee14_case, ieee14_forest):
+        solution = solve_all_islands(ieee14_case, ieee14_forest.config)
+        report = evaluate_fo(ieee14_case, ieee14_forest.config, solution)
+        assert report == evaluate_fo(ieee14_case, ieee14_forest.config, _as_dicts(solution))
+
+    def test_views_are_read_only_mappings(self, six_bus_case):
+        solution = solve_all_islands(six_bus_case, make_config(six_bus_case, {1, 2, 3, 4}))
+        as_dicts = _as_dicts(solution)
+        assert solution.v_mag == as_dicts.v_mag and solution.flows == as_dicts.flows
+        assert 99 not in solution.v_mag and "1" not in solution.flows
+        with pytest.raises(KeyError):
+            solution.v_mag[99]
+        with pytest.raises(TypeError):
+            solution.v_mag[1] = 1.0
+        flow = solution.flows[1]
+        assert isinstance(flow, BranchFlow) and flow == as_dicts.flows[1]
 
 
 class TestOrdering:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -35,8 +36,11 @@ from dnr.powerflow import (
     SingularBranchError,
     SolverOptions,
     _classify,
+    _factor,
+    _leaves_first_jacobian,
     branch_flows,
     build_admittance,
+    jacobian_pattern,
     mismatch_jacobian,
     solve_all_islands,
     solve_network,
@@ -145,6 +149,25 @@ class TestNewtonRaphson:
         )
         assert not solution.converged
         assert solution.iterations == 1
+
+    def test_singular_jacobian_keeps_the_best_iterate(self, monkeypatch):
+        # SuperLU raises on an exactly singular factor; the solve must stop
+        # as it does on a non-finite step, not raise or warn
+        case = two_bus_case(50.0, 20.0)
+        jacobian = powerflow.mismatch_jacobian
+
+        def zero_values(*args):
+            result = jacobian(*args)
+            result.data[:] = 0.0
+            return result
+
+        monkeypatch.setattr(powerflow, "mismatch_jacobian", zero_values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_newton_raphson(case, _whole_island(case))
+        assert not solution.converged
+        assert solution.iterations == 1
+        assert solution.v_mag[2] == 1.0  # the flat start, never stepped from
 
     def test_impossible_load_does_not_converge(self):
         case = two_bus_case(5000.0, 2000.0)  # far beyond the line's capability
@@ -555,3 +578,44 @@ class TestJacobianPattern:
         for work in solves:
             assert work.patterns == (1 if work.jacobians else 0) + work.switches, work.island
         assert sum(work.switches for work in solves) > 0
+
+
+def _assert_leaves_first_without_fill(case, island) -> None:
+    """At the flat start and at the solution, the two points every Newton
+    solve factors a Jacobian near, the leaves-first matrix is P J P^T of
+    the dense Jacobian, and its factor in that order has no entry J lacks."""
+    setup = _classify(case, island)
+    if not (setup.pv or setup.pq):
+        return  # a lone root: nothing to factor
+    solved = solve_newton_raphson(case, island)
+    pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+    pq = np.array(setup.pq, dtype=int)
+    pattern = jacobian_pattern(setup.ybus, pvpq, pq)
+    size = pvpq.size + pq.size
+    assert sorted(pattern.order) == list(range(size))
+    permute = np.eye(size)[pattern.order]
+    for v in (setup.v, np.array([solved.voltage(bus) for bus in setup.order])):
+        jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern)
+        leaves = _leaves_first_jacobian(jacobian, pattern)
+        _assert_close(leaves.toarray(), permute @ dense_jacobian(setup.ybus, v, pvpq, pq) @ permute.T)
+        factors = _factor(leaves)
+        assert factors.L.nnz + factors.U.nnz <= jacobian.nnz + size
+
+
+class TestLeavesFirst:
+    """The Newton step factors the Jacobian leaves first, which on a tree
+    creates no fill (Tinney & Walker, 1967)."""
+
+    def test_every_radial_ieee14_search_island(self, ieee14_case, ieee14_recorded):
+        islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
+        radial = [isl for isl in islands.values() if len(isl.branches) == len(isl.buses) - 1]
+        assert len(radial) == 41
+        for island in radial:
+            _assert_leaves_first_without_fill(ieee14_case, island)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 60), roots=st.integers(1, 2))
+    def test_seeded_radial_feeders(self, seed, buses, roots):
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        for island in forest_index(case, default_config(case)).islands:
+            _assert_leaves_first_without_fill(case, island)
