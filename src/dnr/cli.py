@@ -39,24 +39,23 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta-t", type=float, default=None, metavar="HOURS",
-                        help="study interval length in hours (default 1.0)")
+    parser.add_argument("--delta-t", type=_finite_above(0.0), default=None, metavar="HOURS",
+                        help="study interval length in hours, positive and finite (default 1.0)")
     parser.add_argument("--tolerance", type=_finite_above(0.0), default=1e-8,
                         help="power-flow mismatch tolerance in pu")
     parser.add_argument("--max-iter", type=_integer_from(1), default=30,
                         help="Newton iteration cap (default 30)")
 
 
-def _finite_above(low: float, inclusive: bool = False):
-    """An argparse type for finite numbers above `low`, or equal to it when `inclusive`."""
+def _finite_above(low: float):
+    """An argparse type for finite numbers above `low`."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
-            bound = ">=" if inclusive else ">"
-            raise argparse.ArgumentTypeError(f"expected a finite number {bound} {low:g}, got {text!r}")
+        if not (math.isfinite(value) and value > low):
+            raise argparse.ArgumentTypeError(f"expected a finite number > {low:g}, got {text!r}")
         return value
     return parse
 
@@ -83,9 +82,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _root_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        roots = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad root list {text!r}")
+    if not roots:
+        raise argparse.ArgumentTypeError(f"empty root list {text!r}")
+    return roots
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_arguments(p_rec)
     p_rec.add_argument("--no-surrogate", action="store_true",
                        help="disable the linear ranking model")
-    p_rec.add_argument("--surrogate-prune", type=_finite_above(0.0, inclusive=True),
-                       default=None, metavar="THRESHOLD",
-                       help="skip switches predicted worse than incumbent*(1+THRESHOLD)")
     p_rec.add_argument("--max-passes", type=_integer_from(0), default=20,
                        help="cap on improvement passes")
     p_rec.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
@@ -177,7 +176,6 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
     search_options = SearchOptions(
         max_passes=args.max_passes,
         use_surrogate=not args.no_surrogate,
-        prune_threshold=args.surrogate_prune,
         solver_options=solver_options,
     )
 

@@ -56,9 +56,6 @@ class SearchTrace:
 class SearchOptions:
     max_passes: int = 20
     use_surrogate: bool = True
-    # None ranks only; a threshold also skips switches predicted above
-    # incumbent * (1 + threshold)
-    prune_threshold: float | None = None
     solver_options: SolverOptions = SolverOptions()
 
 
@@ -224,9 +221,7 @@ class _Search:
         self.log(switch, target, key, report, None)
         return candidate, sort_key(report)
 
-    def order_switches(
-        self, config: Configuration, fo: float, model: LinearModel
-    ) -> list[int]:
+    def order_switches(self, config: Configuration, model: LinearModel) -> list[int]:
         """Pass order over open switches, surrogate-ranked when possible."""
         open_ids = [b for b in sorted(config.open_ids) if self.case.branch_by_id[b].switchable]
         if not (self.options.use_surrogate and model.trained):
@@ -244,18 +239,6 @@ class _Search:
         self.trace.surrogate_hits += sum(
             1 for before, after in zip(open_ids, reordered) if before != after
         )
-        threshold = self.options.prune_threshold
-        if threshold is not None:
-            keep = []
-            for switch in reordered:
-                cfg = first_moves.get(switch)
-                if cfg is None:
-                    keep.append(switch)
-                    continue
-                predicted = model.predict(featurize(self.case, cfg))
-                if predicted <= fo * (1.0 + threshold):
-                    keep.append(switch)
-            return keep
         return reordered
 
 
@@ -295,7 +278,7 @@ def improve(
             if refit.trained:
                 model = refit
         key_at_pass_start = key
-        for switch in search.order_switches(config, key[1], model):
+        for switch in search.order_switches(config, model):
             if switch in config.closed:
                 continue  # an earlier walk in this pass closed it
             config, key = search.walk_loop(config, key, switch)

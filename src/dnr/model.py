@@ -284,7 +284,12 @@ def validate_case(case: NetworkCase) -> list[Violation]:
 
     if not case.roots:
         violations.append(Violation("no_roots", "case declares no feeder roots"))
+    seen_roots: set[int] = set()
     for root in case.roots:
+        if root in seen_roots:
+            violations.append(Violation("duplicate_root", f"root bus {root} is listed twice", bus_id=root))
+            continue
+        seen_roots.add(root)
         bus = case.bus_by_id.get(root)
         if bus is None:
             violations.append(Violation("missing_root", f"root bus {root} does not exist", bus_id=root))

@@ -354,11 +354,10 @@ class JacobianPattern:
     `jacobian` is the matrix every fill with this pattern writes its values
     into and returns.
 
-    `order` lists the Jacobian's rows, and its columns, leaves first: the
-    buses in LeavesFirst order, each bus's angle row before its magnitude
-    row.  `gather` picks the data of `jacobian` into the data of
-    `leaves_first`, the same matrix permuted to that order, which the Newton
-    step factors; the patterns of one split in one solve share these three.
+    `order` gives, for each row of `jacobian` (and each column), its
+    variable in the mismatch's numbering [angles at PV+PQ; magnitudes at
+    PQ].  With a bus order the rows run bus by bus in that order, each
+    bus's angle before its magnitude; without one, `order` is the identity.
     """
 
     columns: np.ndarray
@@ -366,8 +365,6 @@ class JacobianPattern:
     slots: np.ndarray
     jacobian: sparse.csc_matrix
     order: np.ndarray
-    gather: np.ndarray
-    leaves_first: sparse.csc_matrix
 
 
 def _csc(cells: np.ndarray, data: np.ndarray, n: int) -> sparse.csc_matrix:
@@ -377,58 +374,47 @@ def _csc(cells: np.ndarray, data: np.ndarray, n: int) -> sparse.csc_matrix:
     return sparse.csc_matrix((data, rows.astype(np.int32), indptr), shape=(n, n))
 
 
-class LeavesFirst:
-    """One island's leaves-first bus order, and the Jacobian layouts on it.
+def leaves_first(ybus: sparse.spmatrix) -> np.ndarray:
+    """The island's bus positions leaves first, for jacobian_pattern.
 
     Reverse Cuthill-McKee is a breadth-first walk from a peripheral bus,
     reversed, so on a radial island every bus comes before its parent and
     elimination in this order creates no fill (Tinney & Walker, Proc. IEEE
-    1967); on a meshed network it keeps the profile small.  A layout is kept
-    per PV/PQ split, so a solve whose regulated bus clamps at a reactive
-    limit and is released again reuses the layout of the split it returns
-    to.
+    1967); on a meshed network it keeps the profile small.
     """
-
-    def __init__(self, ybus: sparse.spmatrix):
-        self.buses = reverse_cuthill_mckee(ybus.tocsc(), symmetric_mode=True)
-        self._layouts: dict[bytes, tuple[np.ndarray, np.ndarray, sparse.csc_matrix]] = {}
-
-    def layout(self, var: np.ndarray, jacobian: sparse.csc_matrix):
-        """(order, gather, leaves_first) of JacobianPattern for this split and structure."""
-        key = var.tobytes()
-        if key not in self._layouts:
-            size = jacobian.shape[0]
-            order = var[:, self.buses].T.ravel()
-            order = order[order >= 0]
-            rank = np.empty(size, dtype=np.intp)
-            rank[order] = np.arange(size)
-            moved = rank[jacobian.indices] + size * np.repeat(rank, np.diff(jacobian.indptr))
-            gather = np.argsort(moved)
-            self._layouts[key] = (order, gather, _csc(moved[gather], np.zeros(moved.size), size))
-        return self._layouts[key]
+    return reverse_cuthill_mckee(ybus.tocsc(), symmetric_mode=True)
 
 
 def jacobian_pattern(
     ybus: sparse.spmatrix,
     pvpq: np.ndarray,
     pq: np.ndarray,
-    leaves: LeavesFirst | None = None,
+    buses: np.ndarray | None = None,
 ) -> JacobianPattern:
     """The structure of mismatch_jacobian for this Ybus pattern and PV/PQ split.
 
-    `leaves` is the solve's LeavesFirst(ybus), made here when not given.
+    `buses` orders the Jacobian's rows and columns bus by bus, as
+    leaves_first does; without it they stay in the mismatch's numbering.
     """
     y = ybus.tocsc()
     n = y.shape[0]
     size = pvpq.size + pq.size
-    # per bus position: the Jacobian row/column of its angle, then of its magnitude, -1: none
+    # per bus position: the mismatch's index of its angle, then of its magnitude, -1: none
     var = np.full((2, n), -1)
     var[0, pvpq] = np.arange(pvpq.size)
     var[1, pq] = np.arange(pvpq.size, size)
-    buses = np.arange(n)
-    columns = np.repeat(buses, np.diff(y.indptr))
-    rows = np.concatenate([y.indices, buses])
-    cols = np.concatenate([columns, buses])
+    if buses is None:
+        order = np.arange(size)
+    else:
+        order = var[:, buses].T.ravel()
+        order = order[order >= 0]
+        rank = np.empty(size, dtype=var.dtype)
+        rank[order] = np.arange(size)
+        var = np.where(var >= 0, rank[var], -1)  # now each one's Jacobian row/column
+    positions = np.arange(n)
+    columns = np.repeat(positions, np.diff(y.indptr))
+    rows = np.concatenate([y.indices, positions])
+    cols = np.concatenate([columns, positions])
     # the four blocks: angle and magnitude rows against angle and magnitude columns
     at_i = var[[0, 0, 1, 1]][:, rows].ravel()
     at_j = var[[0, 1, 0, 1]][:, cols].ravel()
@@ -441,10 +427,7 @@ def jacobian_pattern(
     cells = keys[by_key[first]]
     slots = np.empty(keys.size, dtype=np.intp)
     slots[by_key] = np.cumsum(first) - 1
-    jacobian = _csc(cells, np.zeros(cells.size), size)
-    if leaves is None:
-        leaves = LeavesFirst(y)
-    return JacobianPattern(columns, take, slots, jacobian, *leaves.layout(var, jacobian))
+    return JacobianPattern(columns, take, slots, _csc(cells, np.zeros(cells.size), size), order)
 
 
 def mismatch_jacobian(
@@ -463,7 +446,8 @@ def mismatch_jacobian(
     rows.  `pattern` is jacobian_pattern(ybus, pvpq, pq), built here when not
     given; a caller that fills many Jacobians for one Ybus pattern and PV/PQ
     split passes it in, so each call only computes the values.  The matrix
-    returned is then the pattern's own, overwritten by its next fill.
+    returned is then the pattern's own, numbered as `pattern.order` says and
+    overwritten by its next fill.
     """
     y = ybus.tocsc()
     if pattern is None:
@@ -481,7 +465,7 @@ def mismatch_jacobian(
 
 
 def _factor(matrix: sparse.csc_matrix):
-    """SuperLU factors of a leaves-first Jacobian, in the order given.
+    """SuperLU factors of a Jacobian numbered leaves first, in the order given.
 
     A diagonal pivot is kept unless it is under a thousandth of its column's
     largest entry.  A row swap takes a pivot from the parent bus's rows and
@@ -492,20 +476,10 @@ def _factor(matrix: sparse.csc_matrix):
     return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
 
 
-def _leaves_first_jacobian(jacobian: sparse.csc_matrix, pattern: JacobianPattern) -> sparse.csc_matrix:
-    """The values of `jacobian`, a fill with `pattern`, in its leaves-first layout.
-
-    They are written into the pattern's own `leaves_first` matrix.
-    """
-    leaves = pattern.leaves_first
-    leaves.data = jacobian.data[pattern.gather]
-    return leaves
-
-
 def _newton_step(jacobian: sparse.csc_matrix, mismatch: np.ndarray, pattern: JacobianPattern) -> np.ndarray:
-    """-J^-1 f, solved on the pattern's leaves-first layout; NaN when J is singular."""
+    """-J^-1 f for a fill with `pattern`, f and the step in the mismatch's numbering; NaN when J is singular."""
     try:
-        factors = _factor(_leaves_first_jacobian(jacobian, pattern))
+        factors = _factor(jacobian)
     except RuntimeError:  # SuperLU finds the factor exactly singular
         return np.full(mismatch.size, math.nan)
     step = np.empty_like(mismatch)
@@ -654,16 +628,17 @@ def solve_newton_raphson(
     converged = False
     iterations = 0
     max_mismatch = math.inf
-    pvpq = pq = pattern = leaves = None
+    pvpq = np.delete(np.arange(len(setup.order)), setup.slack)  # PV/PQ switches keep this set
+    buses = leaves_first(ybus)
+    pq = pattern = None
     while iterations < cap:
         iterations += 1
         scalc = setup.v * np.conj(ybus @ setup.v)
         if iterations > 1:
             changed, scalc = _apply_q_limits(case, setup, scalc)
             if changed:
-                pvpq = None
-        if pvpq is None:
-            pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+                pq = None
+        if pq is None:
             pq = np.array(setup.pq, dtype=int)
             pattern = None
         f = _mismatch(scalc, setup.sbus, pvpq, pq)
@@ -672,9 +647,7 @@ def solve_newton_raphson(
             converged = True
             break
         if pattern is None:
-            if leaves is None:
-                leaves = LeavesFirst(ybus)
-            pattern = jacobian_pattern(ybus, pvpq, pq, leaves)
+            pattern = jacobian_pattern(ybus, pvpq, pq, buses)
         jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern)
         dx = _newton_step(jac, f, pattern)
         if not np.isfinite(dx).all():

@@ -4,7 +4,7 @@ Features are cheap per-island aggregates of a radial configuration: served
 load, a load-distance moment (bus load weighted by the resistance of its
 path to the root) and the closed resistance total.  An ordinary
 least-squares fit over already-evaluated candidates predicts the loss
-objective, which is only ever used to order or prune the search, never to
+objective, which is only ever used to order the search, never to
 replace a real evaluation.
 """
 from __future__ import annotations

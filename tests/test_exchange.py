@@ -240,45 +240,39 @@ class TestImproveGuards:
 
 
 @pytest.fixture(scope="module")
-def three_runs(ieee14_case, ieee14_forest):
+def two_runs(ieee14_case, ieee14_forest):
     runs = {}
     for label, opts in (
         ("none", SearchOptions(use_surrogate=False)),
         ("rank", SearchOptions()),
-        ("prune", SearchOptions(prune_threshold=0.1)),
     ):
         runs[label] = improve(ieee14_case, ieee14_forest.config, options=opts)
     return runs
 
 
 class TestSurrogateNeutrality:
-    def test_final_objective_identical(self, ieee14_case, three_runs):
+    def test_final_objective_identical(self, ieee14_case, two_runs):
         values = {}
-        for label, (config, _) in three_runs.items():
+        for label, (config, _) in two_runs.items():
             result = evaluate_candidate(ieee14_case, config)
             assert not isinstance(result, Rejection)
             values[label] = result[0].fo_value
         assert values["rank"] == pytest.approx(values["none"], abs=1e-9)
-        assert values["prune"] == pytest.approx(values["none"], abs=1e-9)
 
-    def test_ranking_never_costs_evaluations(self, three_runs):
-        evals = {label: trace.evaluations for label, (_, trace) in three_runs.items()}
+    def test_ranking_never_costs_evaluations(self, two_runs):
+        evals = {label: trace.evaluations for label, (_, trace) in two_runs.items()}
         assert evals["rank"] <= evals["none"]
-        assert evals["prune"] <= evals["none"]
 
-    def test_pruning_actually_skips_work(self, three_runs):
-        assert three_runs["prune"][1].evaluations < three_runs["none"][1].evaluations
-
-    def test_rank_mode_reorders_but_none_mode_never_consults(self, three_runs):
-        assert three_runs["none"][1].surrogate_hits == 0
-        assert three_runs["rank"][1].surrogate_hits > 0
+    def test_rank_mode_reorders_but_none_mode_never_consults(self, two_runs):
+        assert two_runs["none"][1].surrogate_hits == 0
+        assert two_runs["rank"][1].surrogate_hits > 0
 
 
 class TestSingleScoringPath:
     """Every candidate is scored, counted and logged by the same two steps."""
 
-    def test_accepted_exactly_when_no_reason(self, three_runs):
-        for _, trace in three_runs.values():
+    def test_accepted_exactly_when_no_reason(self, two_runs):
+        for _, trace in two_runs.values():
             assert trace.moves
             for move in trace.moves:
                 assert move.accepted == (move.rejected_reason is None)
@@ -287,8 +281,8 @@ class TestSingleScoringPath:
 
     @pytest.mark.parametrize(
         "options",
-        [SearchOptions(use_surrogate=False), SearchOptions(), SearchOptions(prune_threshold=0.1)],
-        ids=["none", "rank", "prune"],
+        [SearchOptions(use_surrogate=False), SearchOptions()],
+        ids=["none", "rank"],
     )
     def test_evaluations_count_every_candidate_call(
         self, ieee14_case, ieee14_forest, monkeypatch, options

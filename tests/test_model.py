@@ -144,6 +144,12 @@ class TestValidateCase:
             case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
             assert {v.code for v in validate_case(case)} == {"bad_interval"}
 
+    def test_root_listed_twice(self):
+        # each root is an island's slack; a repeated one cannot split the case
+        buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2))
+        case = NetworkCase(100.0, buses, (Branch(1, 1, 2, r=0.01, x=0.02),), roots=(1, 1))
+        assert [(v.code, v.bus_id) for v in validate_case(case)] == [("duplicate_root", 1)]
+
     def test_root_must_be_a_feeder(self):
         case = NetworkCase(
             100.0,

@@ -37,10 +37,11 @@ from dnr.powerflow import (
     SolverOptions,
     _classify,
     _factor,
-    _leaves_first_jacobian,
+    _newton_step,
     branch_flows,
     build_admittance,
     jacobian_pattern,
+    leaves_first,
     mismatch_jacobian,
     solve_all_islands,
     solve_network,
@@ -557,7 +558,10 @@ class TestJacobianPattern:
 
         def checked(ybus, v, pvpq, pq, pattern=None):
             result = jacobian(ybus, v, pvpq, pq, pattern)
-            seen.append((ybus, v.copy(), pvpq.copy(), pq.copy(), result.toarray()))
+            # back from the pattern's leaves-first numbering to the mismatch's
+            natural = np.empty(result.shape)
+            natural[np.ix_(pattern.order, pattern.order)] = result.toarray()
+            seen.append((ybus, v.copy(), pvpq.copy(), pq.copy(), natural))
             return result
 
         monkeypatch.setattr(powerflow, "mismatch_jacobian", checked)
@@ -582,24 +586,32 @@ class TestJacobianPattern:
 
 def _assert_leaves_first_without_fill(case, island) -> None:
     """At the flat start and at the solution, the two points every Newton
-    solve factors a Jacobian near, the leaves-first matrix is P J P^T of
-    the dense Jacobian, and its factor in that order has no entry J lacks."""
+    solve factors a Jacobian near, the Jacobian numbered leaves first is
+    P J P^T of the dense Jacobian, its factor in that order has no entry J
+    lacks, and the Newton step, mapped back to the mismatch's numbering,
+    solves the dense system."""
     setup = _classify(case, island)
     if not (setup.pv or setup.pq):
         return  # a lone root: nothing to factor
     solved = solve_newton_raphson(case, island)
     pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
     pq = np.array(setup.pq, dtype=int)
-    pattern = jacobian_pattern(setup.ybus, pvpq, pq)
+    pattern = jacobian_pattern(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
     size = pvpq.size + pq.size
     assert sorted(pattern.order) == list(range(size))
     permute = np.eye(size)[pattern.order]
+    rng = np.random.default_rng(size)
     for v in (setup.v, np.array([solved.voltage(bus) for bus in setup.order])):
         jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern)
-        leaves = _leaves_first_jacobian(jacobian, pattern)
-        _assert_close(leaves.toarray(), permute @ dense_jacobian(setup.ybus, v, pvpq, pq) @ permute.T)
-        factors = _factor(leaves)
+        dense = dense_jacobian(setup.ybus, v, pvpq, pq)
+        _assert_close(jacobian.toarray(), permute @ dense @ permute.T)
+        factors = _factor(jacobian)
         assert factors.L.nnz + factors.U.nnz <= jacobian.nnz + size
+        # the step must solve the dense system; checked by its residual, since
+        # at a diverged solve's last iterate J's condition number reaches 7e5
+        # and two sound solvers' steps differ by more than 1e-12
+        rhs = dense @ rng.standard_normal(size)
+        _assert_close(dense @ _newton_step(jacobian, rhs, pattern), -rhs)
 
 
 class TestLeavesFirst:
