@@ -165,7 +165,10 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     print("branch losses (MW):")
     for branch_id in sorted(solution.flows):
         flow = solution.flows[branch_id]
-        print(f"  {branch_id:4d}  {flow.p_send + flow.p_recv:10.6f}")
+        # a lossless branch sums to about -1e-14 MW; rounding first and
+        # adding 0.0 turns that -0.0 into 0.0, so it does not print as -0.000000
+        loss = round(flow.p_send + flow.p_recv, 6) + 0.0
+        print(f"  {branch_id:4d}  {loss:10.6f}")
     print(f"total loss: {solution.total_loss_mw:.4f} MW")
     return 0 if solution.converged else 1
 

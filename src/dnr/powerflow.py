@@ -101,7 +101,7 @@ class _Columns(Mapping):
             if (self.ids[1:] > self.ids[:-1]).all():
                 self._sorted = self.ids
             else:
-                self._sorter = np.argsort(self.ids, kind="stable")
+                self._sorter = np.argsort(self.ids)  # ids are unique: any sort will do
                 self._sorted = self.ids[self._sorter]
         at = _find(self._sorted, keys)
         return at if self._sorter is None else self._sorter[at]
@@ -297,13 +297,29 @@ def _closed_branches(compiled: _CompiledCase, branch_ids) -> np.ndarray:
     return pos
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """`keys` sorted, and np.argsort(keys, kind="stable"), for int64 keys in [0, bound).
+
+    One plain np.sort of each key shifted past the bits of its position, with
+    the position in those bits, does both, several times faster than numpy's
+    stable argsort of int64 keys.  The packed values must fit an int64,
+    which bounds `bound` times the number of keys.
+    """
+    shift = max(keys.size - 1, 0).bit_length()
+    if bound << shift > 1 << 63:
+        raise OverflowError(f"{keys.size} keys below {bound} do not pack into an int64")
+    packed = np.sort((keys << shift) | np.arange(keys.size))
+    return packed >> shift, packed & ((1 << shift) - 1)
+
+
 def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matrix, list[int]]:
     """Nodal admittance matrix over the island's buses, and the bus ordering.
 
     The entries are ff, ft, tf, tt per branch in id order, then the bus
     shunts.  A stable sort puts them in CSC order, and entries that land on
     one cell sum in that input order, as scipy's COO-to-CSC conversion sums
-    them.
+    them.  The cells are keyed column * n + row below n * n, so the sort
+    packs into an int64 up to about a million buses in one island.
     """
     compiled = _compiled_case(case)
     buses = _positions(compiled.bus_ids, island.buses)
@@ -316,9 +332,8 @@ def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matr
     rows = np.concatenate([ends[:, [0, 0, 1, 1]].ravel(), local[shunted]])
     cols = np.concatenate([ends[:, [0, 1, 0, 1]].ravel(), local[shunted]])
     vals = np.concatenate([compiled.stamp[branches].ravel(), compiled.shunt[shunted]])
-    cells = cols * n + rows
-    order = np.argsort(cells, kind="stable")
-    cells, vals = cells[order], vals[order]
+    cells, order = _stable_order(cols * n + rows, n * n)
+    vals = vals[order]
     first = np.ones(cells.size, dtype=bool)
     first[1:] = cells[1:] != cells[:-1]
     data = vals[first]
@@ -395,6 +410,8 @@ def jacobian_pattern(
 
     `buses` orders the Jacobian's rows and columns bus by bus, as
     leaves_first does; without it they stay in the mismatch's numbering.
+    The terms are keyed column * size + row, which _stable_order packs into
+    an int64 up to about half a million buses in one island.
     """
     y = ybus.tocsc()
     n = y.shape[0]
@@ -419,12 +436,12 @@ def jacobian_pattern(
     at_i = var[[0, 0, 1, 1]][:, rows].ravel()
     at_j = var[[0, 1, 0, 1]][:, cols].ravel()
     take = np.flatnonzero((at_i >= 0) & (at_j >= 0))
-    keys = at_j[take] * size + at_i[take]
-    # np.unique(keys, return_inverse=True), without its overhead
-    by_key = np.argsort(keys, kind="stable")
+    # np.unique(keys, return_inverse=True), without its overhead; a term's
+    # slot depends on its key only, so the sort need not be stable
+    keys, by_key = _stable_order(at_j[take] * size + at_i[take], size * size)
     first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[by_key[1:]] != keys[by_key[:-1]]
-    cells = keys[by_key[first]]
+    first[1:] = keys[1:] != keys[:-1]
+    cells = keys[first]
     slots = np.empty(keys.size, dtype=np.intp)
     slots[by_key] = np.cumsum(first) - 1
     return JacobianPattern(columns, take, slots, _csc(cells, np.zeros(cells.size), size), order)
@@ -436,6 +453,7 @@ def mismatch_jacobian(
     pvpq: np.ndarray,
     pq: np.ndarray,
     pattern: JacobianPattern | None = None,
+    ibus: np.ndarray | None = None,
 ) -> sparse.csc_matrix:
     """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ].
 
@@ -447,12 +465,14 @@ def mismatch_jacobian(
     given; a caller that fills many Jacobians for one Ybus pattern and PV/PQ
     split passes it in, so each call only computes the values.  The matrix
     returned is then the pattern's own, numbered as `pattern.order` says and
-    overwritten by its next fill.
+    overwritten by its next fill.  `ibus` is ybus @ v, computed here when
+    not given; the Newton loop passes the product its mismatch used.
     """
     y = ybus.tocsc()
     if pattern is None:
         pattern = jacobian_pattern(y, pvpq, pq)
-    ibus = y @ v
+    if ibus is None:
+        ibus = y @ v
     vnorm = v / np.abs(v)
     vr = v[y.indices]
     cols = pattern.columns
@@ -472,8 +492,15 @@ def _factor(matrix: sparse.csc_matrix):
     creates fill; at a tenth, resistive lines (small dP/dVa) forced one in
     about a fifth of the Newton factorizations on the tests' generated
     feeders, at a thousandth none.
+
+    SuperLU factors a panel of columns at a time (Demmel et al., SIAM J.
+    Matrix Anal. Appl. 1999) to update them together from supernodes that
+    fill creates.  Without fill there is nothing to share, and the panel's
+    dense work arrays are overhead: one column per panel factors a 1000-bus
+    feeder's 1998-variable Jacobian in about half the time of the default
+    panel, with the same L and U nonzeros and steps equal to about 1e-14.
     """
-    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=1e-3)
+    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=1e-3, panel_size=1)
 
 
 def _newton_step(jacobian: sparse.csc_matrix, mismatch: np.ndarray, pattern: JacobianPattern) -> np.ndarray:
@@ -524,15 +551,16 @@ def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
 
 
 def _apply_q_limits(
-    case: NetworkCase, setup: _IslandSetup, scalc: np.ndarray
-) -> tuple[bool, np.ndarray]:
+    case: NetworkCase, setup: _IslandSetup, ibus: np.ndarray, scalc: np.ndarray
+) -> tuple[bool, np.ndarray, np.ndarray]:
     """Clamp regulated buses whose machine Q runs past a limit; they become PQ.
 
     A clamped bus returns to voltage control once its voltage crosses the
     setpoint in the direction that relieves the binding limit, so transient
     excursions during slow sweeps cannot freeze the bus at the wrong limit.
-    Returns whether the PV/PQ sets changed, and the injections at the current
-    `v` (recomputed when a released bus moved it).
+    `ibus` is ybus @ v and `scalc` the injections v * conj(ibus).  Returns
+    whether the PV/PQ sets changed, and both at the current `v` (recomputed
+    when a released bus moved it).
     """
     base = case.base_mva
     reverted = clamped_any = False
@@ -547,7 +575,8 @@ def _apply_q_limits(
             reverted = True
     if reverted:
         # stale injections would re-clamp the bus we just released
-        scalc = setup.v * np.conj(setup.ybus @ setup.v)
+        ibus = setup.ybus @ setup.v
+        scalc = setup.v * np.conj(ibus)
     for i in list(setup.pv):
         bus = case.bus_by_id[setup.order[i]]
         limits = bus.q_limits
@@ -567,7 +596,7 @@ def _apply_q_limits(
             setup.pq.sort()
             setup.sbus[i] = complex(setup.sbus[i].real, (clamped - bus.q_load) / base)
             clamped_any = True
-    return reverted or clamped_any, scalc
+    return reverted or clamped_any, ibus, scalc
 
 
 def _finish(
@@ -578,7 +607,9 @@ def _finish(
     iterations: int,
     max_mismatch: float,
     sending: dict[int, int] | None,
+    scalc: np.ndarray | None = None,
 ) -> PowerFlowSolution:
+    """The solution at `setup.v`; `scalc`, the injections there, is computed when not given."""
     base = case.base_mva
     ids = np.array(setup.order, dtype=np.int64)
     v = setup.v
@@ -587,7 +618,8 @@ def _finish(
     v_mag = BusValues(ids, np.hypot(v.real, v.imag))
     v_angle = BusValues(ids, np.angle(v))
     flows, loss_mw = branch_flows(case, island.branches, BusValues(ids, v), sending)
-    scalc = v * np.conj(setup.ybus @ v)
+    if scalc is None:
+        scalc = v * np.conj(setup.ybus @ v)
     root_bus = case.bus_by_id[island.root]
     slack_p = scalc[setup.slack].real * base + root_bus.p_load
     slack_q = scalc[setup.slack].imag * base + root_bus.q_load
@@ -633,9 +665,10 @@ def solve_newton_raphson(
     pq = pattern = None
     while iterations < cap:
         iterations += 1
-        scalc = setup.v * np.conj(ybus @ setup.v)
+        ibus = ybus @ setup.v
+        scalc = setup.v * np.conj(ibus)
         if iterations > 1:
-            changed, scalc = _apply_q_limits(case, setup, scalc)
+            changed, ibus, scalc = _apply_q_limits(case, setup, ibus, scalc)
             if changed:
                 pq = None
         if pq is None:
@@ -648,7 +681,7 @@ def solve_newton_raphson(
             break
         if pattern is None:
             pattern = jacobian_pattern(ybus, pvpq, pq, buses)
-        jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern)
+        jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern, ibus)
         dx = _newton_step(jac, f, pattern)
         if not np.isfinite(dx).all():
             break  # singular Jacobian: keep best iterate, converged stays False
@@ -657,7 +690,10 @@ def solve_newton_raphson(
         va[pvpq] += dx[: pvpq.size]
         vm[pq] += dx[pvpq.size :]
         setup.v = vm * np.exp(1j * va)
-    return _finish(case, island, setup, converged, iterations, max_mismatch, sending)
+    # a converged loop stopped right after computing the injections at the final v
+    return _finish(
+        case, island, setup, converged, iterations, max_mismatch, sending, scalc if converged else None
+    )
 
 
 # one entry, looked up by name on each call: the benchmark traces island solves

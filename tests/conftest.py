@@ -16,6 +16,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dnr.caseio import parse_case
 from dnr.exchange import improve
@@ -32,6 +33,7 @@ from dnr.model import (
 )
 from dnr.powerflow import (
     BranchFlow,
+    JacobianPattern,
     PowerFlowSolution,
     SingularBranchError,
     SolverOptions,
@@ -508,9 +510,9 @@ def solve_gauss_seidel(
     sweep_order = [i for i in range(len(setup.order)) if i != setup.slack]
     while iterations < cap:
         iterations += 1
-        scalc = setup.v * np.conj(ydense @ setup.v)
+        ibus = ydense @ setup.v
         if iterations > 1:
-            _apply_q_limits(case, setup, scalc)
+            _apply_q_limits(case, setup, ibus, setup.v * np.conj(ibus))
         pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
         pq = np.array(setup.pq, dtype=int)
         f = power_mismatch(setup.ybus, setup.v, setup.sbus, pvpq, pq)
@@ -574,6 +576,45 @@ def dense_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
             [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
         ]
     )
+
+
+def oracle_jacobian_pattern(ybus, pvpq, pq, buses=None) -> JacobianPattern:
+    """jacobian_pattern as it was built with a stable argsort of the term keys.
+
+    The matrix comes from scipy's COO-to-CSC conversion of the distinct cells.
+    """
+    y = ybus.tocsc()
+    n = y.shape[0]
+    size = pvpq.size + pq.size
+    var = np.full((2, n), -1)
+    var[0, pvpq] = np.arange(pvpq.size)
+    var[1, pq] = np.arange(pvpq.size, size)
+    if buses is None:
+        order = np.arange(size)
+    else:
+        order = var[:, buses].T.ravel()
+        order = order[order >= 0]
+        rank = np.empty(size, dtype=var.dtype)
+        rank[order] = np.arange(size)
+        var = np.where(var >= 0, rank[var], -1)
+    positions = np.arange(n)
+    columns = np.repeat(positions, np.diff(y.indptr))
+    rows = np.concatenate([y.indices, positions])
+    cols = np.concatenate([columns, positions])
+    at_i = var[[0, 0, 1, 1]][:, rows].ravel()
+    at_j = var[[0, 1, 0, 1]][:, cols].ravel()
+    take = np.flatnonzero((at_i >= 0) & (at_j >= 0))
+    keys = at_j[take] * size + at_i[take]
+    by_key = np.argsort(keys, kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[by_key[1:]] != keys[by_key[:-1]]
+    cells = keys[by_key[first]]
+    slots = np.empty(keys.size, dtype=np.intp)
+    slots[by_key] = np.cumsum(first) - 1
+    matrix = sparse.csc_matrix(
+        (np.zeros(cells.size), (cells % size, cells // size)), shape=(size, size)
+    )
+    return JacobianPattern(columns, take, slots, matrix, order)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,15 @@ class TestPowerflow:
         assert "total loss: 13.39" in out
         assert "bus voltages" in out
 
+    def test_lossless_branches_print_no_negative_zero(self, cdf_path, capsys):
+        # branches 8, 9 and 14 have no resistance: their losses come out
+        # of the solve as about -1e-14 MW
+        assert main(["powerflow", str(cdf_path)]) == 0
+        out = capsys.readouterr().out
+        assert "-0.000000" not in out
+        for branch_id in (8, 9, 14):
+            assert f"  {branch_id:4d}    0.000000\n" in out
+
     def test_radial_default_runs_per_island(self, tmp_path, capsys, five_bus_tworoot):
         path = tmp_path / "five.json"
         path.write_text(write_native_case(five_bus_tworoot))

@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     dense_jacobian,
     fd_jacobian,
     oracle_admittance,
     oracle_branch_flows,
+    oracle_jacobian_pattern,
     random_four_bus,
     random_radial_feeder,
     solve_gauss_seidel,
@@ -38,6 +39,7 @@ from dnr.powerflow import (
     _classify,
     _factor,
     _newton_step,
+    _stable_order,
     branch_flows,
     build_admittance,
     jacobian_pattern,
@@ -444,12 +446,13 @@ class _SolveWork:
     jacobians: int = 0
     patterns: int = 0
     switches: int = 0  # calls of _apply_q_limits that changed the PV/PQ sets
+    stale_products: int = 0  # Jacobians handed a Ybus @ v other than at their v
 
 
 @pytest.fixture(scope="module")
 def ieee14_recorded(ieee14_case):
     """One IEEE-14 reconfiguration as the CLI runs it, recording the power-flow calls."""
-    calls = {"admittance": [], "flows": [], "solves": []}
+    calls = {"admittance": [], "flows": [], "patterns": [], "solves": []}
 
     def wrap(name, record):
         inner = getattr(powerflow, name)
@@ -461,10 +464,16 @@ def ieee14_recorded(ieee14_case):
 
         return wrapped
 
-    def count(field):
-        def record(args, kwargs, result):
-            setattr(calls["solves"][-1], field, getattr(calls["solves"][-1], field) + 1)
-        return record
+    def jacobian(args, kwargs, result):
+        work = calls["solves"][-1]
+        work.jacobians += 1
+        ybus, v, _, _, _, ibus = args
+        if not np.array_equal(ibus, ybus @ v):
+            work.stale_products += 1
+
+    def pattern(args, kwargs, result):
+        calls["solves"][-1].patterns += 1
+        calls["patterns"].append(args)
 
     def switched(args, kwargs, result):
         if result[0]:
@@ -483,8 +492,8 @@ def ieee14_recorded(ieee14_case):
         mp.setattr(powerflow, "branch_flows", wrap(
             "branch_flows", lambda args, kwargs, result: calls["flows"].append(args[1:])
         ))
-        mp.setattr(powerflow, "mismatch_jacobian", wrap("mismatch_jacobian", count("jacobians")))
-        mp.setattr(powerflow, "jacobian_pattern", wrap("jacobian_pattern", count("patterns")))
+        mp.setattr(powerflow, "mismatch_jacobian", wrap("mismatch_jacobian", jacobian))
+        mp.setattr(powerflow, "jacobian_pattern", wrap("jacobian_pattern", pattern))
         mp.setattr(powerflow, "_apply_q_limits", wrap("_apply_q_limits", switched))
         mp.setitem(powerflow._SOLVERS, "nr", recorded_solve)
         meshed = solve_network(ieee14_case, all_closed_config(ieee14_case))
@@ -556,8 +565,10 @@ class TestJacobianPattern:
         seen = []
         jacobian = powerflow.mismatch_jacobian
 
-        def checked(ybus, v, pvpq, pq, pattern=None):
-            result = jacobian(ybus, v, pvpq, pq, pattern)
+        def checked(ybus, v, pvpq, pq, pattern=None, ibus=None):
+            # the solve hands over the product its mismatch used, at this v
+            assert ibus is not None and np.array_equal(ibus, ybus @ v)
+            result = jacobian(ybus, v, pvpq, pq, pattern, ibus)
             # back from the pattern's leaves-first numbering to the mismatch's
             natural = np.empty(result.shape)
             natural[np.ix_(pattern.order, pattern.order)] = result.toarray()
@@ -583,6 +594,66 @@ class TestJacobianPattern:
             assert work.patterns == (1 if work.jacobians else 0) + work.switches, work.island
         assert sum(work.switches for work in solves) > 0
 
+    def test_each_jacobian_reuses_the_product_at_its_voltages(self, ieee14_recorded):
+        # including after _apply_q_limits releases a clamped bus and moves v
+        assert sum(work.stale_products for work in ieee14_recorded["solves"]) == 0
+
+    def test_every_ieee14_pattern_matches_the_stable_argsort_oracle(self, ieee14_recorded):
+        calls = ieee14_recorded["patterns"]
+        assert len(calls) == sum(work.patterns for work in ieee14_recorded["solves"])
+        for ybus, pvpq, pq, buses in calls:
+            _assert_pattern_matches_oracle(ybus, pvpq, pq, buses)
+            _assert_pattern_matches_oracle(ybus, pvpq, pq, None)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 60), roots=st.integers(1, 2))
+    def test_seeded_feeders_match_the_stable_argsort_oracle(self, seed, buses, roots):
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        rng = np.random.default_rng(seed)
+        for island in forest_index(case, default_config(case)).islands:
+            setup = _classify(case, island)
+            pvpq = np.delete(np.arange(len(setup.order)), setup.slack)
+            if not pvpq.size:
+                continue  # a lone root: no Jacobian
+            # any PV/PQ split: the generated buses are all PQ
+            pq = np.sort(rng.choice(pvpq, rng.integers(0, pvpq.size + 1), replace=False))
+            _assert_pattern_matches_oracle(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
+
+
+def _assert_pattern_matches_oracle(ybus, pvpq, pq, buses) -> None:
+    pattern = jacobian_pattern(ybus, pvpq, pq, buses)
+    expected = oracle_jacobian_pattern(ybus, pvpq, pq, buses)
+    for name in ("columns", "take", "slots", "order"):
+        np.testing.assert_array_equal(getattr(pattern, name), getattr(expected, name), err_msg=name)
+    # the same cells, in CSC order
+    assert pattern.jacobian.shape == expected.jacobian.shape
+    np.testing.assert_array_equal(pattern.jacobian.indptr, expected.jacobian.indptr)
+    np.testing.assert_array_equal(pattern.jacobian.indices, expected.jacobian.indices)
+
+
+class TestStableOrder:
+    """The sort build_admittance and jacobian_pattern use in place of a
+    stable argsort."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        keys=st.lists(st.integers(0, 3), max_size=80)  # mostly duplicates
+        | st.lists(st.integers(0, 2**40 - 1), max_size=80)
+    )
+    @example(keys=[])
+    @example(keys=[5])
+    def test_stable_order_is_a_stable_argsort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        ordered, order = _stable_order(keys, 2**40)
+        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(ordered, keys[order])
+
+    def test_stable_order_refuses_keys_that_overflow(self):
+        keys = np.array([0, 1, 2], dtype=np.int64)  # two bits of position
+        _stable_order(keys, 2**61)
+        with pytest.raises(OverflowError):
+            _stable_order(keys, 2**61 + 1)
+
 
 def _assert_leaves_first_without_fill(case, island) -> None:
     """At the flat start and at the solution, the two points every Newton
@@ -606,6 +677,9 @@ def _assert_leaves_first_without_fill(case, island) -> None:
         dense = dense_jacobian(setup.ybus, v, pvpq, pq)
         _assert_close(jacobian.toarray(), permute @ dense @ permute.T)
         factors = _factor(jacobian)
+        # SuperLU swapped no rows: every pivot is the diagonal, which on a
+        # tree numbered leaves first is what keeps the factor free of fill
+        np.testing.assert_array_equal(factors.perm_r, np.arange(size))
         assert factors.L.nnz + factors.U.nnz <= jacobian.nnz + size
         # the step must solve the dense system; checked by its residual, since
         # at a diverged solve's last iterate J's condition number reaches 7e5
