@@ -7,11 +7,16 @@ case base, voltages in per-unit.
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 
 class BusKind(Enum):
@@ -32,6 +37,10 @@ class ConfigurationError(ValueError):
 
 class NotRadialError(ValueError):
     """Operation requires a radial configuration."""
+
+
+class SingularBranchError(ValueError):
+    """A closed branch has zero series impedance."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +159,19 @@ class Configuration:
 
 @dataclass(frozen=True)
 class Island:
-    """One tree of a radial configuration: root, member buses, closed branches."""
+    """One tree of a radial configuration: root, member buses, closed branches.
+
+    A forest's islands also carry their buses and branches as ascending
+    positions in the compiled form of the case it was walked on, so a solve
+    reads them instead of looking the ids up; an island built by hand
+    leaves them None.
+    """
 
     root: int
     buses: frozenset[int]
     branches: frozenset[int]
+    bus_positions: np.ndarray | None = field(default=None, compare=False, repr=False)
+    branch_positions: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -332,20 +349,25 @@ def _reachable(
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestIndex:
-    """Per-bus tree data of a radial configuration, from one walk per root.
+    """Tree data of a radial configuration, as arrays over compiled positions.
 
-    `order` lists every bus as the walk reached it, so a bus always comes
-    after its parent; `islands` holds one tree per root, in root order.
+    Buses and branches are numbered by their positions in the case's
+    compiled form (ids ascending).  Per bus: `root`, the index in
+    `case.roots` (and `islands`) of its island's root; `parent`, the bus it
+    hangs from, and `parent_branch`, the branch joining them (both -1 at a
+    root); `path_r`, the resistance of its path to the root, summed from
+    the root down.  `closed` lists the closed branches ascending, and
+    `islands` holds one tree per root, in root order.
     """
 
-    root_of: dict[int, int]
-    parent_bus: dict[int, int | None]
-    parent_branch: dict[int, int | None]
-    depth: dict[int, int]
+    root: np.ndarray
+    parent: np.ndarray
+    parent_branch: np.ndarray
+    path_r: np.ndarray
+    closed: np.ndarray
     islands: tuple[Island, ...]
-    order: tuple[int, ...]
 
 
 class CaseMemo:
@@ -381,8 +403,151 @@ def _adjacency(case: NetworkCase) -> dict[int, tuple[tuple[int, int], ...]]:
 
 
 _adjacencies = CaseMemo(2)
-# a search's working set is the incumbent and the candidate it scores
-_forests = CaseMemo(2)
+
+
+def _pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
+    """(y_ff, y_ft, y_tf, y_tt) of a branch's pi model, tap on the from side."""
+    if branch.r == 0.0 and branch.x == 0.0:
+        raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
+    ys = 1.0 / complex(branch.r, branch.x)
+    bc = 1j * branch.b_shunt / 2.0
+    t = branch.tap_ratio if branch.tap_ratio else 1.0
+    return (ys + bc) / t**2, -ys / t, -ys / t, ys + bc
+
+
+@dataclass(frozen=True, eq=False)
+class _CompiledCase:
+    """A case as index arrays: what the forest walk, an island solve and the objective read of it.
+
+    Buses and branches are sorted by id; `ends` holds each branch's from/to
+    bus positions and `stamp` its (y_ff, y_ft, y_tf, y_tt) from `_pi_stamp`,
+    zero where `singular` marks a branch without series impedance.  Per bus:
+    shunt admittance, per-unit injection, whether the bus regulates its
+    voltage as a PV bus, and its setpoint (1.0 where none).  The objective
+    reads the voltage band per bus, and per branch the resistance and the
+    MVA rating (NaN where none).
+
+    The walk reads `graph`, a CSR matrix over bus positions with one entry
+    per branch end, and gives a shallow copy of it its own weights;
+    `entry_row` and `entry_branch` give each entry's bus and branch.  Roots
+    are `root_positions` in `case.roots` order, and `root_rank` maps a root
+    position back to its index there.  `all_buses` and `bus_positions` are
+    every bus, as ids and as positions.  `case_order` lists the bus
+    positions in `case.buses` order, with the per-unit loads `load_p` and
+    `load_q` in that order too.
+    """
+
+    bus_ids: np.ndarray
+    branch_ids: np.ndarray
+    ends: np.ndarray
+    stamp: np.ndarray
+    singular: np.ndarray
+    shunt: np.ndarray
+    has_shunt: np.ndarray
+    injection: np.ndarray
+    regulated: np.ndarray
+    setpoint: np.ndarray
+    v_min: np.ndarray
+    v_max: np.ndarray
+    resistance: np.ndarray
+    mva_limit: np.ndarray
+    graph: sparse.csr_matrix
+    entry_row: np.ndarray
+    entry_branch: np.ndarray
+    root_positions: np.ndarray
+    root_rank: np.ndarray
+    all_buses: frozenset[int]
+    bus_positions: np.ndarray
+    case_order: np.ndarray
+    load_p: np.ndarray
+    load_q: np.ndarray
+
+
+def _find(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each key in `sorted_ids`; KeyError names the first missing one."""
+    at = sorted_ids.searchsorted(keys)
+    if sorted_ids.size:  # clipped, a key past the last id meets that id, which is smaller
+        missing = sorted_ids.take(at, mode="clip") != keys
+    else:
+        missing = np.ones(keys.shape, dtype=bool)
+    if missing.any():
+        raise KeyError(keys[missing][0].item())
+    return at
+
+
+def _positions(ids: np.ndarray, wanted) -> np.ndarray:
+    """Ascending positions in the sorted `ids` of the ids in `wanted`."""
+    return _find(ids, np.sort(np.fromiter(wanted, dtype=np.int64, count=len(wanted))))
+
+
+def _compile(case: NetworkCase) -> _CompiledCase:
+    bus_ids = sorted(case.bus_by_id)
+    branch_ids = sorted(case.branch_by_id)
+    pos = {bus: i for i, bus in enumerate(bus_ids)}
+    buses = [case.bus_by_id[bus] for bus in bus_ids]
+    branches = [case.branch_by_id[branch] for branch in branch_ids]
+    singular = [b.r == 0.0 and b.x == 0.0 for b in branches]
+    base = case.base_mva
+    n, m = len(bus_ids), len(branch_ids)
+    ends = np.array([(pos[b.from_bus], pos[b.to_bus]) for b in branches], dtype=np.intp).reshape(-1, 2)
+    # one graph entry per branch end, by bus, then neighbour, then branch
+    rows, cols = ends.T.ravel(), ends[:, ::-1].T.ravel()
+    entry_branch = np.tile(np.arange(m), 2)
+    by_row = np.lexsort((entry_branch, cols, rows))
+    rows, cols, entry_branch = rows[by_row], cols[by_row], entry_branch[by_row]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    graph = sparse.csr_matrix(
+        (np.zeros(rows.size), cols.astype(np.int32), indptr.astype(np.int32)), shape=(n, n)
+    )
+    root_positions = np.array([pos[root] for root in case.roots], dtype=np.intp)
+    root_rank = np.full(n, -1)
+    root_rank[root_positions] = np.arange(len(case.roots))
+    return _CompiledCase(
+        bus_ids=np.array(bus_ids, dtype=np.int64),
+        branch_ids=np.array(branch_ids, dtype=np.int64),
+        ends=ends,
+        stamp=np.array(
+            [(0j,) * 4 if bad else _pi_stamp(b) for b, bad in zip(branches, singular)],
+            dtype=complex,
+        ).reshape(-1, 4),
+        singular=np.array(singular, dtype=bool),
+        shunt=np.array([complex(b.g_shunt, b.b_shunt) for b in buses], dtype=complex),
+        has_shunt=np.array([bool(b.g_shunt or b.b_shunt) for b in buses], dtype=bool),
+        injection=np.array(
+            [complex(b.p_gen - b.p_load, b.q_gen - b.q_load) / base for b in buses], dtype=complex
+        ),
+        regulated=np.array(
+            [b.v_setpoint is not None and b.kind is not BusKind.LOAD for b in buses], dtype=bool
+        ),
+        setpoint=np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in buses]),
+        v_min=np.array([b.v_min for b in buses], dtype=float),
+        v_max=np.array([b.v_max for b in buses], dtype=float),
+        resistance=np.array([b.r for b in branches], dtype=float),
+        mva_limit=np.array([math.nan if b.mva_limit is None else b.mva_limit for b in branches]),
+        graph=graph,
+        entry_row=rows,
+        entry_branch=entry_branch,
+        root_positions=root_positions,
+        root_rank=root_rank,
+        all_buses=frozenset(bus_ids),
+        bus_positions=np.arange(n),
+        case_order=np.array([pos[b.id] for b in case.buses], dtype=np.intp),
+        load_p=np.array([b.p_load for b in case.buses], dtype=float) / base,
+        load_q=np.array([b.q_load for b in case.buses], dtype=float) / base,
+    )
+
+
+_compiled = CaseMemo(2)
+
+
+def _compiled_case(case: NetworkCase) -> _CompiledCase:
+    """The case's compiled form, built on first use and memoised."""
+    return _compiled.lookup(_compile, case)
+
+
+# an entry holds about 75 KB at 1000 buses, with its key's closed set;
+# eight keep a search's incumbent across the loops of a full sweep
+_forests = CaseMemo(8)
 
 
 def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
@@ -400,43 +565,57 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
 
 
 def _walk(case: NetworkCase, closed: frozenset[int]) -> ForestIndex | None:
-    """Breadth-first from each root over closed branches, in adjacency order."""
-    n_buses = len(case.buses)
-    if len(closed) != n_buses - len(case.roots):
+    """One shortest-path search from every root over the closed branches.
+
+    With exactly n - k closed branches for n buses and k roots, the closed
+    set is radial exactly when every bus is reached from some root: then
+    each of the at most k components holds a root, so there are k of them,
+    and a graph with as many edges as buses less components is a forest.  A
+    cycle, a parallel branch or a path between two roots leaves some bus
+    unreached.  Closed branches weigh their resistance and open ones
+    infinity, which no path crosses.  Each bus's distance is its parent's
+    plus one resistance, added from the root down.  (A negative resistance,
+    which validate_case refuses, draws scipy's warning about negative
+    weights; on a tree the sums are still exact.)
+    """
+    compiled = _compiled_case(case)
+    n = compiled.bus_ids.size
+    if len(closed) != n - len(case.roots):
         return None
-    adjacency = case.adjacency
-    root_of: dict[int, int] = {}
-    parent_bus: dict[int, int | None] = {}
-    parent_branch: dict[int, int | None] = {}
-    depth: dict[int, int] = {}
-    parts: list[Island] = []
-    for root in case.roots:
-        if root in root_of:
-            return None  # closed path between two roots
-        root_of[root] = root
-        parent_bus[root] = None
-        parent_branch[root] = None
-        depth[root] = 0
-        buses = [root]  # doubles as the queue
-        branches: list[int] = []
-        for bus in buses:
-            up = parent_branch[bus]
-            below = depth[bus] + 1
-            for branch_id, other in adjacency[bus]:
-                if branch_id == up or branch_id not in closed:
-                    continue
-                if other in root_of:
-                    return None  # a cycle, a parallel branch or a path to another root
-                root_of[other] = root
-                parent_bus[other] = bus
-                parent_branch[other] = branch_id
-                depth[other] = below
-                buses.append(other)
-                branches.append(branch_id)
-        parts.append(Island(root, frozenset(buses), frozenset(branches)))
-    if len(root_of) != n_buses:
+    is_closed = np.zeros(compiled.branch_ids.size, dtype=bool)
+    is_closed[_find(compiled.branch_ids, np.fromiter(closed, np.int64, len(closed)))] = True
+    on = is_closed[compiled.entry_branch]
+    graph = copy.copy(compiled.graph)  # the case's structure, this walk's own weights
+    graph.data = np.where(on, compiled.resistance[compiled.entry_branch], math.inf)
+    path_r, parent, source = dijkstra(
+        graph, indices=compiled.root_positions, return_predecessors=True, min_only=True
+    )
+    if (source < 0).any():
         return None  # some bus is left unreached
-    return ForestIndex(root_of, parent_bus, parent_branch, depth, tuple(parts), tuple(root_of))
+    parent = parent.astype(np.intp)
+    parent[compiled.root_positions] = -1
+    parent_branch = np.full(n, -1)
+    up = on & (graph.indices == parent[compiled.entry_row])
+    parent_branch[compiled.entry_row[up]] = compiled.entry_branch[up]
+    root = compiled.root_rank[source]
+    positions = is_closed.nonzero()[0]
+    if len(case.roots) == 1:
+        parts = (Island(case.roots[0], compiled.all_buses, closed, compiled.bus_positions, positions),)
+    else:
+        branch_root = root[compiled.ends[positions, 0]]
+        parts = []
+        for rank, root_id in enumerate(case.roots):
+            buses = np.flatnonzero(root == rank)
+            branches = positions[branch_root == rank]
+            parts.append(Island(
+                root_id,
+                frozenset(compiled.bus_ids[buses].tolist()),
+                frozenset(compiled.branch_ids[branches].tolist()),
+                buses,
+                branches,
+            ))
+        parts = tuple(parts)
+    return ForestIndex(root, parent, parent_branch, path_r, positions, parts)
 
 
 def is_radial(case: NetworkCase, config: Configuration) -> bool:

@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Configuration, NetworkCase, NotRadialError, is_radial
-from .powerflow import (
-    BranchFlows,
-    BusValues,
-    NotConvergedError,
-    PowerFlowSolution,
+# callers also look is_radial up on this module
+from .model import (  # noqa: F401
+    Configuration,
+    NetworkCase,
+    NotRadialError,
     _compiled_case,
     _find,
-    sequential_sum,
+    forest,
+    is_radial,
 )
+from .powerflow import BranchFlows, BusValues, NotConvergedError, PowerFlowSolution, sequential_sum
 
 _EPS = 1e-9
 
@@ -51,19 +52,20 @@ def evaluate_fo(
     """
     if not solution.converged:
         raise NotConvergedError("objective needs a converged power flow")
-    if not is_radial(case, config):
+    index = forest(case, config)
+    if index is None:
         raise NotRadialError("objective is defined on radial configurations")
 
     base = case.base_mva
     compiled = _compiled_case(case)
     v_mag = BusValues.of(solution.v_mag)
     flows = BranchFlows.of(solution.flows)
-    closed = np.array(sorted(config.closed), dtype=np.int64)
+    closed = compiled.branch_ids[index.closed]
     rows = flows.rows(closed)
     v = v_mag.take(flows.ends[rows, 0])
     p = flows.power[rows, 0] / base
     q = flows.power[rows, 1] / base
-    r = compiled.resistance[compiled.branch_ids.searchsorted(closed)]  # a radial config's own ids
+    r = compiled.resistance[index.closed]
     terms = r * (p * p + q * q) / (v * v)
     fo_pu = sequential_sum(terms)
     per_branch = tuple(zip(closed.tolist(), (terms * base * case.delta_t_hours).tolist()))

@@ -15,12 +15,17 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .model import Branch, BusKind, CaseMemo, Configuration, Island, NetworkCase
+from .model import (
+    Configuration,
+    Island,
+    NetworkCase,
+    SingularBranchError,
+    _CompiledCase,
+    _compiled_case,
+    _find,
+    _positions,
+)
 from .topology import forest_index
-
-
-class SingularBranchError(ValueError):
-    """A closed branch has zero series impedance."""
 
 
 class NotConvergedError(RuntimeError):
@@ -57,16 +62,6 @@ class IslandResult:
     loss_mw: float
     slack_p_mw: float  # generator output at the root
     slack_q_mvar: float
-
-
-def _find(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The position of each key in `sorted_ids`; KeyError names the first missing one."""
-    at = sorted_ids.searchsorted(keys)
-    found = at < sorted_ids.size
-    found[found] = sorted_ids[at[found]] == keys[found]
-    if not found.all():
-        raise KeyError(keys[~found][0].item())
-    return at
 
 
 class _Columns(Mapping):
@@ -200,101 +195,19 @@ def sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
-def _pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
-    """(y_ff, y_ft, y_tf, y_tt) of a branch's pi model, tap on the from side."""
-    if branch.r == 0.0 and branch.x == 0.0:
-        raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
-    ys = 1.0 / complex(branch.r, branch.x)
-    bc = 1j * branch.b_shunt / 2.0
-    t = branch.tap_ratio if branch.tap_ratio else 1.0
-    return (ys + bc) / t**2, -ys / t, -ys / t, ys + bc
-
-
-@dataclass(frozen=True, eq=False)
-class _CompiledCase:
-    """A case as index arrays: everything an island solve reads of it.
-
-    Buses and branches are sorted by id; `ends` holds each branch's from/to
-    bus positions and `stamp` its (y_ff, y_ft, y_tf, y_tt) from `_pi_stamp`,
-    zero where `singular` marks a branch without series impedance.  Per bus:
-    shunt admittance, per-unit injection, whether the bus regulates its
-    voltage as a PV bus, and its setpoint (1.0 where none).  The objective
-    reads the voltage band per bus, and per branch the resistance and the
-    MVA rating (NaN where none).
-    """
-
-    bus_ids: np.ndarray
-    branch_ids: np.ndarray
-    ends: np.ndarray
-    stamp: np.ndarray
-    singular: np.ndarray
-    shunt: np.ndarray
-    has_shunt: np.ndarray
-    injection: np.ndarray
-    regulated: np.ndarray
-    setpoint: np.ndarray
-    v_min: np.ndarray
-    v_max: np.ndarray
-    resistance: np.ndarray
-    mva_limit: np.ndarray
-
-
-def _compile(case: NetworkCase) -> _CompiledCase:
-    bus_ids = sorted(case.bus_by_id)
-    branch_ids = sorted(case.branch_by_id)
-    pos = {bus: i for i, bus in enumerate(bus_ids)}
-    buses = [case.bus_by_id[bus] for bus in bus_ids]
-    branches = [case.branch_by_id[branch] for branch in branch_ids]
-    singular = [b.r == 0.0 and b.x == 0.0 for b in branches]
-    base = case.base_mva
-    return _CompiledCase(
-        bus_ids=np.array(bus_ids, dtype=np.int64),
-        branch_ids=np.array(branch_ids, dtype=np.int64),
-        ends=np.array(
-            [(pos[b.from_bus], pos[b.to_bus]) for b in branches], dtype=np.intp
-        ).reshape(-1, 2),
-        stamp=np.array(
-            [(0j,) * 4 if bad else _pi_stamp(b) for b, bad in zip(branches, singular)],
-            dtype=complex,
-        ).reshape(-1, 4),
-        singular=np.array(singular, dtype=bool),
-        shunt=np.array([complex(b.g_shunt, b.b_shunt) for b in buses], dtype=complex),
-        has_shunt=np.array([bool(b.g_shunt or b.b_shunt) for b in buses], dtype=bool),
-        injection=np.array(
-            [complex(b.p_gen - b.p_load, b.q_gen - b.q_load) / base for b in buses], dtype=complex
-        ),
-        regulated=np.array(
-            [b.v_setpoint is not None and b.kind is not BusKind.LOAD for b in buses], dtype=bool
-        ),
-        setpoint=np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in buses]),
-        v_min=np.array([b.v_min for b in buses], dtype=float),
-        v_max=np.array([b.v_max for b in buses], dtype=float),
-        resistance=np.array([b.r for b in branches], dtype=float),
-        mva_limit=np.array([math.nan if b.mva_limit is None else b.mva_limit for b in branches]),
-    )
-
-
-_compiled = CaseMemo(2)
-
-
-def _compiled_case(case: NetworkCase) -> _CompiledCase:
-    """The case's compiled form, built on first use and memoised."""
-    return _compiled.lookup(_compile, case)
-
-
-def _positions(ids: np.ndarray, wanted) -> np.ndarray:
-    """Ascending positions in the sorted `ids` of the ids in `wanted`."""
-    return _find(ids, np.sort(np.fromiter(wanted, dtype=np.int64, count=len(wanted))))
-
-
-def _closed_branches(compiled: _CompiledCase, branch_ids) -> np.ndarray:
-    """Positions of the branches, in id order; a singular one is an error."""
-    pos = _positions(compiled.branch_ids, branch_ids)
-    bad = compiled.singular[pos]
+def _check_singular(compiled: _CompiledCase, branches: np.ndarray) -> None:
+    """SingularBranchError for the first of the branch positions without series impedance."""
+    bad = compiled.singular[branches]
     if bad.any():
-        first = int(compiled.branch_ids[pos[bad.argmax()]])
+        first = int(compiled.branch_ids[branches[bad.argmax()]])
         raise SingularBranchError(f"closed branch {first} has zero impedance")
-    return pos
+
+
+def _island_positions(compiled: _CompiledCase, island: Island) -> tuple[np.ndarray, np.ndarray]:
+    """The island's buses and branches as ascending positions: carried by a forest's islands."""
+    if island.bus_positions is not None:
+        return island.bus_positions, island.branch_positions
+    return _positions(compiled.bus_ids, island.buses), _positions(compiled.branch_ids, island.branches)
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +235,11 @@ def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matr
     packs into an int64 up to about a million buses in one island.
     """
     compiled = _compiled_case(case)
-    buses = _positions(compiled.bus_ids, island.buses)
+    buses, branches = _island_positions(compiled, island)
+    _check_singular(compiled, branches)
     n = buses.size
     local = np.empty(compiled.bus_ids.size, dtype=np.intp)
     local[buses] = np.arange(n)
-    branches = _closed_branches(compiled, island.branches)
     ends = local[compiled.ends[branches]]
     shunted = buses[compiled.has_shunt[buses]]
     rows = np.concatenate([ends[:, [0, 0, 1, 1]].ravel(), local[shunted]])
@@ -425,9 +338,9 @@ def jacobian_pattern(
     else:
         order = var[:, buses].T.ravel()
         order = order[order >= 0]
-        rank = np.empty(size, dtype=var.dtype)
+        rank = np.full(size + 1, -1)  # the last entry keeps -1 at -1
         rank[order] = np.arange(size)
-        var = np.where(var >= 0, rank[var], -1)  # now each one's Jacobian row/column
+        var = rank[var]  # now each one's Jacobian row/column
     positions = np.arange(n)
     columns = np.repeat(positions, np.diff(y.indptr))
     rows = np.concatenate([y.indices, positions])
@@ -516,7 +429,9 @@ def _newton_step(jacobian: sparse.csc_matrix, mismatch: np.ndarray, pattern: Jac
 
 @dataclass
 class _IslandSetup:
-    order: list[int]
+    order: list[int]  # bus ids
+    buses: np.ndarray  # the same buses as compiled positions
+    branches: np.ndarray  # compiled positions of the island's branches
     ybus: sparse.csc_matrix
     slack: int  # position
     pv: list[int]  # positions, shrinks as limits bind
@@ -530,7 +445,7 @@ class _IslandSetup:
 def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     ybus, order = build_admittance(case, island)
     compiled = _compiled_case(case)
-    buses = np.searchsorted(compiled.bus_ids, order)
+    buses, branches = _island_positions(compiled, island)
     slack = order.index(island.root)
     regulated = compiled.regulated[buses]
     regulated[slack] = False
@@ -540,6 +455,8 @@ def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     vset[slack] = compiled.setpoint[buses[slack]]
     return _IslandSetup(
         order,
+        buses,
+        branches,
         ybus,
         slack,
         np.flatnonzero(regulated).tolist(),
@@ -606,18 +523,18 @@ def _finish(
     converged: bool,
     iterations: int,
     max_mismatch: float,
-    sending: dict[int, int] | None,
+    sending: np.ndarray | None,
     scalc: np.ndarray | None = None,
 ) -> PowerFlowSolution:
     """The solution at `setup.v`; `scalc`, the injections there, is computed when not given."""
     base = case.base_mva
-    ids = np.array(setup.order, dtype=np.int64)
+    ids = _compiled_case(case).bus_ids[setup.buses]
     v = setup.v
     # np.hypot is the C hypot that Python abs calls on a complex, so each
     # magnitude has the scalar's bits (array np.abs rounds differently)
     v_mag = BusValues(ids, np.hypot(v.real, v.imag))
     v_angle = BusValues(ids, np.angle(v))
-    flows, loss_mw = branch_flows(case, island.branches, BusValues(ids, v), sending)
+    flows, loss_mw = branch_flows(case, setup.branches, BusValues(ids, v), sending)
     if scalc is None:
         scalc = v * np.conj(setup.ybus @ v)
     root_bus = case.bus_by_id[island.root]
@@ -643,13 +560,14 @@ def solve_newton_raphson(
     island: Island,
     config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
-    sending: dict[int, int] | None = None,
+    sending: np.ndarray | None = None,
 ) -> PowerFlowSolution:
     """Full Newton power flow on one island; the root is the slack bus.
 
     Regulated buses hold their setpoint until a reactive limit binds, then
     drop to constant-Q.  Non-convergence is reported on the solution, not
-    raised; the best iterate is returned.
+    raised; the best iterate is returned.  `sending` orients the branch
+    flows, as branch_flows takes it.
     """
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
@@ -719,20 +637,23 @@ _SWAP_ENDS = np.array([2, 3, 0, 1])
 
 def branch_flows(
     case: NetworkCase,
-    branch_ids: frozenset[int] | set[int],
+    branches: np.ndarray,
     voltages: Mapping[int, complex],
-    sending: dict[int, int] | None = None,
+    sending: np.ndarray | None = None,
 ) -> tuple[BranchFlows, float]:
     """Per-branch power entering each end, in MW/MVAr, plus the summed loss.
 
-    `sending` names the sending-end bus per branch id (defaults to from_bus,
-    which is only meaningful on meshed snapshots).
+    `branches` are ascending branch positions in the case's compiled form
+    (branch ids sorted).  `sending` holds, per branch position, the bus
+    position of its sending end, as solve_all_islands takes it from the
+    forest's parents; without it the from end sends, which is only
+    meaningful on meshed snapshots.
     """
     compiled = _compiled_case(case)
-    branches = _closed_branches(compiled, branch_ids)
+    _check_singular(compiled, branches)
     ids = compiled.branch_ids[branches]
-    ends = compiled.bus_ids[compiled.ends[branches]]
-    v = BusValues.of(voltages).take(ends.ravel()).astype(complex, copy=False)
+    ends = compiled.ends[branches]
+    v = BusValues.of(voltages).take(compiled.bus_ids[ends].ravel()).astype(complex, copy=False)
     v = v.reshape(-1, 2).view(float)
     v = np.concatenate([v, -v], axis=1)
     prod = compiled.stamp[branches].view(float)[:, _CURRENT_Y] * v[:, _CURRENT_V]
@@ -740,17 +661,16 @@ def branch_flows(
     prod = v[:, _POWER_V] * current[:, _POWER_I]
     power = prod[:, 0::2] + prod[:, 1::2]
     loss_pu = sequential_sum(power[:, 0] + power[:, 2])  # in branch id order
-    if sending:
-        send = np.fromiter(map(sending.get, ids.tolist(), ends[:, 0].tolist()), np.int64, ids.size)
-        reverse = send != ends[:, 0]
+    if sending is not None:
+        reverse = sending[branches] != ends[:, 0]
         if reverse.any():
             power[reverse] = power[reverse][:, _SWAP_ENDS]
             current[reverse] = current[reverse][:, _SWAP_ENDS]
-            ends = np.stack([send, np.where(reverse, ends[:, 0], ends[:, 1])], axis=1)
+            ends = np.where(reverse[:, None], ends[:, ::-1], ends)
     base = case.base_mva
     # the sending end's current; np.hypot has the bits of Python abs on a complex
     current_mag = np.hypot(current[:, 0], current[:, 1])
-    return BranchFlows(ids, ends, power * base, current_mag), loss_pu * base
+    return BranchFlows(ids, compiled.bus_ids[ends], power * base, current_mag), loss_pu * base
 
 
 def solve_all_islands(
@@ -766,11 +686,9 @@ def solve_all_islands(
     """
     solver = _SOLVERS[method]
     index = forest_index(case, config)
-    sending = {
-        branch: index.parent_bus[bus]
-        for bus, branch in index.parent_branch.items()
-        if branch is not None
-    }
+    sending = np.full(_compiled_case(case).branch_ids.size, -1)
+    below = index.parent_branch >= 0
+    sending[index.parent_branch[below]] = index.parent[below]
     parts = [solver(case, island, config, options, sending=sending) for island in index.islands]
     results = tuple(result for part in parts for result in part.islands)
     total_loss = 0.0
@@ -808,5 +726,7 @@ def solve_network(
     if len(reached) != len(case.buses):
         stranded = sorted(set(case.bus_by_id) - reached)
         raise ValueError(f"buses {stranded} not connected to slack {slack}")
-    island = Island(slack, frozenset(case.bus_by_id), frozenset(config.closed))
+    compiled = _compiled_case(case)
+    closed = _positions(compiled.branch_ids, config.closed)
+    island = Island(slack, compiled.all_buses, config.closed, compiled.bus_positions, closed)
     return _SOLVERS[method](case, island, config, options)

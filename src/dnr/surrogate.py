@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Configuration, NetworkCase
+from .model import Configuration, NetworkCase, _compiled_case, _find
 from .topology import forest_index
 
 RIDGE_DAMPING = 1e-8
@@ -46,31 +46,18 @@ def featurize(case: NetworkCase, config: Configuration) -> tuple[float, ...]:
     each root in `case.roots` order.
     """
     index = forest_index(case, config)
-    base = case.base_mva
-    per_root: dict[int, list[float]] = {root: [0.0, 0.0, 0.0, 0.0] for root in case.roots}
-    # resistance of each bus's path to its root, parents before children
-    path_r: dict[int, float] = {}
-    for bus in index.order:
-        parent = index.parent_bus[bus]
-        if parent is None:
-            path_r[bus] = 0.0
-        else:
-            path_r[bus] = path_r[parent] + case.branch_by_id[index.parent_branch[bus]].r
-
-    for bus in case.buses:
-        agg = per_root[index.root_of[bus.id]]
-        p, q = bus.p_load / base, bus.q_load / base
-        agg[0] += p
-        agg[1] += q
-        agg[2] += p * path_r[bus.id]
-    for branch_id in config.closed:
-        branch = case.branch_by_id[branch_id]
-        per_root[index.root_of[branch.from_bus]][3] += branch.r
-
-    values = [1.0]
-    for root in case.roots:
-        values.extend(per_root[root])
-    return tuple(values)
+    compiled = _compiled_case(case)
+    # np.add.at adds one entry at a time, in order: each sum has the bits of
+    # a scalar loop over the buses in case order and over the closed
+    # branches in the order the set iterates
+    sums = np.zeros((4, len(case.roots)))
+    root = index.root[compiled.case_order]
+    np.add.at(sums[0], root, compiled.load_p)
+    np.add.at(sums[1], root, compiled.load_q)
+    np.add.at(sums[2], root, compiled.load_p * index.path_r[compiled.case_order])
+    closed = _find(compiled.branch_ids, np.fromiter(config.closed, np.int64, len(config.closed)))
+    np.add.at(sums[3], index.root[compiled.ends[closed, 0]], compiled.resistance[closed])
+    return (1.0, *sums.T.ravel().tolist())
 
 
 def fit(case: NetworkCase, samples: list[tuple[tuple[float, ...], float]]) -> LinearModel:

@@ -12,6 +12,7 @@ from .model import (  # noqa: F401
     NetworkCase,
     NotRadialError,
     SwitchState,
+    _compiled_case,
     forest,
     islands,
     make_config,
@@ -69,15 +70,13 @@ def forest_index(case: NetworkCase, config: Configuration) -> ForestIndex:
 
 
 def path_to_root(index: ForestIndex, bus: int) -> list[int]:
-    """Branch ids walked from a bus up to its island root."""
+    """Branch positions walked from the bus at position `bus` up to its island root."""
     path = []
-    current: int | None = bus
-    while True:
-        branch = index.parent_branch[current]
-        if branch is None:
-            return path
+    parent, parent_branch = index.parent, index.parent_branch
+    while (branch := int(parent_branch[bus])) >= 0:
         path.append(branch)
-        current = index.parent_bus[current]
+        bus = parent[bus]
+    return path
 
 
 def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> ForestBuildResult:
@@ -148,17 +147,18 @@ def fundamental_loop(case: NetworkCase, config: Configuration, open_branch: int)
     """
     if open_branch in config.closed:
         raise ValueError(f"branch {open_branch} is not open")
-    branch = case.branch_by_id[open_branch]
+    if open_branch not in case.branch_by_id:
+        raise KeyError(open_branch)
     index = forest_index(case, config)
-    u, v = branch.from_bus, branch.to_bus
+    compiled = _compiled_case(case)
+    u, v = compiled.ends[compiled.branch_ids.searchsorted(open_branch)].tolist()
     up, vp = path_to_root(index, u), path_to_root(index, v)
-    if index.root_of[u] != index.root_of[v]:
+    if index.root[u] != index.root[v]:
         # root(u) -> ... -> u, then v -> ... -> root(v)
-        return FundamentalLoop(
-            tuple(reversed(up)) + tuple(vp), inter_feeder=True, u_side_count=len(up)
-        )
+        path = compiled.branch_ids[up[::-1] + vp].tolist()
+        return FundamentalLoop(tuple(path), inter_feeder=True, u_side_count=len(up))
     shared = 0
     while shared < min(len(up), len(vp)) and up[-1 - shared] == vp[-1 - shared]:
         shared += 1
-    cycle = up[: len(up) - shared] + list(reversed(vp[: len(vp) - shared]))
+    cycle = compiled.branch_ids[up[: len(up) - shared] + vp[: len(vp) - shared][::-1]].tolist()
     return FundamentalLoop(tuple(cycle), inter_feeder=False, u_side_count=len(cycle))

@@ -9,8 +9,11 @@ module can reuse them.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -51,6 +54,17 @@ from dnr.topology import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+BENCH_FEEDERS = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
+
+
+@functools.cache
+def bench_feeders():
+    """`bench/feeders.py`, loaded read-only from its file: it imports nothing from `dnr`."""
+    spec = importlib.util.spec_from_file_location("bench_feeders", BENCH_FEEDERS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +351,45 @@ def oracle_is_radial(case: NetworkCase, closed_ids) -> bool:
         return False
     roots = set(case.roots)
     return all(len(set(comp) & roots) == 1 for comp in nx.connected_components(graph))
+
+
+def oracle_featurize(case: NetworkCase, config: Configuration) -> tuple[float, ...]:
+    """surrogate.featurize by scalar loops over a breadth-first walk of dicts.
+
+    Each sum is a `+=` loop: buses in `case.buses` order, closed branches in
+    the order `config.closed` iterates.  The configuration must be radial.
+    """
+    adjacency: dict[int, list[tuple[int, int]]] = {bus.id: [] for bus in case.buses}
+    for branch in case.branches:
+        if branch.id in config.closed:
+            adjacency[branch.from_bus].append((branch.id, branch.to_bus))
+            adjacency[branch.to_bus].append((branch.id, branch.from_bus))
+    root_of: dict[int, int] = {}
+    path_r: dict[int, float] = {}  # resistance of each bus's path to its root, from the root down
+    for root in case.roots:
+        root_of[root], path_r[root] = root, 0.0
+        queue = [root]
+        for bus in queue:
+            for branch_id, other in adjacency[bus]:
+                if other not in root_of:
+                    root_of[other] = root
+                    path_r[other] = path_r[bus] + case.branch_by_id[branch_id].r
+                    queue.append(other)
+    base = case.base_mva
+    per_root = {root: [0.0, 0.0, 0.0, 0.0] for root in case.roots}
+    for bus in case.buses:
+        agg = per_root[root_of[bus.id]]
+        p, q = bus.p_load / base, bus.q_load / base
+        agg[0] += p
+        agg[1] += q
+        agg[2] += p * path_r[bus.id]
+    for branch_id in config.closed:
+        branch = case.branch_by_id[branch_id]
+        per_root[root_of[branch.from_bus]][3] += branch.r
+    values = [1.0]
+    for root in case.roots:
+        values.extend(per_root[root])
+    return tuple(values)
 
 
 def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> ForestBuildResult:

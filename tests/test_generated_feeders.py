@@ -8,14 +8,10 @@ derandomized examples over the generator's seed.
 """
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import oracle_is_radial, solve_gauss_seidel
+from conftest import bench_feeders, oracle_is_radial, solve_gauss_seidel
 from dnr.caseio import parse_case, write_native_case
 from dnr.exchange import Rejection, evaluate_candidate, improve
 from dnr.model import NetworkCase, all_closed_config, default_config, is_radial, islands, make_config
@@ -23,18 +19,7 @@ from dnr.objective import sort_key
 from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
 from dnr.topology import build_spanning_forest, weights_from_flow
 
-BENCH_FEEDERS = Path(__file__).resolve().parents[1] / "bench" / "feeders.py"
-
-
-def _load_bench_feeders():
-    spec = importlib.util.spec_from_file_location("bench_feeders", BENCH_FEEDERS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-feeders = _load_bench_feeders()
+feeders = bench_feeders()
 
 # (roots, buses, ties) of the generated cases
 SIZES = [pytest.param((1, 20, 2), id="1x20"), pytest.param((2, 30, 3), id="2x30")]

@@ -5,9 +5,11 @@ import dataclasses
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_radial, oracle_is_radial
+from conftest import enumerate_radial, oracle_is_radial, random_radial_feeder
 from dnr import model
 from dnr.model import (
     Branch,
@@ -33,36 +35,40 @@ def _sweep_cases(triangle, six_bus, ring6):
 
 
 def _assert_forest_matches_graph(case: NetworkCase, config) -> None:
-    """Islands are the networkx components; every bus hangs off its parent."""
+    """Islands are the networkx components in root order; every bus hangs off
+    its parent by a closed branch, and its parents lead to its island's root."""
     graph = nx.MultiGraph()
     graph.add_nodes_from(case.bus_by_id)
     for branch_id in config.closed:
         branch = case.branch_by_id[branch_id]
         graph.add_edge(branch.from_bus, branch.to_bus)
+    component = {bus: frozenset(c) for c in nx.connected_components(graph) for bus in c}
     parts = islands(case, config)
-    assert {part.buses for part in parts} == {
-        frozenset(component) for component in nx.connected_components(graph)
-    }
     assert [part.root for part in parts] == list(case.roots)
+    assert [part.buses for part in parts] == [component[root] for root in case.roots]
+    assert sum(len(part.buses) for part in parts) == len(case.buses)
     index = forest(case, config)
     assert index.islands is parts
-    position = {bus: i for i, bus in enumerate(index.order)}
-    assert sorted(position) == sorted(case.bus_by_id)
+    # positions number the ids ascending
+    bus_ids, branch_ids = sorted(case.bus_by_id), sorted(case.branch_by_id)
+    assert [branch_ids[k] for k in index.closed] == sorted(config.closed)
     for part in parts:
-        for bus in part.buses:
-            assert index.root_of[bus] == part.root
-        assert index.parent_bus[part.root] is None
-        assert index.parent_branch[part.root] is None
-        assert index.depth[part.root] == 0
-    for bus, branch_id in index.parent_branch.items():
-        if branch_id is None:
-            continue
-        parent = index.parent_bus[bus]
-        branch = case.branch_by_id[branch_id]
-        assert branch_id in config.closed
-        assert {branch.from_bus, branch.to_bus} == {bus, parent}
-        assert index.depth[bus] == index.depth[parent] + 1
-        assert position[parent] < position[bus]
+        assert [bus_ids[i] for i in part.bus_positions] == sorted(part.buses)
+        assert [branch_ids[k] for k in part.branch_positions] == sorted(part.branches)
+    for i, bus in enumerate(bus_ids):
+        part = parts[index.root[i]]
+        assert bus in part.buses
+        at, steps = i, 0
+        while index.parent[at] >= 0:
+            parent = index.parent[at]
+            branch = case.branch_by_id[branch_ids[index.parent_branch[at]]]
+            assert branch.id in config.closed
+            assert {branch.from_bus, branch.to_bus} == {bus_ids[at], bus_ids[parent]}
+            assert index.path_r[at] == index.path_r[parent] + branch.r
+            at, steps = parent, steps + 1
+            assert steps < len(bus_ids)
+        assert bus_ids[at] == part.root
+        assert index.parent_branch[at] == -1 and index.path_r[at] == 0.0
 
 
 class TestValidateCase:
@@ -198,6 +204,45 @@ class TestRadiality:
         # correct count, full coverage, no cycle: still invalid with two roots tied
         assert not is_radial(path5_case, make_config(path5_case, {1, 2, 3, 4}))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        buses=st.integers(2, 25),
+        roots=st.integers(1, 3),
+        extra=st.lists(st.sampled_from(["tie", "parallel", "root_to_root"]), max_size=6),
+        exchanges=st.integers(0, 4),
+    )
+    def test_generated_closed_sets_match_graph_oracle(self, seed, buses, roots, extra, exchanges):
+        # a seeded radial feeder plus ties between random buses, parallel
+        # copies of its branches and ties between two roots; exchanges from
+        # its radial set keep n - k branches closed and make cycles, stranded
+        # buses and root-to-root paths as well as other radial sets
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        rng = np.random.default_rng(seed)
+        added = []
+        for number, kind in enumerate(extra, start=len(case.branches) + 1):
+            if kind == "parallel":
+                ends = case.branches[rng.integers(len(case.branches))]
+                u, v = ends.to_bus, ends.from_bus
+            elif kind == "root_to_root" and roots > 1:
+                u, v = rng.choice(case.roots, 2, replace=False).tolist()
+            else:
+                u, v = rng.choice(sorted(case.bus_by_id), 2, replace=False).tolist()
+            added.append(Branch(number, u, v, r=0.01 * number, x=0.02))
+        case = dataclasses.replace(case, branches=case.branches + tuple(added))
+        closed = {branch.id for branch in case.branches if branch not in added}
+        for _ in range(exchanges):
+            opened = sorted(set(case.branch_by_id) - closed)
+            if not opened:
+                break
+            closed.add(int(rng.choice(opened)))
+            closed.remove(int(rng.choice(sorted(closed))))
+        config = make_config(case, closed)
+        radial = forest(case, config) is not None
+        assert radial == oracle_is_radial(case, closed)
+        if radial:
+            _assert_forest_matches_graph(case, config)
+
 
 class TestForestMemo:
     @pytest.fixture
@@ -233,9 +278,13 @@ class TestForestMemo:
         twin = chain([(1, 1, 2), (2, 2, 3)])  # equal to `straight`, another object
         config = make_config(straight, {1, 2})
         first = forest(straight, config)
-        assert first.parent_bus == {1: None, 2: 1, 3: 2}
-        assert forest(bent, config).parent_bus == {1: None, 3: 1, 2: 3}
-        assert forest(twin, config) == first
+        assert first.parent.tolist() == [-1, 0, 1]  # buses 1, 2, 3 at positions 0, 1, 2
+        assert forest(bent, config).parent.tolist() == [-1, 2, 0]
+        again = forest(twin, config)
+        assert again is not first
+        for name in ("root", "parent", "parent_branch", "path_r", "closed"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
+        assert again.islands == first.islands
         assert [args[0] for args in walks] == [straight, bent, twin]
         assert walks[0][0] is straight and walks[2][0] is twin
 

@@ -110,7 +110,7 @@ class TestAdmittance:
         with pytest.raises(SingularBranchError):
             build_admittance(case, _whole_island(case))
         with pytest.raises(SingularBranchError):
-            branch_flows(case, {1}, {1: 1.0 + 0j, 2: 1.0 + 0j})
+            branch_flows(case, np.array([0]), {1: 1.0 + 0j, 2: 1.0 + 0j})
 
 
 class TestNewtonRaphson:
@@ -235,7 +235,7 @@ class TestGaussSeidel:
 class TestBranchFlows:
     def test_zero_load_flows_are_zero(self):
         case = two_bus_case(0.0, 0.0)
-        flows, loss = branch_flows(case, {1}, {1: 1.0 + 0j, 2: 1.0 + 0j})
+        flows, loss = branch_flows(case, np.array([0]), {1: 1.0 + 0j, 2: 1.0 + 0j})
         assert loss == pytest.approx(0.0, abs=1e-12)
         flow = flows[1]
         assert flow.p_send == flow.q_send == flow.p_recv == flow.q_recv == 0.0
@@ -422,9 +422,19 @@ def _assert_admittance_matches_oracle(case, island) -> None:
     _assert_close(ybus.toarray(), expected)
 
 
-def _assert_flows_match_oracle(case, branch_ids, voltages, sending) -> None:
-    flows, loss = branch_flows(case, branch_ids, voltages, sending)
-    expected, expected_loss = oracle_branch_flows(case, branch_ids, voltages, sending)
+def _oracle_arguments(case, branches, sending):
+    """branch_flows' branch positions and sending-end array as the ids the oracle takes."""
+    bus_ids, branch_ids = sorted(case.bus_by_id), sorted(case.branch_by_id)
+    ids = [branch_ids[k] for k in branches]
+    if sending is None:
+        return ids, None
+    return ids, {branch_ids[k]: bus_ids[sending[k]] for k in branches}
+
+
+def _assert_flows_match_oracle(case, branches, voltages, sending) -> None:
+    flows, loss = branch_flows(case, branches, voltages, sending)
+    ids, sending_ids = _oracle_arguments(case, branches, sending)
+    expected, expected_loss = oracle_branch_flows(case, ids, voltages, sending_ids)
     assert list(flows) == list(expected)
     for branch_id, flow in flows.items():
         want = expected[branch_id]
@@ -530,29 +540,29 @@ class TestCompiledLayers:
             last = dataclasses.replace(case.branches[-1], r=0.0, x=0.0)
             case = dataclasses.replace(case, branches=case.branches[:-1] + (last,))
         index = forest_index(case, default_config(case))
-        sending = {
-            branch: index.parent_bus[bus]
-            for bus, branch in index.parent_branch.items()
-            if branch is not None
-        }
+        # the parent end of each closed branch sends
+        sending = np.full(len(case.branches), -1)
+        below = index.parent_branch >= 0
+        sending[index.parent_branch[below]] = index.parent[below]
         rng = np.random.default_rng(seed)
         voltages = {
             bus: complex(rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)) for bus in case.bus_by_id
         }
         for island in index.islands:
+            branches = island.branch_positions
             if singular and len(case.branches) in island.branches:
                 with pytest.raises(SingularBranchError):
                     oracle_admittance(case, island)
                 with pytest.raises(SingularBranchError):
                     build_admittance(case, island)
                 with pytest.raises(SingularBranchError):
-                    oracle_branch_flows(case, island.branches, voltages, sending)
+                    oracle_branch_flows(case, island.branches, voltages)
                 with pytest.raises(SingularBranchError):
-                    branch_flows(case, island.branches, voltages, sending)
+                    branch_flows(case, branches, voltages, sending)
                 continue
             _assert_admittance_matches_oracle(case, island)
-            _assert_flows_match_oracle(case, island.branches, voltages, sending)
-            _assert_flows_match_oracle(case, island.branches, voltages, None)
+            _assert_flows_match_oracle(case, branches, voltages, sending)
+            _assert_flows_match_oracle(case, branches, voltages, None)
 
 
 class TestJacobianPattern:
@@ -618,6 +628,14 @@ class TestJacobianPattern:
             # any PV/PQ split: the generated buses are all PQ
             pq = np.sort(rng.choice(pvpq, rng.integers(0, pvpq.size + 1), replace=False))
             _assert_pattern_matches_oracle(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
+
+    def test_lone_root_has_an_empty_pattern_in_any_order(self, six_bus_case):
+        setup = _classify(six_bus_case, Island(2, frozenset({2}), frozenset()))
+        empty = np.array([], dtype=int)
+        for buses in (leaves_first(setup.ybus), None):
+            pattern = jacobian_pattern(setup.ybus, empty, empty, buses)
+            assert pattern.jacobian.shape == (0, 0)
+            assert pattern.order.size == pattern.take.size == pattern.slots.size == 0
 
 
 def _assert_pattern_matches_oracle(ybus, pvpq, pq, buses) -> None:

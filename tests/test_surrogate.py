@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import deep_chain, enumerate_radial, two_bus_case
+from conftest import bench_feeders, deep_chain, enumerate_radial, oracle_featurize, two_bus_case
+from dnr import exchange, surrogate
+from dnr.caseio import parse_case
 from dnr.exchange import Rejection, evaluate_candidate, improve
 from dnr.model import NotRadialError, all_closed_config, default_config, make_config
+from dnr.powerflow import solve_network
 from dnr.surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
+from dnr.topology import build_spanning_forest, weights_from_flow
 
 # positions of the first root's terms; the constant 1 sits at 0
 LOAD_P, LOAD_Q, LOAD_MOMENT, RESISTANCE = 1, 2, 3, 4
@@ -78,6 +82,32 @@ class TestFeaturize:
             path_r.append(path_r[-1] + 1e-4)
         moment = sum(bus.p_load / 100.0 * path_r[bus.id - 1] for bus in case.buses)
         assert features[LOAD_MOMENT] == pytest.approx(moment, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [None, (3, 200, 12), (1, 1000, 12)], ids=["ieee14", "3x200", "1x1000"])
+    def test_every_searched_configuration_matches_the_dict_walk_oracle(
+        self, size, ieee14_case, ieee14_forest, monkeypatch
+    ):
+        # the search of `dnr reconfigure` on IEEE-14 and on seed 1 of two
+        # benchmark feeders; every featurize call must have the oracle's bits
+        if size is None:
+            case, start = ieee14_case, ieee14_forest.config
+        else:
+            text, _ = bench_feeders().generate(1, *size)
+            case = parse_case(text, fmt="json")
+            meshed = solve_network(case, all_closed_config(case))
+            start = build_spanning_forest(case, weights_from_flow(case, meshed)).config
+        checked = []
+
+        def compared(of_case, config):
+            features = featurize(of_case, config)
+            assert [x.hex() for x in features] == [x.hex() for x in oracle_featurize(of_case, config)]
+            checked.append(config.closed)
+            return features
+
+        monkeypatch.setattr(exchange, "featurize", compared)
+        monkeypatch.setattr(surrogate, "featurize", compared)
+        _, trace = improve(case, start)
+        assert len(checked) >= len(trace.samples) > 0  # each scored configuration, and the ranked ones
 
     def test_deterministic(self, ieee14_case, ieee14_forest):
         first = featurize(ieee14_case, ieee14_forest.config)

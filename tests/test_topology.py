@@ -156,17 +156,20 @@ class TestFlowWeights:
 
 
 class TestForestIndex:
-    def test_parents_and_depths(self, six_bus_case):
+    """Buses 1-6 and branches 1-6 of the six-bus case sit at positions 0-5."""
+
+    def test_roots_and_parents(self, six_bus_case):
         index = forest_index(six_bus_case, make_config(six_bus_case, {1, 2, 3, 4}))
-        assert index.root_of == {1: 1, 3: 1, 5: 1, 2: 2, 4: 2, 6: 2}
-        assert index.parent_bus[5] == 3 and index.parent_branch[5] == 3
-        assert index.parent_bus[1] is None and index.parent_branch[1] is None
-        assert index.depth == {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2}
+        assert index.root.tolist() == [0, 1, 0, 1, 0, 1]  # indices into case.roots
+        assert index.parent.tolist() == [-1, -1, 0, 1, 2, 3]
+        assert index.parent_branch.tolist() == [-1, -1, 0, 1, 2, 3]
+        assert index.path_r.tolist() == [0.0, 0.0, 0.02, 0.02, 0.02 + 0.03, 0.02 + 0.03]
+        assert index.closed.tolist() == [0, 1, 2, 3]
 
     def test_path_to_root(self, six_bus_case):
         index = forest_index(six_bus_case, make_config(six_bus_case, {1, 2, 3, 4}))
-        assert path_to_root(index, 6) == [4, 2]
-        assert path_to_root(index, 2) == []
+        assert path_to_root(index, 5) == [3, 1]  # bus 6 by branches 4 and 2
+        assert path_to_root(index, 1) == []
 
 
 class TestFundamentalLoop:
@@ -193,9 +196,10 @@ class TestFundamentalLoop:
     def test_ieee14_intra_island_loop_is_a_real_cycle(self, ieee14_case, ieee14_forest):
         config = ieee14_forest.config
         index = forest_index(ieee14_case, config)
+        root = dict(zip(sorted(ieee14_case.bus_by_id), index.root.tolist()))
         for open_id in sorted(config.open_ids):
             branch = ieee14_case.branch_by_id[open_id]
-            if index.root_of[branch.from_bus] != index.root_of[branch.to_bus]:
+            if root[branch.from_bus] != root[branch.to_bus]:
                 continue
             loop = fundamental_loop(ieee14_case, config, open_id)
             assert not loop.inter_feeder
