@@ -173,7 +173,19 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     return 0 if solution.converged else 1
 
 
+def _check_writable(flag: str, path: Path | None) -> None:
+    """Refuse an output path that cannot be written before the search runs, not after."""
+    if path is None:
+        return
+    if path.is_dir():
+        raise OSError(f"cannot write {flag} {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise OSError(f"cannot write {flag} {path}: {path.parent} is not a directory")
+
+
 def _cmd_reconfigure(args: argparse.Namespace) -> int:
+    _check_writable("--out", args.out)
+    _check_writable("--trace", args.trace)
     case = _load_case(args)
     solver_options = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter)
     search_options = SearchOptions(

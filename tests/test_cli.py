@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import deep_chain, ieee14_with_field, two_bus_case
+from dnr import cli
 from dnr.caseio import write_native_case
 from dnr.cli import main
 
@@ -134,6 +135,14 @@ def _flags(*flags: str):
     return args
 
 
+def _unwritable(flag: str, name: str):
+    """The two-bus native case, with `flag` naming `name` under the test's directory."""
+    def args(tmp_path: Path) -> list[str]:
+        (tmp_path / "taken").mkdir(exist_ok=True)
+        return [_native(tmp_path, _native_payload()), flag, str(tmp_path / name)]
+    return args
+
+
 def _cdf(row: int, lo: int, hi: int, text: str):
     """IEEE-14, fed from buses 1 and 2, with one column field rewritten."""
     def args(tmp_path: Path) -> list[str]:
@@ -178,15 +187,24 @@ class TestInputBoundary:
             pytest.param(_flags("--delta-t", "0"), 2, "--delta-t", id="zero-interval-flag"),
             pytest.param(_flags("--roots", "1,1"), 1, "duplicate_root", id="duplicate-root-flag"),
             pytest.param(_flags("--roots", ","), 2, "--roots", id="empty-roots-flag"),
+            pytest.param(_unwritable("--out", "missing/r.json"), 2, "is not a directory", id="out-missing-directory"),
+            pytest.param(_unwritable("--trace", "missing/t.json"), 2, "is not a directory", id="trace-missing-directory"),
+            pytest.param(_unwritable("--out", "taken"), 2, "it is a directory", id="out-is-a-directory"),
         ],
     )
-    def test_exit_code_without_traceback(self, tmp_path, capsys, case_args, code, message):
+    def test_exit_code_without_traceback(self, tmp_path, capsys, monkeypatch, case_args, code, message):
+        def search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        # each case fails before the search, and prints no report
+        monkeypatch.setattr(cli, "improve", search)
         # in-process: an exception escaping main() fails the test outright
         try:
             returned = main(["reconfigure", *case_args(tmp_path), "--stable"])
         except SystemExit as exc:  # argparse's usage errors
             returned = exc.code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert returned == code
         assert "Traceback" not in err
         assert message in err

@@ -36,6 +36,7 @@ from dnr.model import (
 from dnr.powerflow import (
     SingularBranchError,
     SolverOptions,
+    _DENSE_MAX,
     _classify,
     _factor,
     _newton_step,
@@ -154,9 +155,9 @@ class TestNewtonRaphson:
         assert solution.iterations == 1
 
     def test_singular_jacobian_keeps_the_best_iterate(self, monkeypatch):
-        # SuperLU raises on an exactly singular factor; the solve must stop
-        # as it does on a non-finite step, not raise or warn
-        case = two_bus_case(50.0, 20.0)
+        # LAPACK (up to _DENSE_MAX unknowns) and SuperLU (above) both raise on
+        # an exactly singular matrix; on either side the solve must stop as
+        # it does on a non-finite step, not raise or warn
         jacobian = powerflow.mismatch_jacobian
 
         def zero_values(*args):
@@ -165,12 +166,18 @@ class TestNewtonRaphson:
             return result
 
         monkeypatch.setattr(powerflow, "mismatch_jacobian", zero_values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solution = solve_newton_raphson(case, _whole_island(case))
-        assert not solution.converged
-        assert solution.iterations == 1
-        assert solution.v_mag[2] == 1.0  # the flat start, never stepped from
+        for case, unknowns in ((two_bus_case(50.0, 20.0), 2), (random_radial_feeder(1, 60), 118)):
+            island = _whole_island(case)
+            flat = _classify(case, island)
+            assert len(flat.pv) + 2 * len(flat.pq) == unknowns
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solution = solve_newton_raphson(case, island)
+            assert not solution.converged
+            assert solution.iterations == 1
+            # the flat start, never stepped from
+            assert [solution.v_mag[bus] for bus in flat.order] == list(np.abs(flat.v))
+        assert 2 <= _DENSE_MAX < 118
 
     def test_impossible_load_does_not_converge(self):
         case = two_bus_case(5000.0, 2000.0)  # far beyond the line's capability
@@ -454,6 +461,7 @@ class _SolveWork:
 
     island: Island
     jacobians: int = 0
+    splits: set = dataclasses.field(default_factory=set)  # the PQ sets Jacobians were filled for
     patterns: int = 0
     switches: int = 0  # calls of _apply_q_limits that changed the PV/PQ sets
     stale_products: int = 0  # Jacobians handed a Ybus @ v other than at their v
@@ -477,7 +485,8 @@ def ieee14_recorded(ieee14_case):
     def jacobian(args, kwargs, result):
         work = calls["solves"][-1]
         work.jacobians += 1
-        ybus, v, _, _, _, ibus = args
+        ybus, v, _, pq, _, ibus = args
+        work.splits.add(tuple(pq))
         if not np.array_equal(ibus, ybus @ v):
             work.stale_products += 1
 
@@ -597,12 +606,15 @@ class TestJacobianPattern:
             reference = dense_jacobian(ybus, v, pvpq, pq)
             assert np.max(np.abs(analytic - reference) / np.maximum(np.abs(reference), 1.0)) < 1e-12
 
-    def test_one_pattern_per_solve_and_per_switch(self, ieee14_recorded):
+    def test_one_pattern_per_solve_and_per_split(self, ieee14_recorded):
+        # a bus that clamps and is released returns to a split the solve
+        # already has a pattern for; building one per switch made 310
         solves = ieee14_recorded["solves"]
         assert sum(work.jacobians for work in solves) == 881
         for work in solves:
-            assert work.patterns == (1 if work.jacobians else 0) + work.switches, work.island
-        assert sum(work.switches for work in solves) > 0
+            assert work.patterns == len(work.splits), work.island
+        assert sum(work.patterns for work in solves) == 152
+        assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
 
     def test_each_jacobian_reuses_the_product_at_its_voltages(self, ieee14_recorded):
         # including after _apply_q_limits releases a clamped bus and moves v
@@ -673,42 +685,68 @@ class TestStableOrder:
             _stable_order(keys, 2**61 + 1)
 
 
-def _assert_leaves_first_without_fill(case, island) -> None:
-    """At the flat start and at the solution, the two points every Newton
-    solve factors a Jacobian near, the Jacobian numbered leaves first is
-    P J P^T of the dense Jacobian, its factor in that order has no entry J
-    lacks, and the Newton step, mapped back to the mismatch's numbering,
-    solves the dense system."""
+def _newton_points(case, island):
+    """(pattern, Jacobian numbered leaves first, dense Jacobian) at the flat
+    start and at the solution, the two points every Newton solve factors a
+    Jacobian near; nothing for a lone root."""
     setup = _classify(case, island)
     if not (setup.pv or setup.pq):
-        return  # a lone root: nothing to factor
+        return
     solved = solve_newton_raphson(case, island)
     pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
     pq = np.array(setup.pq, dtype=int)
     pattern = jacobian_pattern(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
-    size = pvpq.size + pq.size
-    assert sorted(pattern.order) == list(range(size))
-    permute = np.eye(size)[pattern.order]
-    rng = np.random.default_rng(size)
     for v in (setup.v, np.array([solved.voltage(bus) for bus in setup.order])):
-        jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern)
-        dense = dense_jacobian(setup.ybus, v, pvpq, pq)
+        # the pattern's matrix is overwritten by the next fill
+        yield pattern, mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern), dense_jacobian(setup.ybus, v, pvpq, pq)
+
+
+def _assert_leaves_first_without_fill(case, island) -> None:
+    """The Jacobian numbered leaves first is P J P^T of the dense Jacobian,
+    and its SuperLU factor in that order has no entry J lacks and solves it.
+
+    Solutions are checked by their residual, here and in
+    _assert_step_solves_the_dense_system, since at a diverged solve's last
+    iterate J's condition number reaches 7e5 and two sound solvers' steps
+    differ by more than 1e-12."""
+    for pattern, jacobian, dense in _newton_points(case, island):
+        size = dense.shape[0]
+        assert sorted(pattern.order) == list(range(size))
+        permute = np.eye(size)[pattern.order]
         _assert_close(jacobian.toarray(), permute @ dense @ permute.T)
         factors = _factor(jacobian)
         # SuperLU swapped no rows: every pivot is the diagonal, which on a
         # tree numbered leaves first is what keeps the factor free of fill
         np.testing.assert_array_equal(factors.perm_r, np.arange(size))
         assert factors.L.nnz + factors.U.nnz <= jacobian.nnz + size
-        # the step must solve the dense system; checked by its residual, since
-        # at a diverged solve's last iterate J's condition number reaches 7e5
-        # and two sound solvers' steps differ by more than 1e-12
-        rhs = dense @ rng.standard_normal(size)
-        _assert_close(dense @ _newton_step(jacobian, rhs, pattern), -rhs)
+        rhs = jacobian @ np.random.default_rng(size).standard_normal(size)
+        _assert_close(jacobian @ factors.solve(rhs), rhs)
+
+
+def _assert_step_solves_the_dense_system(case, island) -> None:
+    """The Newton step, mapped back to the mismatch's numbering, solves the
+    dense system, through SuperLU exactly when it has over _DENSE_MAX
+    unknowns."""
+    factor = powerflow._factor
+    factored = []
+
+    def counted(matrix):
+        factored.append(matrix.shape[0])
+        return factor(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "_factor", counted)
+        for pattern, jacobian, dense in _newton_points(case, island):
+            size = dense.shape[0]
+            rhs = dense @ np.random.default_rng(size).standard_normal(size)
+            factored.clear()
+            _assert_close(dense @ _newton_step(jacobian, rhs, pattern), -rhs)
+            assert factored == ([size] if size > _DENSE_MAX else [])
 
 
 class TestLeavesFirst:
-    """The Newton step factors the Jacobian leaves first, which on a tree
-    creates no fill (Tinney & Walker, 1967)."""
+    """Over _DENSE_MAX unknowns the Newton step factors the Jacobian leaves
+    first, which on a tree creates no fill (Tinney & Walker, 1967)."""
 
     def test_every_radial_ieee14_search_island(self, ieee14_case, ieee14_recorded):
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
@@ -723,3 +761,23 @@ class TestLeavesFirst:
         case = random_radial_feeder(seed, max(buses, roots + 1), roots)
         for island in forest_index(case, default_config(case)).islands:
             _assert_leaves_first_without_fill(case, island)
+
+
+class TestNewtonStep:
+    """_newton_step solves up to _DENSE_MAX unknowns as a dense array and
+    larger systems through the leaves-first SuperLU factor."""
+
+    def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
+        # 41 radial islands and the meshed network
+        islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
+        for island in islands.values():
+            _assert_step_solves_the_dense_system(ieee14_case, island)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 60), roots=st.integers(1, 2))
+    @example(seed=0, buses=60, roots=1)  # 118 unknowns: SuperLU
+    @example(seed=0, buses=20, roots=1)  # 38 unknowns: dense
+    def test_seeded_feeders_on_both_sides_of_the_threshold(self, seed, buses, roots):
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        for island in forest_index(case, default_config(case)).islands:
+            _assert_step_solves_the_dense_system(case, island)
