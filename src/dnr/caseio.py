@@ -380,6 +380,8 @@ def trace_to_json(trace: SearchTrace) -> str:
     payload = {
         "evaluations": trace.evaluations,
         "surrogate_hits": trace.surrogate_hits,
+        "island_solves": trace.island_solves,
+        "island_hits": trace.island_hits,
         "moves": [
             {
                 "close_branch": m.close_branch,

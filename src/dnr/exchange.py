@@ -14,7 +14,7 @@ from enum import Enum
 
 from .model import Configuration, NetworkCase, is_radial
 from .objective import ObjectiveReport, evaluate_fo, sort_key
-from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands
+from .powerflow import IslandMemo, PowerFlowSolution, SolverOptions, solve_all_islands
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
 from .topology import FundamentalLoop, fundamental_loop
 
@@ -42,10 +42,11 @@ class Move:
 @dataclass
 class SearchTrace:
     moves: list[Move] = field(default_factory=list)
-    evaluations: int = 0
+    evaluations: int = 0  # candidates scored, each by one evaluate_candidate call
     surrogate_hits: int = 0
-    # features and objective of every scored configuration, for surrogate fits
-    samples: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
+    # the search's IslandMemo: islands solved, and islands answered without a solve
+    island_solves: int = 0
+    island_hits: int = 0
 
     @property
     def accepted_moves(self) -> list[Move]:
@@ -70,11 +71,15 @@ def evaluate_candidate(
     case: NetworkCase,
     config: Configuration,
     options: SearchOptions = SearchOptions(),
+    memo: IslandMemo | None = None,
 ) -> tuple[ObjectiveReport, PowerFlowSolution] | Rejection:
-    """Score one configuration: radiality gate, power flow, then objective."""
+    """Score one configuration: radiality gate, power flow, then objective.
+
+    `memo` answers the islands it has met, as solve_all_islands takes it.
+    """
     if not is_radial(case, config):
         return Rejection(RejectReason.INFEASIBLE, detail="not radial")
-    solution = solve_all_islands(case, config, options.solver_options)
+    solution = solve_all_islands(case, config, options.solver_options, "nr", memo)
     if not solution.converged:
         return Rejection(RejectReason.POWER_FLOW_DIVERGED, detail="power flow diverged")
     report = evaluate_fo(case, config, solution)
@@ -94,10 +99,15 @@ def _nearest(case: NetworkCase, loop: FundamentalLoop) -> int | None:
 
 
 class _Search:
+    """One search's state: its trace, and what lives only while it runs."""
+
     def __init__(self, case: NetworkCase, options: SearchOptions):
         self.case = case
         self.options = options
         self.trace = SearchTrace()
+        self.memo = IslandMemo()
+        # features and objective of every scored configuration, for surrogate fits
+        self.samples: list[tuple[tuple[float, ...], float]] = []
 
     def score(self, config: Configuration) -> tuple[ObjectiveReport | None, Rejection | None]:
         """Evaluate one configuration, count it and keep its surrogate sample.
@@ -105,14 +115,15 @@ class _Search:
         The report is None when the candidate could not be scored; the
         rejection is None when it passed every check.
         """
-        outcome = evaluate_candidate(self.case, config, self.options)
+        outcome = evaluate_candidate(self.case, config, self.options, self.memo)
         self.trace.evaluations += 1
+        self.trace.island_solves, self.trace.island_hits = self.memo.solves, self.memo.hits
         if isinstance(outcome, Rejection):
             report, rejection = outcome.report, outcome
         else:
             report, rejection = outcome[0], None
         if report is not None:
-            self.trace.samples.append((featurize(self.case, config), report.fo_value))
+            self.samples.append((featurize(self.case, config), report.fo_value))
         return report, rejection
 
     def log(
@@ -274,7 +285,7 @@ def improve(
     while passes < options.max_passes:
         passes += 1
         if options.use_surrogate:
-            refit = fit(case, search.trace.samples)
+            refit = fit(case, search.samples)
             if refit.trained:
                 model = refit
         key_at_pass_start = key

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +172,12 @@ class BranchFlows(_Columns):
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages, flows and totals; a solve returns BusValues and BranchFlows views."""
+    """Voltages, flows and totals; a solve returns BusValues and BranchFlows views.
+
+    `voltages` holds the complex voltages of a one-island solve as its
+    Newton loop left them, which an IslandMemo keeps; merged solutions
+    leave it None.
+    """
 
     v_mag: Mapping[int, float]
     v_angle: Mapping[int, float]  # radians
@@ -182,6 +187,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     islands: tuple[IslandResult, ...] = ()
+    voltages: BusValues | None = None
 
     def voltage(self, bus_id: int) -> complex:
         return self.v_mag[bus_id] * cmath.exp(1j * self.v_angle[bus_id])
@@ -545,30 +551,48 @@ def _finish(
 ) -> PowerFlowSolution:
     """The solution at `setup.v`; `scalc`, the injections there, is computed when not given."""
     base = case.base_mva
-    ids = _compiled_case(case).bus_ids[setup.buses]
     v = setup.v
-    # np.hypot is the C hypot that Python abs calls on a complex, so each
-    # magnitude has the scalar's bits (array np.abs rounds differently)
-    v_mag = BusValues(ids, np.hypot(v.real, v.imag))
-    v_angle = BusValues(ids, np.angle(v))
-    flows, loss_mw = branch_flows(case, setup.branches, BusValues(ids, v), sending)
     if scalc is None:
         scalc = v * np.conj(setup.ybus @ v)
     root_bus = case.bus_by_id[island.root]
     slack_p = scalc[setup.slack].real * base + root_bus.p_load
     slack_q = scalc[setup.slack].imag * base + root_bus.q_load
+    return _island_part(
+        case, island.root, setup.buses, setup.branches, v, sending,
+        converged, iterations, max_mismatch, float(slack_p), float(slack_q),
+    )
+
+
+def _island_part(
+    case: NetworkCase,
+    root: int,
+    buses: np.ndarray,
+    branches: np.ndarray,
+    v: np.ndarray,
+    sending: np.ndarray | None,
+    converged: bool,
+    iterations: int,
+    max_mismatch: float,
+    slack_p_mw: float,
+    slack_q_mvar: float,
+) -> PowerFlowSolution:
+    """One island's solution at the voltages `v` on its bus positions, with its solve's outcome.
+
+    Everything else a solution holds follows from these, so an island
+    memo's hit returns, through this same code, the bits of a solve.
+    """
+    ids = _compiled_case(case).bus_ids[buses]
+    voltages = BusValues(ids, v)
+    # np.hypot is the C hypot that Python abs calls on a complex, so each
+    # magnitude has the scalar's bits (array np.abs rounds differently)
+    v_mag = BusValues(ids, np.hypot(v.real, v.imag))
+    v_angle = BusValues(ids, np.angle(v))
+    flows, loss_mw = branch_flows(case, branches, voltages, sending)
     result = IslandResult(
-        island.root,
-        tuple(setup.order),
-        converged,
-        iterations,
-        max_mismatch,
-        loss_mw,
-        float(slack_p),
-        float(slack_q),
+        root, tuple(ids.tolist()), converged, iterations, max_mismatch, loss_mw, slack_p_mw, slack_q_mvar
     )
     return PowerFlowSolution(
-        v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,)
+        v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,), voltages
     )
 
 
@@ -640,6 +664,59 @@ def solve_newton_raphson(
 _SOLVERS = {"nr": solve_newton_raphson}
 
 
+class IslandMemo:
+    """The islands solved during one search, so that each distinct island is solved once.
+
+    A branch exchange changes only the islands on one loop, and power flow
+    is deterministic, so an island met again is answered from the memo.
+    The key is the island's root and its branch positions as ascending
+    int32 bytes, 4 B a branch (a frozenset of ids holds about 32 B per
+    branch).  An entry keeps only the final complex voltages, 16 B a bus,
+    and the solve's outcome: converged, iterations, max mismatch and slack
+    P/Q.  A hit rebuilds the island's part through the tail a solve ends
+    with, so it has the solve's bits.  `solves` counts the islands solved
+    (one per entry) and `hits` the islands answered from the memo.
+
+    A memo holds the results of one case under one set of solver options;
+    a search makes its own and drops it when it returns.
+    """
+
+    def __init__(self) -> None:
+        self._solved: dict[tuple[int, bytes], tuple] = {}
+        self.solves = 0
+        self.hits = 0
+
+    def part(
+        self,
+        solver: Callable[..., PowerFlowSolution],
+        case: NetworkCase,
+        island: Island,
+        config: Configuration,
+        options: SolverOptions,
+        sending: np.ndarray,
+    ) -> PowerFlowSolution:
+        """The island's part of a solution: `solver`'s on a first meeting, else rebuilt from the memo."""
+        buses, branches = _island_positions(_compiled_case(case), island)
+        key = (island.root, branches.astype(np.int32).tobytes())
+        solved = self._solved.get(key)
+        if solved is not None:
+            self.hits += 1
+            v, *outcome = solved
+            return _island_part(case, island.root, buses, branches, v, sending, *outcome)
+        part = solver(case, island, config, options, sending=sending)
+        result, = part.islands
+        self._solved[key] = (
+            part.voltages.values,
+            result.converged,
+            result.iterations,
+            result.max_mismatch,
+            result.slack_p_mw,
+            result.slack_q_mvar,
+        )
+        self.solves += 1
+        return part
+
+
 # branch_flows writes the complex products of i = y*v and s = v*conj(i) out
 # in real arithmetic, so each value has the bits of the same expression on
 # Python complex scalars (numpy's complex multiply may fuse a multiply-add and
@@ -699,18 +776,25 @@ def solve_all_islands(
     config: Configuration,
     options: SolverOptions = SolverOptions(),
     method: str = "nr",
+    memo: IslandMemo | None = None,
 ) -> PowerFlowSolution:
     """Solve every island of a radial configuration and merge the results.
 
     Branch sending ends follow the trees: the end nearer the island root
-    sends, so downstream flow is positive.
+    sends, so downstream flow is positive.  With a memo, an island it has
+    met before is not solved again.
     """
     solver = _SOLVERS[method]
     index = forest_index(case, config)
     sending = np.full(_compiled_case(case).branch_ids.size, -1)
     below = index.parent_branch >= 0
     sending[index.parent_branch[below]] = index.parent[below]
-    parts = [solver(case, island, config, options, sending=sending) for island in index.islands]
+    parts = [
+        solver(case, island, config, options, sending=sending)
+        if memo is None
+        else memo.part(solver, case, island, config, options, sending)
+        for island in index.islands
+    ]
     results = tuple(result for part in parts for result in part.islands)
     total_loss = 0.0
     for part in parts:

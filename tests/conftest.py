@@ -22,7 +22,7 @@ import pytest
 from scipy import sparse
 
 from dnr.caseio import parse_case
-from dnr.exchange import improve
+from dnr.exchange import Rejection, SearchTrace, evaluate_candidate, improve
 from dnr.model import (
     Branch,
     Bus,
@@ -484,6 +484,27 @@ def oracle_branch_flows(case: NetworkCase, branch_ids, voltages, sending=None):
         )
         loss_pu += (s_from + s_to).real
     return flows, loss_pu * base
+
+
+def assert_moves_score_as_fresh(
+    case: NetworkCase, start: Configuration, final: Configuration, trace: SearchTrace
+) -> None:
+    """Each move's fo_after has the bits of its exchange scored on its own, without an island memo.
+
+    The moves are replayed from `start`: each is an exchange on the incumbent
+    of its time, which its acceptance moves on, and the last incumbent is
+    `final`.
+    """
+    incumbent = start
+    for move in trace.moves:
+        candidate = incumbent.with_exchange(move.close_branch, move.open_branch)
+        outcome = evaluate_candidate(case, candidate)
+        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+        fresh = None if report is None else report.fo_value.hex()
+        assert (None if move.fo_after is None else move.fo_after.hex()) == fresh, move
+        if move.accepted:
+            incumbent = candidate
+    assert incumbent == final
 
 
 def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:

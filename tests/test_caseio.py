@@ -279,9 +279,11 @@ class TestReports:
         assert total == pytest.approx(payload["total_loss_mw"])
 
     def test_trace_serialization(self):
-        trace = SearchTrace(evaluations=3, surrogate_hits=1)
+        trace = SearchTrace(evaluations=3, surrogate_hits=1, island_solves=4, island_hits=2)
         payload = json.loads(trace_to_json(trace))
-        assert payload == {"evaluations": 3, "surrogate_hits": 1, "moves": []}
+        assert payload == {
+            "evaluations": 3, "surrogate_hits": 1, "island_solves": 4, "island_hits": 2, "moves": []
+        }
 
 
 class TestMeshedReportPath:

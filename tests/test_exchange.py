@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import two_bus_case
+from conftest import assert_moves_score_as_fresh, two_bus_case
 from dnr.exchange import (
     InitialInfeasibleError,
     RejectReason,
@@ -15,7 +15,7 @@ from dnr.exchange import (
     evaluate_candidate,
     improve,
 )
-from dnr import exchange, model
+from dnr import exchange, model, powerflow
 from dnr.model import all_closed_config, is_radial, make_config
 from dnr.objective import ObjectiveReport
 from dnr.powerflow import SolverOptions, solve_network
@@ -176,7 +176,8 @@ class TestImproveIeee14:
             else:
                 assert move.rejected_reason is not None
         assert trace.evaluations >= len(trace.accepted_moves)
-        assert len(trace.samples) <= trace.evaluations
+        # every candidate is radial with two islands, each solved or answered by the memo
+        assert trace.island_solves + trace.island_hits == 2 * trace.evaluations
 
     def test_terminates_under_a_tight_pass_budget(self, ieee14_case, ieee14_forest):
         final, trace = improve(
@@ -303,3 +304,27 @@ class TestSingleScoringPath:
         with pytest.raises(InitialInfeasibleError, match="not radial"):
             improve(triangle_case, all_closed_config(triangle_case))
         assert calls == []
+
+
+class TestIslandMemo:
+    """A search solves each distinct island once and answers the repeats from its memo."""
+
+    def test_each_move_scores_as_a_fresh_evaluation(self, ieee14_case, ieee14_forest, ieee14_search):
+        final, trace = ieee14_search
+        assert_moves_score_as_fresh(ieee14_case, ieee14_forest.config, final, trace)
+
+    def test_only_distinct_islands_reach_the_solver_in_each_search(
+        self, ieee14_case, ieee14_forest, monkeypatch
+    ):
+        solved = []
+        solve = powerflow._SOLVERS["nr"]
+
+        def counted(case, island, *args, **kwargs):
+            solved.append((island.root, island.branches))
+            return solve(case, island, *args, **kwargs)
+
+        monkeypatch.setitem(powerflow._SOLVERS, "nr", counted)
+        traces = [improve(ieee14_case, ieee14_forest.config)[1] for _ in range(2)]
+        # a memo that outlived its search would leave the second nothing to solve
+        assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(52, 41, 63)] * 2
+        assert len(solved) == 82 and len(set(solved[:41])) == 41 and solved[41:] == solved[:41]

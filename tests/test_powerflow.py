@@ -531,7 +531,11 @@ class TestCompiledLayers:
         assert len(islands) == 42  # 41 radial islands and the meshed network
         for island in islands.values():
             _assert_admittance_matches_oracle(ieee14_case, island)
-        assert len(ieee14_recorded["flows"]) == len(ieee14_recorded["solves"]) == 107
+        # 44 solves: 41 distinct search islands, the meshed network and the
+        # final solve's two; an island the search's memo answers is not
+        # solved again, but its flows are computed, as a solve's are
+        assert len(ieee14_recorded["solves"]) == 44
+        assert len(ieee14_recorded["flows"]) == 107
         for branch_ids, voltages, sending in ieee14_recorded["flows"]:
             _assert_flows_match_oracle(ieee14_case, branch_ids, voltages, sending)
 
@@ -608,12 +612,12 @@ class TestJacobianPattern:
 
     def test_one_pattern_per_solve_and_per_split(self, ieee14_recorded):
         # a bus that clamps and is released returns to a split the solve
-        # already has a pattern for; building one per switch made 310
+        # already has a pattern for, so a solve builds fewer than one per switch
         solves = ieee14_recorded["solves"]
-        assert sum(work.jacobians for work in solves) == 881
+        assert sum(work.jacobians for work in solves) == 548
         for work in solves:
             assert work.patterns == len(work.splits), work.island
-        assert sum(work.patterns for work in solves) == 152
+        assert sum(work.patterns for work in solves) == 78
         assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
 
     def test_each_jacobian_reuses_the_product_at_its_voltages(self, ieee14_recorded):

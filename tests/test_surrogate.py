@@ -6,7 +6,7 @@ import pytest
 from conftest import bench_feeders, deep_chain, enumerate_radial, oracle_featurize, two_bus_case
 from dnr import exchange, surrogate
 from dnr.caseio import parse_case
-from dnr.exchange import Rejection, evaluate_candidate, improve
+from dnr.exchange import RejectReason, Rejection, evaluate_candidate, improve
 from dnr.model import NotRadialError, all_closed_config, default_config, make_config
 from dnr.powerflow import solve_network
 from dnr.surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
@@ -14,6 +14,25 @@ from dnr.topology import build_spanning_forest, weights_from_flow
 
 # positions of the first root's terms; the constant 1 sits at 0
 LOAD_P, LOAD_Q, LOAD_MOMENT, RESISTANCE = 1, 2, 3, 4
+
+
+@pytest.fixture(scope="module")
+def ieee14_history(ieee14_case, ieee14_forest) -> list[tuple[tuple[float, ...], float]]:
+    """Features and objective of each configuration an IEEE-14 search scores: its surrogate's fit data."""
+    history = []
+    evaluate = exchange.evaluate_candidate
+
+    def recorded(case, config, *args):
+        outcome = evaluate(case, config, *args)
+        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+        if report is not None:
+            history.append((featurize(case, config), report.fo_value))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exchange, "evaluate_candidate", recorded)
+        improve(ieee14_case, ieee14_forest.config)
+    return history
 
 
 def _scored_samples(case, need: int) -> list[tuple[tuple[float, ...], float]]:
@@ -107,7 +126,9 @@ class TestFeaturize:
         monkeypatch.setattr(exchange, "featurize", compared)
         monkeypatch.setattr(surrogate, "featurize", compared)
         _, trace = improve(case, start)
-        assert len(checked) >= len(trace.samples) > 0  # each scored configuration, and the ranked ones
+        # each scored configuration (every candidate but the diverged ones), and the ranked ones
+        diverged = sum(m.rejected_reason is RejectReason.POWER_FLOW_DIVERGED for m in trace.moves)
+        assert len(checked) >= trace.evaluations - diverged > 0
 
     def test_deterministic(self, ieee14_case, ieee14_forest):
         first = featurize(ieee14_case, ieee14_forest.config)
@@ -138,14 +159,13 @@ class TestFit:
         with pytest.raises(ValueError):
             model.predict(samples[0][0])
 
-    def test_search_history_fit_is_sane(self, ieee14_case, ieee14_search):
-        _, trace = ieee14_search
-        assert len(trace.samples) >= 20
-        model = fit(ieee14_case, list(trace.samples))
+    def test_search_history_fit_is_sane(self, ieee14_case, ieee14_history):
+        assert len(ieee14_history) >= 20
+        model = fit(ieee14_case, ieee14_history)
         assert model.trained
         assert len(model.coefficients) == 9
-        scale = max(fo for _, fo in trace.samples)
-        for features, fo in trace.samples:
+        scale = max(fo for _, fo in ieee14_history)
+        for features, fo in ieee14_history:
             # a linear fit of the history stays within the history's range
             assert abs(model.predict(features) - fo) <= scale
 
@@ -217,9 +237,8 @@ class TestRankCandidates:
 
 
 class TestWarmStart:
-    def test_pretrained_model_feeds_a_search(self, ieee14_case, ieee14_search):
-        _, trace = ieee14_search
-        model = fit(ieee14_case, list(trace.samples))
+    def test_pretrained_model_feeds_a_search(self, ieee14_case, ieee14_history):
+        model = fit(ieee14_case, ieee14_history)
         assert model.trained
         baseline, _ = improve(ieee14_case, make_config(ieee14_case, set(
             ieee14_case.branch_by_id) - {1, 5, 6, 7, 9, 16, 19, 20}))
