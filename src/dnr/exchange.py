@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Configuration, NetworkCase, is_radial
-from .objective import ObjectiveReport, evaluate_fo, sort_key
-from .powerflow import IslandMemo, PowerFlowSolution, SolverOptions, solve_all_islands
+from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
+from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
 from .topology import FundamentalLoop, fundamental_loop
 
@@ -72,17 +72,24 @@ def evaluate_candidate(
     config: Configuration,
     options: SearchOptions = SearchOptions(),
     memo: IslandMemo | None = None,
-) -> tuple[ObjectiveReport, PowerFlowSolution] | Rejection:
+) -> tuple[ObjectiveReport, PowerFlowSolution | None] | Rejection:
     """Score one configuration: radiality gate, power flow, then objective.
 
-    `memo` answers the islands it has met, as solve_all_islands takes it.
+    Without a memo the islands are solved and merged into the solution
+    returned with the report.  With one, the report is assembled from the
+    memo's island scores, solving only the islands it has not met, and no
+    solution is returned.
     """
     if not is_radial(case, config):
         return Rejection(RejectReason.INFEASIBLE, detail="not radial")
-    solution = solve_all_islands(case, config, options.solver_options, "nr", memo)
-    if not solution.converged:
+    solution = None
+    if memo is None:
+        solution = solve_all_islands(case, config, options.solver_options, "nr")
+        report = evaluate_fo(case, config, solution) if solution.converged else None
+    else:
+        report = memo.report(case, config, options.solver_options)
+    if report is None:
         return Rejection(RejectReason.POWER_FLOW_DIVERGED, detail="power flow diverged")
-    report = evaluate_fo(case, config, solution)
     if not report.feasible:
         failed = "; ".join(c.detail for c in report.constraints if not c.passed)
         return Rejection(RejectReason.INFEASIBLE, report, failed)

@@ -15,16 +15,30 @@ import numpy as np
 # callers also look is_radial up on this module
 from .model import (  # noqa: F401
     Configuration,
+    ForestIndex,
+    Island,
     NetworkCase,
     NotRadialError,
     _compiled_case,
-    _find,
     forest,
     is_radial,
 )
-from .powerflow import BranchFlows, BusValues, NotConvergedError, PowerFlowSolution, sequential_sum
+from .powerflow import (
+    _SOLVERS,
+    BranchFlows,
+    BusValues,
+    IslandResult,
+    NotConvergedError,
+    PowerFlowSolution,
+    SolverOptions,
+    sending_ends,
+    sequential_sum,
+)
 
 _EPS = 1e-9
+
+# (excess, detail): how far one check is failed, and the detail its failure prints
+_Excess = tuple[float, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,94 +56,205 @@ class ObjectiveReport:
     feasible: bool
 
 
-def evaluate_fo(
-    case: NetworkCase, config: Configuration, solution: PowerFlowSolution
-) -> ObjectiveReport:
-    """Score a converged radial solution; closed branches carry unit weight.
+@dataclass(frozen=True, slots=True)
+class IslandScore:
+    """One solved island's share of an ObjectiveReport.
 
-    It reads the solution's columns, with the bits of a scalar loop over the
-    branches in id order: elementwise float64 arithmetic, a sequential sum.
+    `terms` holds r (p^2 + q^2) / v^2, per-unit, for the island's branches
+    in ascending position order.  `voltage`, `current` and `feeder` each
+    hold the island's worst excess over its check's margin, the first of
+    the largest in bus or branch order, with its detail; None where the
+    island passes.  A diverged island has no terms and no excesses.
     """
-    if not solution.converged:
-        raise NotConvergedError("objective needs a converged power flow")
-    index = forest(case, config)
-    if index is None:
-        raise NotRadialError("objective is defined on radial configurations")
 
-    base = case.base_mva
+    converged: bool
+    terms: np.ndarray
+    voltage: _Excess | None
+    current: _Excess | None
+    feeder: _Excess | None
+
+
+_DIVERGED = IslandScore(False, np.empty(0), None, None, None)
+
+
+def _score_island(
+    case: NetworkCase, island: Island, v_mag: BusValues, flows: BranchFlows, result: IslandResult
+) -> IslandScore:
+    """The island's score, read from columns that hold at least its buses and branches.
+
+    Every value has the bits of a scalar loop over the branches in id order:
+    elementwise float64 arithmetic.
+    """
+    if not result.converged:
+        return _DIVERGED
     compiled = _compiled_case(case)
-    v_mag = BusValues.of(solution.v_mag)
-    flows = BranchFlows.of(solution.flows)
-    closed = compiled.branch_ids[index.closed]
-    rows = flows.rows(closed)
+    base = case.base_mva
+    buses, branches = island.bus_positions, island.branch_positions
+    rows = flows.rows(compiled.branch_ids[branches])
     v = v_mag.take(flows.ends[rows, 0])
     p = flows.power[rows, 0] / base
     q = flows.power[rows, 1] / base
-    r = compiled.resistance[index.closed]
-    terms = r * (p * p + q * q) / (v * v)
-    fo_pu = sequential_sum(terms)
-    per_branch = tuple(zip(closed.tolist(), (terms * base * case.delta_t_hours).tolist()))
-    fo_value = fo_pu * base * case.delta_t_hours
-
-    checks = (
-        ConstraintCheck("radiality", True, "closed branches form a rooted spanning forest"),
-        _voltage_check(case, v_mag),
-        _current_check(case, flows),
-        _feeder_check(case, solution),
+    terms = compiled.resistance[branches] * (p * p + q * q) / (v * v)
+    return IslandScore(
+        True,
+        terms,
+        _voltage_excess(case, buses, v_mag.take(compiled.bus_ids[buses])),
+        _current_excess(case, branches, flows.power[rows]),
+        _feeder_excess(case, result),
     )
-    return ObjectiveReport(fo_value, per_branch, checks, all(c.passed for c in checks))
 
 
-def _voltage_check(case: NetworkCase, v_mag: BusValues) -> ConstraintCheck:
+def _voltage_excess(case: NetworkCase, buses: np.ndarray, v: np.ndarray) -> _Excess | None:
     compiled = _compiled_case(case)
-    at = _find(compiled.bus_ids, v_mag.ids)
-    v = v_mag.values
-    low, high = compiled.v_min[at] - v, v - compiled.v_max[at]
+    low, high = compiled.v_min[buses] - v, v - compiled.v_max[buses]
     excess = np.where(high > low, high, low)  # Python max(low, high)
     over = np.flatnonzero(excess > _EPS)
-    if over.size:
-        worst = over[excess[over].argmax()]  # the first of the largest, as a scan keeps it
-        bus_id, v = v_mag.ids[worst].item(), v[worst].item()
-        bus = case.bus_by_id[bus_id]
-        detail = f"bus {bus_id} at {v:.4f} pu outside [{bus.v_min}, {bus.v_max}]"
-        return ConstraintCheck("voltage_limits", False, detail)
-    return ConstraintCheck("voltage_limits", True, "all bus voltages within bounds")
+    if not over.size:
+        return None
+    worst = over[excess[over].argmax()]  # the first of the largest, as a scan keeps it
+    bus_id, v = compiled.bus_ids[buses[worst]].item(), v[worst].item()
+    bus = case.bus_by_id[bus_id]
+    return excess[worst].item(), f"bus {bus_id} at {v:.4f} pu outside [{bus.v_min}, {bus.v_max}]"
 
 
-def _current_check(case: NetworkCase, flows: BranchFlows) -> ConstraintCheck:
+def _current_excess(case: NetworkCase, branches: np.ndarray, power: np.ndarray) -> _Excess | None:
     compiled = _compiled_case(case)
-    limits = compiled.mva_limit[_find(compiled.branch_ids, flows.ids)]
+    limits = compiled.mva_limit[branches]
     rated = np.flatnonzero(~np.isnan(limits))
-    worst: tuple[float, str] | None = None
+    worst: _Excess | None = None
     # math.hypot per branch: np.hypot rounds differently
     for branch_id, (ps, qs, pr, qr), limit in zip(
-        flows.ids[rated].tolist(), flows.power[rated].tolist(), limits[rated].tolist()
+        compiled.branch_ids[branches[rated]].tolist(), power[rated].tolist(), limits[rated].tolist()
     ):
         loading = max(math.hypot(ps, qs), math.hypot(pr, qr))
         excess = loading - limit
         if excess > 1e-6 and (worst is None or excess > worst[0]):
             worst = (excess, f"branch {branch_id} at {loading:.2f} MVA over its {limit:.2f} MVA rating")
-    if worst:
-        return ConstraintCheck("current_limits", False, worst[1])
-    return ConstraintCheck("current_limits", True, "all rated branches within their MVA ratings")
+    return worst
 
 
-def _feeder_check(case: NetworkCase, solution: PowerFlowSolution) -> ConstraintCheck:
-    worst: tuple[float, str] | None = None
-    for island in solution.islands:
-        limits = case.bus_by_id[island.root].q_limits
-        if limits is None:
-            continue
-        q = island.slack_q_mvar
-        excess = max(limits[0] - q, q - limits[1])
-        if excess > 1e-6 and (worst is None or excess > worst[0]):
-            worst = (
-                excess,
-                f"feeder {island.root} delivers {q:.2f} MVAr outside [{limits[0]}, {limits[1]}]",
-            )
-    if worst:
-        return ConstraintCheck("feeder_overload", False, worst[1])
-    return ConstraintCheck("feeder_overload", True, "all feeder injections within machine limits")
+def _feeder_excess(case: NetworkCase, result: IslandResult) -> _Excess | None:
+    limits = case.bus_by_id[result.root].q_limits
+    if limits is None:
+        return None
+    q = result.slack_q_mvar
+    excess = max(limits[0] - q, q - limits[1])
+    if excess > 1e-6:
+        return excess, f"feeder {result.root} delivers {q:.2f} MVAr outside [{limits[0]}, {limits[1]}]"
+    return None
+
+
+def _check(name: str, excesses: list[_Excess | None], passed: str) -> ConstraintCheck:
+    """The check failed by the first of the largest excesses, in island order."""
+    worst: _Excess | None = None
+    for excess in excesses:
+        if excess is not None and (worst is None or excess[0] > worst[0]):
+            worst = excess
+    if worst is None:
+        return ConstraintCheck(name, True, passed)
+    return ConstraintCheck(name, False, worst[1])
+
+
+def _radial_forest(case: NetworkCase, config: Configuration) -> ForestIndex:
+    index = forest(case, config)
+    if index is None:
+        raise NotRadialError("objective is defined on radial configurations")
+    return index
+
+
+def _report(case: NetworkCase, index: ForestIndex, scores: list[IslandScore]) -> ObjectiveReport:
+    """The report of a radial configuration from the scores of its islands, in root order.
+
+    The terms are summed one at a time in branch id order, as a scalar loop
+    over the closed branches adds them, and each check keeps the first of
+    its largest excesses, so the report has the bits of one pass over the
+    whole network.
+    """
+    compiled = _compiled_case(case)
+    terms = np.empty(compiled.branch_ids.size)
+    for island, score in zip(index.islands, scores):
+        terms[island.branch_positions] = score.terms
+    terms = terms[index.closed]
+    base, hours = case.base_mva, case.delta_t_hours
+    per_branch = tuple(zip(compiled.branch_ids[index.closed].tolist(), (terms * base * hours).tolist()))
+    checks = (
+        ConstraintCheck("radiality", True, "closed branches form a rooted spanning forest"),
+        _check("voltage_limits", [s.voltage for s in scores], "all bus voltages within bounds"),
+        _check("current_limits", [s.current for s in scores], "all rated branches within their MVA ratings"),
+        _check("feeder_overload", [s.feeder for s in scores], "all feeder injections within machine limits"),
+    )
+    fo_value = sequential_sum(terms) * base * hours
+    return ObjectiveReport(fo_value, per_branch, checks, all(c.passed for c in checks))
+
+
+def evaluate_fo(
+    case: NetworkCase, config: Configuration, solution: PowerFlowSolution
+) -> ObjectiveReport:
+    """Score a converged radial solution; closed branches carry unit weight.
+
+    Each island is scored from the solution's columns, and the report is
+    assembled from the scores, as an IslandMemo assembles a search's.
+    """
+    if not solution.converged:
+        raise NotConvergedError("objective needs a converged power flow")
+    index = _radial_forest(case, config)
+    if [r.root for r in solution.islands] != [island.root for island in index.islands]:
+        raise ValueError("solution islands do not match the configuration's")
+    v_mag, flows = BusValues.of(solution.v_mag), BranchFlows.of(solution.flows)
+    scores = [
+        _score_island(case, island, v_mag, flows, result)
+        for island, result in zip(index.islands, solution.islands)
+    ]
+    return _report(case, index, scores)
+
+
+class IslandMemo:
+    """The islands scored during one search, so that each distinct island is solved once.
+
+    A branch exchange changes only the islands on one loop, and power flow
+    is deterministic, so an island met again is answered from the memo.
+    The key is the island's root and its branch positions as ascending
+    int32 bytes, 4 B a branch (a frozenset of ids holds about 32 B per
+    branch).  An entry is the island's IslandScore, 8 B a branch, taken
+    from its solve's own part: a hit computes no flows and builds no
+    solution.  `solves` counts the islands solved (one per entry) and
+    `hits` the islands answered from the memo.
+
+    A memo holds the scores of one case under one set of solver options;
+    a search makes its own and drops it when it returns.
+    """
+
+    def __init__(self) -> None:
+        self._scores: dict[tuple[int, bytes], IslandScore] = {}
+        self.solves = 0
+        self.hits = 0
+
+    def report(self, case: NetworkCase, config: Configuration, options: SolverOptions) -> ObjectiveReport | None:
+        """The configuration's report, as evaluate_fo gives it for its solution; None when an island diverged.
+
+        Each island met for the first time is solved through _SOLVERS["nr"].
+        """
+        index = _radial_forest(case, config)
+        sending = None
+        scores = []
+        for island in index.islands:
+            key = (island.root, island.branch_positions.astype(np.int32).tobytes())
+            score = self._scores.get(key)
+            if score is None:
+                if sending is None:
+                    sending = sending_ends(case, index)
+                part = _SOLVERS["nr"](case, island, config, options, sending=sending)
+                result, = part.islands
+                score = self._scores[key] = _score_island(
+                    case, island, BusValues.of(part.v_mag), BranchFlows.of(part.flows), result
+                )
+                self.solves += 1
+            else:
+                self.hits += 1
+            scores.append(score)
+        if not all(score.converged for score in scores):
+            return None
+        return _report(case, index, scores)
 
 
 def sort_key(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +17,7 @@ from scipy.sparse.linalg import splu
 
 from .model import (
     Configuration,
+    ForestIndex,
     Island,
     NetworkCase,
     SingularBranchError,
@@ -172,12 +173,7 @@ class BranchFlows(_Columns):
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages, flows and totals; a solve returns BusValues and BranchFlows views.
-
-    `voltages` holds the complex voltages of a one-island solve as its
-    Newton loop left them, which an IslandMemo keeps; merged solutions
-    leave it None.
-    """
+    """Voltages, flows and totals; a solve returns BusValues and BranchFlows views."""
 
     v_mag: Mapping[int, float]
     v_angle: Mapping[int, float]  # radians
@@ -187,7 +183,6 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     islands: tuple[IslandResult, ...] = ()
-    voltages: BusValues | None = None
 
     def voltage(self, bus_id: int) -> complex:
         return self.v_mag[bus_id] * cmath.exp(1j * self.v_angle[bus_id])
@@ -555,45 +550,18 @@ def _finish(
     if scalc is None:
         scalc = v * np.conj(setup.ybus @ v)
     root_bus = case.bus_by_id[island.root]
-    slack_p = scalc[setup.slack].real * base + root_bus.p_load
-    slack_q = scalc[setup.slack].imag * base + root_bus.q_load
-    return _island_part(
-        case, island.root, setup.buses, setup.branches, v, sending,
-        converged, iterations, max_mismatch, float(slack_p), float(slack_q),
-    )
-
-
-def _island_part(
-    case: NetworkCase,
-    root: int,
-    buses: np.ndarray,
-    branches: np.ndarray,
-    v: np.ndarray,
-    sending: np.ndarray | None,
-    converged: bool,
-    iterations: int,
-    max_mismatch: float,
-    slack_p_mw: float,
-    slack_q_mvar: float,
-) -> PowerFlowSolution:
-    """One island's solution at the voltages `v` on its bus positions, with its solve's outcome.
-
-    Everything else a solution holds follows from these, so an island
-    memo's hit returns, through this same code, the bits of a solve.
-    """
-    ids = _compiled_case(case).bus_ids[buses]
-    voltages = BusValues(ids, v)
+    slack_p = float(scalc[setup.slack].real * base + root_bus.p_load)
+    slack_q = float(scalc[setup.slack].imag * base + root_bus.q_load)
+    ids = _compiled_case(case).bus_ids[setup.buses]
     # np.hypot is the C hypot that Python abs calls on a complex, so each
     # magnitude has the scalar's bits (array np.abs rounds differently)
     v_mag = BusValues(ids, np.hypot(v.real, v.imag))
     v_angle = BusValues(ids, np.angle(v))
-    flows, loss_mw = branch_flows(case, branches, voltages, sending)
+    flows, loss_mw = branch_flows(case, setup.branches, BusValues(ids, v), sending)
     result = IslandResult(
-        root, tuple(ids.tolist()), converged, iterations, max_mismatch, loss_mw, slack_p_mw, slack_q_mvar
+        island.root, tuple(ids.tolist()), converged, iterations, max_mismatch, loss_mw, slack_p, slack_q
     )
-    return PowerFlowSolution(
-        v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,), voltages
-    )
+    return PowerFlowSolution(v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,))
 
 
 def solve_newton_raphson(
@@ -607,8 +575,9 @@ def solve_newton_raphson(
 
     Regulated buses hold their setpoint until a reactive limit binds, then
     drop to constant-Q.  Non-convergence is reported on the solution, not
-    raised; the best iterate is returned.  `sending` orients the branch
-    flows, as branch_flows takes it.
+    raised; the last iterate is returned, where the iteration cap or a
+    singular Jacobian stopped the loop.  `sending` orients the branch flows,
+    as branch_flows takes it.
     """
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
@@ -647,7 +616,7 @@ def solve_newton_raphson(
         jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern, ibus)
         dx = _newton_step(jac, f, pattern)
         if not np.isfinite(dx).all():
-            break  # singular Jacobian: keep best iterate, converged stays False
+            break  # singular Jacobian: keep the last iterate, converged stays False
         va = np.angle(setup.v)
         vm = np.abs(setup.v)
         va[pvpq] += dx[: pvpq.size]
@@ -662,59 +631,6 @@ def solve_newton_raphson(
 # one entry, looked up by name on each call: the benchmark traces island solves
 # by replacing _SOLVERS["nr"], and callers pass method="nr"
 _SOLVERS = {"nr": solve_newton_raphson}
-
-
-class IslandMemo:
-    """The islands solved during one search, so that each distinct island is solved once.
-
-    A branch exchange changes only the islands on one loop, and power flow
-    is deterministic, so an island met again is answered from the memo.
-    The key is the island's root and its branch positions as ascending
-    int32 bytes, 4 B a branch (a frozenset of ids holds about 32 B per
-    branch).  An entry keeps only the final complex voltages, 16 B a bus,
-    and the solve's outcome: converged, iterations, max mismatch and slack
-    P/Q.  A hit rebuilds the island's part through the tail a solve ends
-    with, so it has the solve's bits.  `solves` counts the islands solved
-    (one per entry) and `hits` the islands answered from the memo.
-
-    A memo holds the results of one case under one set of solver options;
-    a search makes its own and drops it when it returns.
-    """
-
-    def __init__(self) -> None:
-        self._solved: dict[tuple[int, bytes], tuple] = {}
-        self.solves = 0
-        self.hits = 0
-
-    def part(
-        self,
-        solver: Callable[..., PowerFlowSolution],
-        case: NetworkCase,
-        island: Island,
-        config: Configuration,
-        options: SolverOptions,
-        sending: np.ndarray,
-    ) -> PowerFlowSolution:
-        """The island's part of a solution: `solver`'s on a first meeting, else rebuilt from the memo."""
-        buses, branches = _island_positions(_compiled_case(case), island)
-        key = (island.root, branches.astype(np.int32).tobytes())
-        solved = self._solved.get(key)
-        if solved is not None:
-            self.hits += 1
-            v, *outcome = solved
-            return _island_part(case, island.root, buses, branches, v, sending, *outcome)
-        part = solver(case, island, config, options, sending=sending)
-        result, = part.islands
-        self._solved[key] = (
-            part.voltages.values,
-            result.converged,
-            result.iterations,
-            result.max_mismatch,
-            result.slack_p_mw,
-            result.slack_q_mvar,
-        )
-        self.solves += 1
-        return part
 
 
 # branch_flows writes the complex products of i = y*v and s = v*conj(i) out
@@ -771,30 +687,32 @@ def branch_flows(
     return BranchFlows(ids, compiled.bus_ids[ends], power * base, current_mag), loss_pu * base
 
 
+def sending_ends(case: NetworkCase, index: ForestIndex) -> np.ndarray:
+    """Per branch position, the bus position of its sending end: the end nearer the island root.
+
+    Open branches hold -1.
+    """
+    sending = np.full(_compiled_case(case).branch_ids.size, -1)
+    below = index.parent_branch >= 0
+    sending[index.parent_branch[below]] = index.parent[below]
+    return sending
+
+
 def solve_all_islands(
     case: NetworkCase,
     config: Configuration,
     options: SolverOptions = SolverOptions(),
     method: str = "nr",
-    memo: IslandMemo | None = None,
 ) -> PowerFlowSolution:
     """Solve every island of a radial configuration and merge the results.
 
-    Branch sending ends follow the trees: the end nearer the island root
-    sends, so downstream flow is positive.  With a memo, an island it has
-    met before is not solved again.
+    Branch sending ends follow the trees (sending_ends), so downstream flow
+    is positive.
     """
     solver = _SOLVERS[method]
     index = forest_index(case, config)
-    sending = np.full(_compiled_case(case).branch_ids.size, -1)
-    below = index.parent_branch >= 0
-    sending[index.parent_branch[below]] = index.parent[below]
-    parts = [
-        solver(case, island, config, options, sending=sending)
-        if memo is None
-        else memo.part(solver, case, island, config, options, sending)
-        for island in index.islands
-    ]
+    sending = sending_ends(case, index)
+    parts = [solver(case, island, config, options, sending=sending) for island in index.islands]
     results = tuple(result for part in parts for result in part.islands)
     total_loss = 0.0
     for part in parts:

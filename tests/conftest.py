@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dnr import exchange
 from dnr.caseio import parse_case
 from dnr.exchange import Rejection, SearchTrace, evaluate_candidate, improve
 from dnr.model import (
@@ -486,25 +487,63 @@ def oracle_branch_flows(case: NetworkCase, branch_ids, voltages, sending=None):
     return flows, loss_pu * base
 
 
-def assert_moves_score_as_fresh(
-    case: NetworkCase, start: Configuration, final: Configuration, trace: SearchTrace
-) -> None:
-    """Each move's fo_after has the bits of its exchange scored on its own, without an island memo.
+def outcome_fields(outcome) -> tuple:
+    """Every field of an evaluate_candidate outcome, each float as float.hex.
 
-    The moves are replayed from `start`: each is an exchange on the incumbent
-    of its time, which its acceptance moves on, and the last incumbent is
-    `final`.
+    The report (None when the candidate could not be scored): objective,
+    per-branch terms, each check's name, verdict and detail, feasibility;
+    then the rejection's reason and detail (None when it passed).
     """
+    if isinstance(outcome, Rejection):
+        report, rejected = outcome.report, (outcome.reason, outcome.detail)
+    else:
+        report, rejected = outcome[0], None
+    if report is None:
+        return None, rejected
+    return (
+        report.fo_value.hex(),
+        [(branch_id, term.hex()) for branch_id, term in report.per_branch_terms],
+        [(check.name, check.passed, check.detail) for check in report.constraints],
+        report.feasible,
+    ), rejected
+
+
+def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Configuration, SearchTrace]:
+    """Search from `start`, checking that the island memo changes no candidate's outcome.
+
+    Each evaluate_candidate call of the search is recorded and its outcome
+    compared, field by field, with a fresh call on the same configuration
+    without a memo.  The moves are then replayed from `start`: each is an
+    exchange on the incumbent of its time, its fo_after has the bits of the
+    fresh objective, and the last incumbent is the search's answer.
+    """
+    scored = []
+    evaluate = exchange.evaluate_candidate
+
+    def recorded(case, config, options, memo):
+        outcome = evaluate(case, config, options, memo)
+        scored.append((config, outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exchange, "evaluate_candidate", recorded)
+        final, trace = improve(case, start)
+    assert len(scored) == trace.evaluations
+    fresh = {}
+    for config, outcome in scored:
+        if not isinstance(outcome, Rejection):
+            assert outcome[1] is None  # a memo's report comes without a merged solution
+        fresh[config.closed] = outcome_fields(evaluate_candidate(case, config))
+        assert outcome_fields(outcome) == fresh[config.closed], sorted(config.closed)
     incumbent = start
     for move in trace.moves:
         candidate = incumbent.with_exchange(move.close_branch, move.open_branch)
-        outcome = evaluate_candidate(case, candidate)
-        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
-        fresh = None if report is None else report.fo_value.hex()
-        assert (None if move.fo_after is None else move.fo_after.hex()) == fresh, move
+        report = fresh[candidate.closed][0]
+        assert (None if move.fo_after is None else move.fo_after.hex()) == (report and report[0]), move
         if move.accepted:
             incumbent = candidate
     assert incumbent == final
+    return final, trace
 
 
 def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:

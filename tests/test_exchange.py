@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import assert_moves_score_as_fresh, two_bus_case
+from conftest import search_scores_as_fresh, two_bus_case
 from dnr.exchange import (
     InitialInfeasibleError,
     RejectReason,
@@ -310,8 +310,8 @@ class TestIslandMemo:
     """A search solves each distinct island once and answers the repeats from its memo."""
 
     def test_each_move_scores_as_a_fresh_evaluation(self, ieee14_case, ieee14_forest, ieee14_search):
-        final, trace = ieee14_search
-        assert_moves_score_as_fresh(ieee14_case, ieee14_forest.config, final, trace)
+        final, trace = search_scores_as_fresh(ieee14_case, ieee14_forest.config)
+        assert final == ieee14_search[0] and trace.moves == ieee14_search[1].moves
 
     def test_only_distinct_islands_reach_the_solver_in_each_search(
         self, ieee14_case, ieee14_forest, monkeypatch

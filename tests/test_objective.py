@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import two_bus_case
-from dnr.model import NotRadialError, make_config
-from dnr.objective import ConstraintCheck, ObjectiveReport, evaluate_fo, sort_key
+from dnr.model import Branch, Bus, BusKind, NetworkCase, NotRadialError, make_config
+from dnr.objective import ConstraintCheck, IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from dnr.powerflow import (
     BranchFlow,
     BranchFlows,
@@ -15,6 +15,7 @@ from dnr.powerflow import (
     IslandResult,
     NotConvergedError,
     PowerFlowSolution,
+    SolverOptions,
     solve_all_islands,
 )
 from dnr.topology import forest_index
@@ -112,6 +113,15 @@ class TestGuards:
         with pytest.raises(NotRadialError):
             evaluate_fo(triangle_case, config, solution)
 
+    def test_islands_must_match_the_configuration(self, five_bus_tworoot):
+        # the objective is assembled island by island: a solution without
+        # the configuration's islands, in root order, has nothing to score
+        config = make_config(five_bus_tworoot, {1, 2, 3})
+        solution = solve_all_islands(five_bus_tworoot, config)
+        for islands in ((), solution.islands[::-1]):
+            with pytest.raises(ValueError, match="islands"):
+                evaluate_fo(five_bus_tworoot, config, replace(solution, islands=islands))
+
 
 class TestConstraints:
     def test_voltage_band_violation_names_the_bus(self):
@@ -139,6 +149,40 @@ class TestConstraints:
         check = {c.name: c for c in report.constraints}["feeder_overload"]
         assert not check.passed
         assert "feeder 1" in check.detail
+
+    @pytest.mark.parametrize(
+        "load, check, named",
+        [
+            ({"v_min": 0.99}, "voltage_limits", "bus 4 at"),
+            ({"mva_limit": 30.0}, "current_limits", "branch 2 at"),
+        ],
+        ids=["voltage", "rating"],
+    )
+    def test_a_tie_between_islands_names_the_first_island(self, load, check, named):
+        # root 1 feeds bus 4 over branch 2 and root 2 feeds bus 3 over branch 1,
+        # with the same line and load: both islands break the check by the
+        # same excess, and the first island (root order), not the lower id, is named
+        buses = (
+            Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+            Bus(2, BusKind.FEEDER, v_setpoint=1.0),
+            *(Bus(i, p_load=80.0, q_load=30.0, v_min=load.get("v_min", 0.9)) for i in (3, 4)),
+        )
+        branches = tuple(
+            Branch(i, root, bus, r=0.01, x=0.05, mva_limit=load.get("mva_limit"))
+            for i, root, bus in ((1, 2, 3), (2, 1, 4))
+        )
+        case = NetworkCase(100.0, buses, branches, roots=(1, 2))
+        config = make_config(case, {1, 2})
+        solution = solve_all_islands(case, config)
+        # the two islands solve alike, to the bit
+        assert solution.v_mag[3] == solution.v_mag[4]
+        assert (solution.flows.power[0] == solution.flows.power[1]).all()
+        memo = IslandMemo()
+        for report in (evaluate_fo(case, config, solution), memo.report(case, config, SolverOptions())):
+            failed = [c for c in report.constraints if not c.passed]
+            assert [c.name for c in failed] == [check]
+            assert failed[0].detail.startswith(named), failed[0].detail
+        assert memo.solves == 2
 
     def test_all_four_checks_always_reported(self, six_bus_case):
         config = make_config(six_bus_case, {1, 2, 3, 4})

@@ -532,10 +532,10 @@ class TestCompiledLayers:
         for island in islands.values():
             _assert_admittance_matches_oracle(ieee14_case, island)
         # 44 solves: 41 distinct search islands, the meshed network and the
-        # final solve's two; an island the search's memo answers is not
-        # solved again, but its flows are computed, as a solve's are
+        # final solve's two; an island the search's memo answers is neither
+        # solved nor given flows again, so each solve computes flows once
         assert len(ieee14_recorded["solves"]) == 44
-        assert len(ieee14_recorded["flows"]) == 107
+        assert len(ieee14_recorded["flows"]) == 44
         for branch_ids, voltages, sending in ieee14_recorded["flows"]:
             _assert_flows_match_oracle(ieee14_case, branch_ids, voltages, sending)
 
