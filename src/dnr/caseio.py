@@ -89,15 +89,20 @@ def _promote_roots(case: NetworkCase) -> NetworkCase:
 
 def _num(line: str, lo: int, hi: int, line_no: int, default: float = 0.0) -> float:
     """The finite number in columns lo+1..hi, `default` when they are blank."""
-    raw = line[lo:hi].strip() if len(line) > lo else ""
-    if not raw:
-        return default
+    raw = line[lo:hi]
     try:
-        value = float(raw)
+        value = float(raw)  # float() ignores space padding itself
     except ValueError:
-        value = math.nan
+        # str.strip() also drops characters float() does not, such as \x1f
+        raw = raw.strip()
+        if not raw:
+            return default
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"bad numeric field {raw!r} in columns {lo + 1}-{hi}", line_no)
+        raise ParseError(f"bad numeric field {raw.strip()!r} in columns {lo + 1}-{hi}", line_no)
     return value
 
 

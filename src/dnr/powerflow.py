@@ -564,6 +564,17 @@ def _finish(
     return PowerFlowSolution(v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,))
 
 
+def _usable(dx: np.ndarray, vm: np.ndarray) -> bool:
+    """Whether a Newton step may be taken: `dx` is finite and `vm`, the magnitudes it gives, are above zero.
+
+    A step that is not finite comes from a singular Jacobian.  No operating
+    point has a magnitude at or below zero, and a solve that steps there
+    has, on every case tested, either run on to its cap or reached a
+    low-voltage root that is not the operating point.
+    """
+    return bool(np.isfinite(dx).all() and (vm > 0.0).all())
+
+
 def solve_newton_raphson(
     case: NetworkCase,
     island: Island,
@@ -575,9 +586,10 @@ def solve_newton_raphson(
 
     Regulated buses hold their setpoint until a reactive limit binds, then
     drop to constant-Q.  Non-convergence is reported on the solution, not
-    raised; the last iterate is returned, where the iteration cap or a
-    singular Jacobian stopped the loop.  `sending` orients the branch flows,
-    as branch_flows takes it.
+    raised; the last iterate is returned, where the iteration cap stopped the
+    loop or before a step it could not take: a non-finite one (a singular
+    Jacobian) or one that would leave a bus voltage magnitude at zero or
+    below.  `sending` orients the branch flows, as branch_flows takes it.
     """
     if config is not None and not island.branches <= config.closed:
         raise ValueError("island branches are not closed in the given configuration")
@@ -615,12 +627,12 @@ def solve_newton_raphson(
             pattern = patterns[split] = jacobian_pattern(ybus, pvpq, pq, buses)
         jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern, ibus)
         dx = _newton_step(jac, f, pattern)
-        if not np.isfinite(dx).all():
-            break  # singular Jacobian: keep the last iterate, converged stays False
         va = np.angle(setup.v)
         vm = np.abs(setup.v)
         va[pvpq] += dx[: pvpq.size]
         vm[pq] += dx[pvpq.size :]
+        if not _usable(dx, vm):
+            break  # keep the last iterate, converged stays False
         setup.v = vm * np.exp(1j * va)
     # a converged loop stopped right after computing the injections at the final v
     return _finish(

@@ -563,11 +563,10 @@ def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:
     return out
 
 
-def two_bus_oracle(v1: float, p_pu: float, q_pu: float, r: float, x: float) -> dict[str, float]:
-    """Exact single-line solution by bisection on the voltage-squared quadratic.
+def _two_bus_quadratic(v1: float, p_pu: float, q_pu: float, r: float, x: float):
+    """g(z) whose upper root z = |V2|^2 is the single line's operating point, and g's vertex.
 
-    z = |V2|^2 solves z^2 + (2(Pr+Qx) - V1^2) z + (P^2+Q^2)(r^2+x^2) = 0;
-    the operating point is the upper root.  Loads must be nonnegative.
+    z solves z^2 + (2(Pr+Qx) - V1^2) z + (P^2+Q^2)(r^2+x^2) = 0.
     """
     b = 2.0 * (p_pu * r + q_pu * x) - v1 * v1
     c = (p_pu * p_pu + q_pu * q_pu) * (r * r + x * x)
@@ -575,7 +574,23 @@ def two_bus_oracle(v1: float, p_pu: float, q_pu: float, r: float, x: float) -> d
     def g(z: float) -> float:
         return z * z + b * z + c
 
-    lo, hi = -b / 2.0, v1 * v1  # vertex up to the no-drop bound brackets the root
+    return g, -b / 2.0
+
+
+def two_bus_has_root(v1: float, p_pu: float, q_pu: float, r: float, x: float) -> bool:
+    """Whether the line can deliver the load: the quadratic's vertex is at or below zero."""
+    g, vertex = _two_bus_quadratic(v1, p_pu, q_pu, r, x)
+    return g(vertex) <= 0.0
+
+
+def two_bus_oracle(v1: float, p_pu: float, q_pu: float, r: float, x: float) -> dict[str, float]:
+    """Exact single-line solution by bisection on the voltage-squared quadratic.
+
+    The operating point is the upper root (see _two_bus_quadratic).  Loads
+    must be nonnegative.
+    """
+    g, lo = _two_bus_quadratic(v1, p_pu, q_pu, r, x)
+    hi = v1 * v1  # vertex up to the no-drop bound brackets the root
     assert g(lo) <= 0.0 <= g(hi), "load beyond the line's deliverable limit"
     for _ in range(200):
         mid = 0.5 * (lo + hi)

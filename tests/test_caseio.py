@@ -84,6 +84,13 @@ class TestCdfParsing:
             parse_case(ieee14_with_field(row, lo, hi, text), fmt="cdf")
         assert err.value.line_no == row + 1
 
+    @pytest.mark.parametrize(("text", "p_load"), [("  12.5", 12.5), ("\x1f 12.5", 12.5), ("\x1f", 0.0)])
+    def test_padding_is_what_str_strip_drops(self, text, p_load):
+        # \x1f is whitespace to str.strip() but not to float(); a field
+        # holding only padding is blank
+        case = parse_case(ieee14_with_field(4, 40, 49, text), fmt="cdf")
+        assert case.bus_by_id[3].p_load == p_load
+
     def test_missing_sections_fail(self):
         title = " " * 31 + "100.0"  # a valid title card and nothing else
         with pytest.raises(ParseError, match="bus data"):

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import deep_chain, ieee14_with_field, two_bus_case
+from conftest import DATA_DIR, deep_chain, ieee14_with_field, two_bus_case, two_bus_has_root
 from dnr import cli
-from dnr.caseio import write_native_case
+from dnr.caseio import parse_case, write_native_case
 from dnr.cli import main
 
 
@@ -256,6 +256,21 @@ class TestPowerflow:
         rc = main(["powerflow", str(cdf_path), "--max-iter", "1"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_a_collapsing_island_stops_before_the_cap(self, capsys):
+        # the committed case's load is past what its one line can deliver;
+        # a Newton step drives bus 2 through zero magnitude long before the
+        # default cap of 30
+        path = DATA_DIR / "two_bus_collapse.json"
+        case = parse_case(path.read_text())
+        line, load = case.branches[0], case.bus_by_id[2]
+        base = case.base_mva
+        v1 = case.bus_by_id[1].v_setpoint
+        assert not two_bus_has_root(v1, load.p_load / base, load.q_load / base, line.r, line.x)
+        rc = main(["powerflow", str(path)])
+        first = capsys.readouterr().out.splitlines()[0]
+        assert rc == 1
+        assert first.startswith("island 1: 2 buses, DID NOT CONVERGE in 5 iterations")
 
     def test_format_override_beats_extension(self, tmp_path, capsys, ieee14_text):
         path = tmp_path / "ieee14.dat"  # unknown suffix, explicit format

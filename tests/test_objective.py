@@ -76,6 +76,20 @@ class TestObjectiveValue:
         )
         assert {bid for bid, _ in report.per_branch_terms} == set(config.closed)
 
+    def test_terms_read_as_the_tuple_they_stand_for(self, ieee14_case, ieee14_forest):
+        # a report makes its (branch id, MWh) pairs when they are first read
+        config = ieee14_forest.config
+        report = evaluate_fo(ieee14_case, config, solve_all_islands(ieee14_case, config))
+        pairs = tuple(report.per_branch_terms)
+        assert [bid for bid, _ in pairs] == sorted(config.closed)
+        assert report.per_branch_terms == pairs and pairs == report.per_branch_terms
+        assert len(report.per_branch_terms) == len(pairs)
+        assert report.per_branch_terms[-1] == pairs[-1]
+        assert repr(report.per_branch_terms) == repr(pairs)
+        as_built = ObjectiveReport(report.fo_value, pairs, report.constraints, report.feasible)
+        assert report == as_built and hash(report) == hash(as_built)
+        assert report != ObjectiveReport(report.fo_value, pairs[:-1], report.constraints, report.feasible)
+
     def test_load_growth_never_cuts_the_objective(self, triangle_case):
         # same topology, stepped load at the far bus
         values = []

@@ -18,9 +18,11 @@ from conftest import (
     random_radial_feeder,
     solve_gauss_seidel,
     two_bus_case,
+    two_bus_has_root,
     two_bus_oracle,
 )
 from dnr import powerflow
+from dnr.caseio import parse_case
 from dnr.exchange import improve
 from dnr.model import (
     Branch,
@@ -183,6 +185,8 @@ class TestNewtonRaphson:
         case = two_bus_case(5000.0, 2000.0)  # far beyond the line's capability
         solution = solve_newton_raphson(case, _whole_island(case))
         assert not solution.converged
+        # the first step drives bus 2 through zero magnitude, which ends the solve
+        assert solution.iterations < SolverOptions().max_iterations
 
     def test_reactive_limit_clamps_the_machine(self):
         # holding 1.05 pu at bus 2 needs more than 5 MVAr, so it drops to PQ
@@ -208,6 +212,136 @@ class TestNewtonRaphson:
         injections = v * np.conj(ybus.toarray() @ v) * case.base_mva
         q_machine = injections[order.index(2)].imag + case.bus_by_id[2].q_load
         assert q_machine == pytest.approx(5.0, abs=1e-5)
+
+
+def _finite_only(dx: np.ndarray, vm: np.ndarray) -> bool:
+    """The step test without the zero-magnitude stop: such a solve runs on to its cap."""
+    return bool(np.isfinite(dx).all())
+
+
+def _scaled_loads(case: NetworkCase, scale: float) -> NetworkCase:
+    buses = tuple(
+        dataclasses.replace(bus, p_load=bus.p_load * scale, q_load=bus.q_load * scale)
+        for bus in case.buses
+    )
+    return dataclasses.replace(case, buses=buses)
+
+
+def _assert_the_exit_keeps_the_answer(case: NetworkCase, island: Island):
+    """The solve and its run-to-cap reference, checked against each other.
+
+    A solve that keeps its class keeps its answer: a converged one its
+    iteration count and its voltages bit for bit.  The exit only ends a solve
+    early, so the one change of class it can make is a converged reference
+    that it stops; that reference must have converged to a point other than
+    the one Gauss-Seidel finds from the same flat start.
+    """
+    solution = solve_newton_raphson(case, island)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "_usable", _finite_only)
+        reference = solve_newton_raphson(case, island)
+    assert solution.iterations <= reference.iterations
+    if solution.converged == reference.converged:
+        if solution.converged:
+            assert solution.iterations == reference.iterations
+            assert np.array_equal(solution.v_mag.values, reference.v_mag.values)
+            assert np.array_equal(solution.v_angle.values, reference.v_angle.values)
+        return solution, reference
+    assert reference.converged and not solution.converged
+    oracle = solve_gauss_seidel(case, island)
+    assert oracle.converged
+    assert np.abs(oracle.v_mag.values - reference.v_mag.values).max() > 0.1
+    return solution, reference
+
+
+class TestDivergenceExit:
+    """A Newton step through zero voltage magnitude ends the solve."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        r=st.floats(0.001, 0.2),
+        x=st.floats(0.001, 0.3),
+        v1=st.floats(0.95, 1.1),
+        angle=st.floats(0.0, np.pi / 2),
+        # the load as a share of the line's limit at its power factor, kept
+        # off the nose itself, where the two roots meet
+        share=st.one_of(st.floats(0.02, 0.95), st.floats(1.05, 5.0)),
+    )
+    def test_two_bus_converges_exactly_when_the_load_is_deliverable(self, r, x, v1, angle, share):
+        # for a load s(cos a, sin a) the quadratic's discriminant vanishes at
+        # s = V1^2 / (2 (r cos a + x sin a + |z|))
+        limit = v1 * v1 / (2.0 * (r * np.cos(angle) + x * np.sin(angle) + np.hypot(r, x)))
+        p, q = share * limit * np.cos(angle), share * limit * np.sin(angle)
+        case = two_bus_case(p * 100.0, q * 100.0, r=r, x=x, v1=v1)
+        solution = solve_newton_raphson(case, _whole_island(case))
+        assert solution.converged == two_bus_has_root(v1, p, q, r, x) == (share < 1.0)
+        if solution.converged:
+            # dV2/dP grows without bound toward the nose, so the tolerance's
+            # 1e-8 pu of mismatch is worth more than 1e-8 pu of voltage there
+            assert solution.v_mag[2] == pytest.approx(two_bus_oracle(v1, p, q, r, x)["v2"], abs=1e-6)
+
+    def test_a_step_is_usable_while_every_magnitude_stays_above_zero(self):
+        step = np.zeros(3)
+        assert powerflow._usable(step, np.array([1.0, 0.3, 1e-300]))
+        assert not powerflow._usable(step, np.array([1.0, 0.0, 0.9]))
+        assert not powerflow._usable(step, np.array([1.0, -0.2, 0.9]))
+        assert not powerflow._usable(np.array([0.0, np.nan, 0.0]), np.ones(3))
+        assert not powerflow._usable(np.array([0.0, np.inf, 0.0]), np.ones(3))
+
+    def test_the_solve_keeps_the_iterate_before_the_step(self):
+        # past the line's limit (tests/data/two_bus_collapse.json holds the
+        # same case); with no regulated bus, nothing moves the voltages
+        # between one step and the next mismatch, so the iterate kept is the
+        # one a solve capped an iteration earlier ends at
+        case = two_bus_case(800.0, 320.0)
+        island = _whole_island(case)
+        solution = solve_newton_raphson(case, island)
+        assert not solution.converged and solution.iterations == 5
+        before = solve_newton_raphson(case, island, options=SolverOptions(max_iterations=4))
+        assert (solution.v_mag[2], solution.v_angle[2]) == (before.v_mag[2], before.v_angle[2])
+
+    def test_ieee14_solves_keep_their_answers(self, ieee14_text):
+        rng = np.random.default_rng(14)
+        diverged = 0
+        for roots in ((1,), (1, 2), (1, 3), (1, 2, 3)):
+            base = parse_case(ieee14_text, fmt="cdf", roots=roots)
+            for scale in (0.5, 1.0, 2.0):
+                case = _scaled_loads(base, scale)
+                for _ in range(6):
+                    weights = {branch.id: float(rng.random()) for branch in case.branches}
+                    for island in split_islands(case, build_spanning_forest(case, weights).config):
+                        _, reference = _assert_the_exit_keeps_the_answer(case, island)
+                        diverged += not reference.converged
+        assert diverged >= 40
+
+    # about one island in five of these runs past its loadability limit
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        buses=st.integers(2, 40),
+        roots=st.integers(1, 2),
+        scale=st.floats(1.0, 40.0),
+    )
+    def test_seeded_feeders_keep_their_answers(self, seed, buses, roots, scale):
+        case = _scaled_loads(random_radial_feeder(seed, max(buses, roots + 1), roots), scale)
+        for island in split_islands(case, default_config(case)):
+            solution, reference = _assert_the_exit_keeps_the_answer(case, island)
+            assert solution.converged == reference.converged
+
+    def test_a_root_reached_past_zero_magnitude_is_not_the_operating_point(self, ieee14_text):
+        # IEEE-14 at half load; the island fed from bus 2 reaches regulated
+        # bus 6 only through buses 10 and 11.  Run to its cap, the solve
+        # passes bus magnitudes through zero at its fifth step and converges
+        # ten steps later to a low-voltage root near 0.25 pu, which
+        # Gauss-Seidel does not find: its solution holds every bus above 1 pu
+        case = _scaled_loads(parse_case(ieee14_text, fmt="cdf", roots=(1, 2)), 0.5)
+        config = make_config(case, {2, 3, 4, 8, 11, 13, 14, 15, 17, 18, 19, 20})
+        island = next(isl for isl in split_islands(case, config) if isl.root == 2)
+        solution, reference = _assert_the_exit_keeps_the_answer(case, island)
+        assert not solution.converged and solution.iterations == 5
+        assert reference.converged and reference.iterations == 15
+        assert min(reference.v_mag.values) < 0.3
+        assert min(solve_gauss_seidel(case, island).v_mag.values) > 1.0
 
 
 class TestGaussSeidel:
@@ -465,6 +599,7 @@ class _SolveWork:
     patterns: int = 0
     switches: int = 0  # calls of _apply_q_limits that changed the PV/PQ sets
     stale_products: int = 0  # Jacobians handed a Ybus @ v other than at their v
+    converged: bool | None = None
 
 
 @pytest.fixture(scope="module")
@@ -501,8 +636,11 @@ def ieee14_recorded(ieee14_case):
     solve = powerflow._SOLVERS["nr"]
 
     def recorded_solve(case, island, *args, **kwargs):
-        calls["solves"].append(_SolveWork(island))
-        return solve(case, island, *args, **kwargs)
+        work = _SolveWork(island)
+        calls["solves"].append(work)
+        solution = solve(case, island, *args, **kwargs)
+        work.converged = solution.converged
+        return solution
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powerflow, "build_admittance", wrap(
@@ -614,10 +752,11 @@ class TestJacobianPattern:
         # a bus that clamps and is released returns to a split the solve
         # already has a pattern for, so a solve builds fewer than one per switch
         solves = ieee14_recorded["solves"]
-        assert sum(work.jacobians for work in solves) == 548
+        assert sum(work.jacobians for work in solves) == 247
+        assert sum(work.jacobians for work in solves if work.converged) == 128
         for work in solves:
             assert work.patterns == len(work.splits), work.island
-        assert sum(work.patterns for work in solves) == 78
+        assert sum(work.patterns for work in solves) == 77
         assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
 
     def test_each_jacobian_reuses_the_product_at_its_voltages(self, ieee14_recorded):
