@@ -49,6 +49,7 @@ from .powerflow import (
     BranchFlow,
     BranchFlows,
     BusValues,
+    IslandPart,
     IslandResult,
     NotConvergedError,
     PowerFlowSolution,

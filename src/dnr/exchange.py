@@ -44,7 +44,7 @@ class SearchTrace:
     moves: list[Move] = field(default_factory=list)
     evaluations: int = 0  # candidates scored, each by one evaluate_candidate call
     surrogate_hits: int = 0
-    # the search's IslandMemo: islands solved, and islands answered without a solve
+    # the search's IslandMemo, read when the search returns: islands solved and answered without a solve
     island_solves: int = 0
     island_hits: int = 0
 
@@ -124,7 +124,6 @@ class _Search:
         """
         outcome = evaluate_candidate(self.case, config, self.options, self.memo)
         self.trace.evaluations += 1
-        self.trace.island_solves, self.trace.island_hits = self.memo.solves, self.memo.hits
         if isinstance(outcome, Rejection):
             report, rejection = outcome.report, outcome
         else:
@@ -306,4 +305,5 @@ def improve(
         if swept is None:
             break  # certified: no single exchange improves
         config, key = swept
+    search.trace.island_solves, search.trace.island_hits = search.memo.solves, search.memo.hits
     return config, search.trace

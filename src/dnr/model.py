@@ -260,6 +260,9 @@ def validate_case(case: NetworkCase) -> list[Violation]:
             violations.append(
                 Violation("load_setpoint", f"load bus {bus.id} carries a voltage setpoint", bus_id=bus.id)
             )
+        elif bus.v_setpoint is not None and not bus.v_setpoint > 0.0:
+            message = f"bus {bus.id} voltage setpoint {bus.v_setpoint} is not positive"
+            violations.append(Violation("bad_setpoint", message, bus_id=bus.id))
 
     seen_branches: set[int] = set()
     for branch in case.branches:

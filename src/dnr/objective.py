@@ -21,6 +21,7 @@ from .model import (  # noqa: F401
     NetworkCase,
     NotRadialError,
     _compiled_case,
+    _find,
     forest,
     is_radial,
 )
@@ -118,9 +119,9 @@ _DIVERGED = IslandScore(False, np.empty(0), None, None, None)
 
 
 def _score_island(
-    case: NetworkCase, island: Island, v_mag: BusValues, flows: BranchFlows, result: IslandResult
+    case: NetworkCase, island: Island, v_mag: np.ndarray, power: np.ndarray, sending: np.ndarray, result: IslandResult
 ) -> IslandScore:
-    """The island's score, read from columns that hold at least its buses and branches.
+    """The island's score from `v_mag` per bus position, and `power` and the `sending` bus position per branch position.
 
     Every value has the bits of a scalar loop over the branches in id order:
     elementwise float64 arithmetic.
@@ -130,16 +131,15 @@ def _score_island(
     compiled = _compiled_case(case)
     base = case.base_mva
     buses, branches = island.bus_positions, island.branch_positions
-    rows = flows.rows(compiled.branch_ids[branches])
-    v = v_mag.take(flows.ends[rows, 0])
-    p = flows.power[rows, 0] / base
-    q = flows.power[rows, 1] / base
+    v = v_mag[buses.searchsorted(sending)]
+    p = power[:, 0] / base
+    q = power[:, 1] / base
     terms = compiled.resistance[branches] * (p * p + q * q) / (v * v)
     return IslandScore(
         True,
         terms,
-        _voltage_excess(case, buses, v_mag.take(compiled.bus_ids[buses])),
-        _current_excess(case, branches, flows.power[rows]),
+        _voltage_excess(case, buses, v_mag),
+        _current_excess(case, branches, power),
         _feeder_excess(case, result),
     )
 
@@ -232,19 +232,22 @@ def evaluate_fo(
 ) -> ObjectiveReport:
     """Score a converged radial solution; closed branches carry unit weight.
 
-    Each island is scored from the solution's columns, and the report is
-    assembled from the scores, as an IslandMemo assembles a search's.
+    Each island's arrays are read out of the solution by id and scored, and
+    the report assembled, as an IslandMemo does with a solve's part.
     """
     if not solution.converged:
         raise NotConvergedError("objective needs a converged power flow")
     index = _radial_forest(case, config)
     if [r.root for r in solution.islands] != [island.root for island in index.islands]:
         raise ValueError("solution islands do not match the configuration's")
+    compiled = _compiled_case(case)
     v_mag, flows = BusValues.of(solution.v_mag), BranchFlows.of(solution.flows)
-    scores = [
-        _score_island(case, island, v_mag, flows, result)
-        for island, result in zip(index.islands, solution.islands)
-    ]
+    scores = []
+    for island, result in zip(index.islands, solution.islands):
+        rows = flows.rows(compiled.branch_ids[island.branch_positions])
+        v = v_mag.values[v_mag.rows(compiled.bus_ids[island.bus_positions])]
+        sending = _find(compiled.bus_ids, flows.ends[rows, 0])
+        scores.append(_score_island(case, island, v, flows.power[rows], sending, result))
     return _report(case, index, scores)
 
 
@@ -284,9 +287,8 @@ class IslandMemo:
                 if sending is None:
                     sending = sending_ends(case, index)
                 part = _SOLVERS["nr"](case, island, config, options, sending=sending)
-                result, = part.islands
                 score = self._scores[key] = _score_island(
-                    case, island, BusValues.of(part.v_mag), BranchFlows.of(part.flows), result
+                    case, island, np.hypot(part.v.real, part.v.imag), part.power, part.ends[:, 0], part.islands[0]
                 )
                 self.solves += 1
             else:

@@ -25,6 +25,7 @@ from .model import (
     _compiled_case,
     _find,
     _positions,
+    _reachable,
 )
 from .topology import forest_index
 
@@ -65,16 +66,29 @@ class IslandResult:
     slack_q_mvar: float
 
 
+@dataclass(frozen=True, slots=True)
+class IslandPart:
+    """One island's solve in compiled positions: `v` per bus position, the rest per branch position.
+
+    `power` holds p_send, q_send, p_recv and q_recv in MW/MVAr, `ends` the sending
+    and receiving bus positions, and `islands` the IslandResult, with the loss, alone.
+    """
+
+    v: np.ndarray
+    power: np.ndarray
+    current_mag: np.ndarray
+    ends: np.ndarray
+    islands: tuple[IslandResult]
+
+
 class _Columns(Mapping):
     """A read-only mapping over parallel arrays, one row per id.
 
     It iterates in the order of `ids`, as the dict it stands for would, and
-    finds an id by binary search: in `ids` itself when they ascend, as one
-    island's do, else in a sorted copy made at the first lookup.
+    finds an id by binary search in a sorted copy made at the first lookup.
     """
 
     __slots__ = ("ids", "_sorted", "_sorter")
-    _fields: tuple[str, ...] = ()  # the per-row arrays besides `ids`
 
     def __init__(self, ids: np.ndarray):
         self.ids = ids
@@ -93,29 +107,16 @@ class _Columns(Mapping):
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """The row of each id in `keys`; KeyError names the first that is missing."""
-        if self._sorted is None:
-            if (self.ids[1:] > self.ids[:-1]).all():
-                self._sorted = self.ids
-            else:
-                self._sorter = np.argsort(self.ids)  # ids are unique: any sort will do
-                self._sorted = self.ids[self._sorter]
-        at = _find(self._sorted, keys)
-        return at if self._sorter is None else self._sorter[at]
-
-    @classmethod
-    def concat(cls, parts: list):
-        """The rows of every part, in order, as dict.update would merge them."""
-        parts = [cls.of(part) for part in parts]
-        if len(parts) == 1:
-            return parts[0]
-        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("ids", *cls._fields)))
+        if self._sorter is None:
+            self._sorter = np.argsort(self.ids)  # ids are unique: any sort will do
+            self._sorted = self.ids[self._sorter]
+        return self._sorter[_find(self._sorted, keys)]
 
 
 class BusValues(_Columns):
-    """Bus id -> a float (or complex) per bus, held as two arrays."""
+    """Bus id -> a float per bus, held as two arrays."""
 
     __slots__ = ("values",)
-    _fields = ("values",)
 
     def __init__(self, ids: np.ndarray, values: np.ndarray):
         super().__init__(ids)
@@ -123,10 +124,6 @@ class BusValues(_Columns):
 
     def _row(self, i: int):
         return self.values[i].item()
-
-    def take(self, keys: np.ndarray) -> np.ndarray:
-        """The values of the ids in `keys`, in that order."""
-        return self.values[self.rows(keys)]
 
     @classmethod
     def of(cls, values: Mapping[int, float]) -> BusValues:
@@ -145,7 +142,6 @@ class BranchFlows(_Columns):
     """
 
     __slots__ = ("ends", "power", "current_mag")
-    _fields = ("ends", "power", "current_mag")
 
     def __init__(self, ids: np.ndarray, ends: np.ndarray, power: np.ndarray, current_mag: np.ndarray):
         super().__init__(ids)
@@ -173,7 +169,7 @@ class BranchFlows(_Columns):
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages, flows and totals; a solve returns BusValues and BranchFlows views."""
+    """Voltages, flows and totals by id; solve_all_islands and solve_network give BusValues and BranchFlows."""
 
     v_mag: Mapping[int, float]
     v_angle: Mapping[int, float]  # radians
@@ -205,10 +201,12 @@ def _check_singular(compiled: _CompiledCase, branches: np.ndarray) -> None:
 
 
 def _island_positions(compiled: _CompiledCase, island: Island) -> tuple[np.ndarray, np.ndarray]:
-    """The island's buses and branches as ascending positions: carried by a forest's islands."""
+    """The island's buses and branches as ascending positions: carried by a forest's islands, checked on others."""
     if island.bus_positions is not None:
         return island.bus_positions, island.branch_positions
-    return _positions(compiled.bus_ids, island.buses), _positions(compiled.branch_ids, island.branches)
+    buses, branches = _positions(compiled.bus_ids, island.buses), _positions(compiled.branch_ids, island.branches)
+    _find(compiled.bus_ids[buses], compiled.bus_ids[compiled.ends[branches]].ravel())  # KeyError: an end it lacks
+    return buses, branches
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,18 +253,8 @@ def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matr
     return _csc(cells[first], data, n), compiled.bus_ids[buses].tolist()
 
 
-def power_mismatch(
-    ybus: sparse.spmatrix,
-    v: np.ndarray,
-    sbus: np.ndarray,
-    pvpq: np.ndarray,
-    pq: np.ndarray,
-) -> np.ndarray:
-    """[dP at PV+PQ buses; dQ at PQ buses] for the current voltage vector."""
-    return _mismatch(v * np.conj(ybus @ v), sbus, pvpq, pq)
-
-
 def _mismatch(scalc: np.ndarray, sbus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """[dP at PV+PQ buses; dQ at PQ buses] for the injections `scalc`, v * conj(Ybus v)."""
     mis = scalc - sbus
     return np.concatenate([mis[pvpq].real, mis[pq].imag])
 
@@ -369,7 +357,7 @@ def mismatch_jacobian(
     pattern: JacobianPattern | None = None,
     ibus: np.ndarray | None = None,
 ) -> sparse.csc_matrix:
-    """Jacobian of power_mismatch w.r.t. [angles at PV+PQ; magnitudes at PQ].
+    """Jacobian of the power mismatch (_mismatch) w.r.t. [angles at PV+PQ; magnitudes at PQ].
 
     Filled entry-wise on the stored pattern of Ybus, after MATPOWER's
     dSbus_dV: each stored y_rc gives dS_r/dVa_c = -j*v_r*conj(y_rc*v_c) and
@@ -543,8 +531,8 @@ def _finish(
     max_mismatch: float,
     sending: np.ndarray | None,
     scalc: np.ndarray | None = None,
-) -> PowerFlowSolution:
-    """The solution at `setup.v`; `scalc`, the injections there, is computed when not given."""
+) -> IslandPart:
+    """The island's part at `setup.v`; `scalc`, the injections there, is computed when not given."""
     base = case.base_mva
     v = setup.v
     if scalc is None:
@@ -552,16 +540,11 @@ def _finish(
     root_bus = case.bus_by_id[island.root]
     slack_p = float(scalc[setup.slack].real * base + root_bus.p_load)
     slack_q = float(scalc[setup.slack].imag * base + root_bus.q_load)
-    ids = _compiled_case(case).bus_ids[setup.buses]
-    # np.hypot is the C hypot that Python abs calls on a complex, so each
-    # magnitude has the scalar's bits (array np.abs rounds differently)
-    v_mag = BusValues(ids, np.hypot(v.real, v.imag))
-    v_angle = BusValues(ids, np.angle(v))
-    flows, loss_mw = branch_flows(case, setup.branches, BusValues(ids, v), sending)
-    result = IslandResult(
-        island.root, tuple(ids.tolist()), converged, iterations, max_mismatch, loss_mw, slack_p, slack_q
-    )
-    return PowerFlowSolution(v_mag, v_angle, flows, loss_mw, converged, iterations, max_mismatch, (result,))
+    voltages = np.empty(_compiled_case(case).bus_ids.size, dtype=complex)  # read at the island's buses only
+    voltages[setup.buses] = v
+    ends, power, current_mag, loss_mw = branch_flows(case, setup.branches, voltages, sending)
+    result = IslandResult(island.root, tuple(setup.order), converged, iterations, max_mismatch, loss_mw, slack_p, slack_q)
+    return IslandPart(v, power, current_mag, ends, (result,))
 
 
 def _usable(dx: np.ndarray, vm: np.ndarray) -> bool:
@@ -581,7 +564,7 @@ def solve_newton_raphson(
     config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
     sending: np.ndarray | None = None,
-) -> PowerFlowSolution:
+) -> IslandPart:
     """Full Newton power flow on one island; the root is the slack bus.
 
     Regulated buses hold their setpoint until a reactive limit binds, then
@@ -664,23 +647,22 @@ _SWAP_ENDS = np.array([2, 3, 0, 1])
 def branch_flows(
     case: NetworkCase,
     branches: np.ndarray,
-    voltages: Mapping[int, complex],
+    voltages: np.ndarray,
     sending: np.ndarray | None = None,
-) -> tuple[BranchFlows, float]:
-    """Per-branch power entering each end, in MW/MVAr, plus the summed loss.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-branch ends, power entering each end in MW/MVAr and sending-end current in pu, plus the summed loss.
 
     `branches` are ascending branch positions in the case's compiled form
-    (branch ids sorted).  `sending` holds, per branch position, the bus
-    position of its sending end, as solve_all_islands takes it from the
-    forest's parents; without it the from end sends, which is only
-    meaningful on meshed snapshots.
+    (branch ids sorted), `voltages` holds a complex voltage per bus
+    position.  `sending` holds, per branch position, the bus position of
+    its sending end, as solve_all_islands takes it from the forest's
+    parents; without it the from end sends, which is only meaningful on
+    meshed snapshots.  The ends returned are bus positions too.
     """
     compiled = _compiled_case(case)
     _check_singular(compiled, branches)
-    ids = compiled.branch_ids[branches]
     ends = compiled.ends[branches]
-    v = BusValues.of(voltages).take(compiled.bus_ids[ends].ravel()).astype(complex, copy=False)
-    v = v.reshape(-1, 2).view(float)
+    v = voltages[ends].astype(complex, copy=False).view(float)
     v = np.concatenate([v, -v], axis=1)
     prod = compiled.stamp[branches].view(float)[:, _CURRENT_Y] * v[:, _CURRENT_V]
     current = (prod[:, :, 0] + prod[:, :, 1]) + (prod[:, :, 2] + prod[:, :, 3])
@@ -696,7 +678,7 @@ def branch_flows(
     base = case.base_mva
     # the sending end's current; np.hypot has the bits of Python abs on a complex
     current_mag = np.hypot(current[:, 0], current[:, 1])
-    return BranchFlows(ids, compiled.bus_ids[ends], power * base, current_mag), loss_pu * base
+    return ends, power * base, current_mag, loss_pu * base
 
 
 def sending_ends(case: NetworkCase, index: ForestIndex) -> np.ndarray:
@@ -708,6 +690,31 @@ def sending_ends(case: NetworkCase, index: ForestIndex) -> np.ndarray:
     below = index.parent_branch >= 0
     sending[index.parent_branch[below]] = index.parent[below]
     return sending
+
+
+def _merge(case: NetworkCase, islands: tuple[Island, ...], parts: list[IslandPart]) -> PowerFlowSolution:
+    """The islands' parts keyed by id in one solution, in order, as dict.update would merge them."""
+    compiled = _compiled_case(case)
+    results = tuple(part.islands[0] for part in parts)
+    bus_ids = compiled.bus_ids[np.concatenate([island.bus_positions for island in islands])]
+    v = np.concatenate([part.v for part in parts])
+    # np.hypot is the C hypot that Python abs calls on a complex, so each
+    # magnitude has the scalar's bits (array np.abs rounds differently)
+    return PowerFlowSolution(
+        BusValues(bus_ids, np.hypot(v.real, v.imag)),
+        BusValues(bus_ids, np.angle(v)),
+        BranchFlows(
+            compiled.branch_ids[np.concatenate([island.branch_positions for island in islands])],
+            compiled.bus_ids[np.concatenate([part.ends for part in parts])],
+            np.concatenate([part.power for part in parts]),
+            np.concatenate([part.current_mag for part in parts]),
+        ),
+        sequential_sum(np.array([r.loss_mw for r in results])),
+        all(r.converged for r in results),
+        max(r.iterations for r in results),
+        max(r.max_mismatch for r in results),
+        results,
+    )
 
 
 def solve_all_islands(
@@ -725,20 +732,7 @@ def solve_all_islands(
     index = forest_index(case, config)
     sending = sending_ends(case, index)
     parts = [solver(case, island, config, options, sending=sending) for island in index.islands]
-    results = tuple(result for part in parts for result in part.islands)
-    total_loss = 0.0
-    for part in parts:
-        total_loss += part.total_loss_mw
-    return PowerFlowSolution(
-        BusValues.concat([part.v_mag for part in parts]),
-        BusValues.concat([part.v_angle for part in parts]),
-        BranchFlows.concat([part.flows for part in parts]),
-        total_loss,
-        all(r.converged for r in results),
-        max((r.iterations for r in results), default=0),
-        max((r.max_mismatch for r in results), default=0.0),
-        results,
-    )
+    return _merge(case, index.islands, parts)
 
 
 def solve_network(
@@ -754,8 +748,6 @@ def solve_network(
     their setpoint like any regulated machine.  Every bus must be connected
     to the slack through closed branches.
     """
-    from .model import _reachable
-
     slack = case.roots[0] if slack is None else slack
     reached = _reachable(case.adjacency, slack, config.closed)
     if len(reached) != len(case.buses):
@@ -764,4 +756,4 @@ def solve_network(
     compiled = _compiled_case(case)
     closed = _positions(compiled.branch_ids, config.closed)
     island = Island(slack, compiled.all_buses, config.closed, compiled.bus_positions, closed)
-    return _SOLVERS[method](case, island, config, options)
+    return _merge(case, (island,), [_SOLVERS[method](case, island, config, options)])

@@ -37,14 +37,14 @@ from dnr.model import (
 )
 from dnr.powerflow import (
     BranchFlow,
+    IslandPart,
     JacobianPattern,
-    PowerFlowSolution,
     SingularBranchError,
     SolverOptions,
     _apply_q_limits,
     _classify,
     _finish,
-    power_mismatch,
+    _mismatch,
     solve_network,
 )
 from dnr.topology import (
@@ -618,12 +618,13 @@ def solve_gauss_seidel(
     island: Island,
     config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
-    sending: dict[int, int] | None = None,
-) -> PowerFlowSolution:
+    sending: np.ndarray | None = None,
+) -> IslandPart:
     """Gauss-Seidel sweeps; slow but independent of the Newton machinery.
 
     Shares the package's bus classification, reactive-limit handling and
-    result assembly, and uses only `options.tolerance`: the sweep cap is
+    result assembly, so it returns an IslandPart as solve_newton_raphson
+    does, and uses only `options.tolerance`: the sweep cap is
     GAUSS_SEIDEL_MAX_SWEEPS, since the method converges linearly.
     """
     if config is not None and not island.branches <= config.closed:
@@ -643,7 +644,7 @@ def solve_gauss_seidel(
             _apply_q_limits(case, setup, ibus, setup.v * np.conj(ibus))
         pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
         pq = np.array(setup.pq, dtype=int)
-        f = power_mismatch(setup.ybus, setup.v, setup.sbus, pvpq, pq)
+        f = _mismatch(setup.v * np.conj(setup.ybus @ setup.v), setup.sbus, pvpq, pq)
         max_mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         if max_mismatch <= tol:
             converged = True
@@ -671,7 +672,8 @@ def fd_jacobian(ybus, v, sbus, pvpq, pq, h: float = 1e-6) -> np.ndarray:
     va, vm = np.angle(v), np.abs(v)
 
     def f(va_, vm_):
-        return power_mismatch(ybus, vm_ * np.exp(1j * va_), sbus, pvpq, pq)
+        v_ = vm_ * np.exp(1j * va_)
+        return _mismatch(v_ * np.conj(ybus @ v_), sbus, pvpq, pq)
 
     cols = []
     for idx in pvpq:

@@ -97,6 +97,17 @@ class TestValidate:
         assert rc == 1
         assert "missing_bus" in out
 
+    def test_a_non_positive_setpoint_fails_validation(self, capsys):
+        # the committed case's feeder holds -1.0 pu; a solve would start
+        # bus 2 opposite its slack
+        path = str(DATA_DIR / "negative_setpoint.json")
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == "bad_setpoint: bus 1 voltage setpoint -1.0 is not positive\n"
+        assert main(["powerflow", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad_setpoint:")
+
     def test_reconfigure_refuses_invalid_input(self, tmp_path, capsys):
         case = two_bus_case(10.0, 5.0)
         broken = dataclasses.replace(

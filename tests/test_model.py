@@ -150,6 +150,15 @@ class TestValidateCase:
             case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
             assert {v.code for v in validate_case(case)} == {"bad_interval"}
 
+    def test_a_regulated_setpoint_must_be_positive(self):
+        line = (Branch(1, 1, 2, r=0.01, x=0.02),)
+        for setpoint in (-1.0, 0.0, float("nan")):
+            feeder = (Bus(1, BusKind.FEEDER, v_setpoint=setpoint), Bus(2))
+            machine = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2, BusKind.GENERATOR, v_setpoint=setpoint))
+            for buses, bus_id in ((feeder, 1), (machine, 2)):
+                violations = validate_case(NetworkCase(100.0, buses, line, (1,)))
+                assert [(v.code, v.bus_id) for v in violations] == [("bad_setpoint", bus_id)]
+
     def test_root_listed_twice(self):
         # each root is an island's slack; a repeated one cannot split the case
         buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2))

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import two_bus_case
-from dnr.model import Branch, Bus, BusKind, NetworkCase, NotRadialError, make_config
+from conftest import bench_feeders, two_bus_case
+from dnr.caseio import parse_case
+from dnr.model import Branch, Bus, BusKind, NetworkCase, NotRadialError, default_config, make_config
 from dnr.objective import ConstraintCheck, IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from dnr.powerflow import (
     BranchFlow,
@@ -222,9 +223,10 @@ def _as_dicts(solution: PowerFlowSolution) -> PowerFlowSolution:
 
 
 class TestColumnarSolution:
-    """A solve keeps per-bus and per-branch values as columns behind
-    read-only mappings; the objective reads the columns and must score them
-    exactly as it scores the dicts they stand for."""
+    """A merged solution keeps per-bus and per-branch values as columns
+    behind read-only mappings; the objective reads the columns into each
+    island's positions and must score them exactly as it scores the dicts
+    they stand for."""
 
     def test_hand_built_dicts_and_their_columns_score_alike(self):
         case = two_bus_case(98.75, 43.75, r=0.01, x=0.05)
@@ -248,6 +250,7 @@ class TestColumnarSolution:
             ("sagging", {1}),
             ("rated", {1}),
             ("overloaded_feeder", {1}),
+            ("two_feeders", None),  # the generator's radial default
         ],
     )
     def test_solved_islands_score_as_their_dicts(self, request, case_name, closed):
@@ -255,9 +258,15 @@ class TestColumnarSolution:
             "sagging": lambda: two_bus_case(80.0, 30.0, v_min=0.99),
             "rated": lambda: two_bus_case(50.0, 20.0, mva_limit=30.0),
             "overloaded_feeder": lambda: two_bus_case(50.0, 20.0, q_min=-1.0, q_max=1.0),
+            "two_feeders": lambda: parse_case(bench_feeders().generate(1, 2, 30, 3)[0], fmt="json"),
         }.get(case_name, lambda: request.getfixturevalue(case_name))()
-        config = make_config(case, closed)
+        config = default_config(case) if closed is None else make_config(case, closed)
         solution = solve_all_islands(case, config)
+        if case_name == "two_feeders":
+            # merged island by island, the ids do not ascend: each island's
+            # arrays are read through a sorted copy of them
+            assert list(solution.v_mag) != sorted(solution.v_mag)
+            assert list(solution.flows) != sorted(solution.flows)
         assert isinstance(solution.v_mag, BusValues) and isinstance(solution.flows, BranchFlows)
         # the key order of the dicts merged island by island: buses in id
         # order within an island, then branches in id order within it
@@ -265,7 +274,10 @@ class TestColumnarSolution:
         assert list(solution.v_mag) == [bus for island in islands for bus in sorted(island.buses)]
         assert list(solution.v_angle) == list(solution.v_mag)
         assert list(solution.flows) == [b for island in islands for b in sorted(island.branches)]
-        assert evaluate_fo(case, config, solution) == evaluate_fo(case, config, _as_dicts(solution))
+        report = evaluate_fo(case, config, solution)
+        assert report == evaluate_fo(case, config, _as_dicts(solution))
+        # and as a memo scores the solves' parts, read in positions from the start
+        assert report == IslandMemo().report(case, config, SolverOptions())
 
     def test_ieee14_forest_scores_as_its_dicts(self, ieee14_case, ieee14_forest):
         solution = solve_all_islands(ieee14_case, ieee14_forest.config)

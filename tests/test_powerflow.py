@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    bench_feeders,
     dense_jacobian,
     fd_jacobian,
     oracle_admittance,
@@ -48,6 +49,7 @@ from dnr.powerflow import (
     jacobian_pattern,
     leaves_first,
     mismatch_jacobian,
+    sending_ends,
     solve_all_islands,
     solve_network,
     solve_newton_raphson,
@@ -65,6 +67,18 @@ IEEE14_V = {
 
 def _whole_island(case: NetworkCase) -> Island:
     return Island(case.roots[0], frozenset(case.bus_by_id), frozenset(case.branch_by_id))
+
+
+def _solve(case: NetworkCase, island: Island | None = None, **kwargs):
+    """One Newton solve's part and its IslandResult, on the whole case unless an island is given."""
+    part = solve_newton_raphson(case, _whole_island(case) if island is None else island, **kwargs)
+    result, = part.islands
+    return part, result
+
+
+def _solve_by_id(case: NetworkCase, **kwargs):
+    """The whole case solved as one network, its values keyed by id."""
+    return solve_network(case, all_closed_config(case), **kwargs)
 
 
 class TestAdmittance:
@@ -103,6 +117,14 @@ class TestAdmittance:
             expected[pos[branch.to_bus]] += bc + ys - ys / t
         assert np.allclose(ybus.toarray().sum(axis=1), expected, atol=1e-12)
 
+    def test_a_hand_built_island_holds_its_branch_ends(self):
+        case = two_bus_case(50.0, 20.0)
+        island = Island(1, frozenset({1}), frozenset({1}))  # branch 1 also reaches bus 2
+        with pytest.raises(KeyError, match="2"):
+            build_admittance(case, island)
+        with pytest.raises(KeyError, match="2"):
+            solve_newton_raphson(case, island)
+
     def test_zero_impedance_branch_rejected(self):
         case = NetworkCase(
             100.0,
@@ -113,7 +135,7 @@ class TestAdmittance:
         with pytest.raises(SingularBranchError):
             build_admittance(case, _whole_island(case))
         with pytest.raises(SingularBranchError):
-            branch_flows(case, np.array([0]), {1: 1.0 + 0j, 2: 1.0 + 0j})
+            branch_flows(case, np.array([0]), np.array([1.0 + 0j, 1.0 + 0j]))
 
 
 class TestNewtonRaphson:
@@ -130,7 +152,7 @@ class TestNewtonRaphson:
 
     def test_zero_load_two_bus_is_flat(self):
         case = two_bus_case(0.0, 0.0)
-        solution = solve_newton_raphson(case, _whole_island(case))
+        solution = _solve_by_id(case)
         assert solution.converged
         assert solution.iterations == 1  # flat start already satisfies the mismatch
         assert solution.total_loss_mw == pytest.approx(0.0, abs=1e-9)
@@ -140,7 +162,7 @@ class TestNewtonRaphson:
     def test_loaded_two_bus_matches_quadratic_oracle(self):
         case = two_bus_case(50.0, 20.0, r=0.01, x=0.05)
         oracle = two_bus_oracle(1.0, 0.5, 0.2, 0.01, 0.05)
-        solution = solve_newton_raphson(case, _whole_island(case))
+        solution = _solve_by_id(case)
         assert solution.converged
         assert solution.v_mag[2] == pytest.approx(oracle["v2"], abs=1e-8)
         assert solution.total_loss_mw == pytest.approx(oracle["loss_p"] * 100.0, abs=1e-6)
@@ -150,11 +172,9 @@ class TestNewtonRaphson:
 
     def test_iteration_cap_reported_as_divergence(self):
         case = two_bus_case(50.0, 20.0)
-        solution = solve_newton_raphson(
-            case, _whole_island(case), options=SolverOptions(max_iterations=1)
-        )
-        assert not solution.converged
-        assert solution.iterations == 1
+        _, result = _solve(case, options=SolverOptions(max_iterations=1))
+        assert not result.converged
+        assert result.iterations == 1
 
     def test_singular_jacobian_keeps_the_best_iterate(self, monkeypatch):
         # LAPACK (up to _DENSE_MAX unknowns) and SuperLU (above) both raise on
@@ -174,19 +194,19 @@ class TestNewtonRaphson:
             assert len(flat.pv) + 2 * len(flat.pq) == unknowns
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                solution = solve_newton_raphson(case, island)
-            assert not solution.converged
-            assert solution.iterations == 1
+                part, result = _solve(case, island)
+            assert not result.converged
+            assert result.iterations == 1
             # the flat start, never stepped from
-            assert [solution.v_mag[bus] for bus in flat.order] == list(np.abs(flat.v))
+            assert np.array_equal(part.v, flat.v)
         assert 2 <= _DENSE_MAX < 118
 
     def test_impossible_load_does_not_converge(self):
         case = two_bus_case(5000.0, 2000.0)  # far beyond the line's capability
-        solution = solve_newton_raphson(case, _whole_island(case))
-        assert not solution.converged
+        _, result = _solve(case)
+        assert not result.converged
         # the first step drives bus 2 through zero magnitude, which ends the solve
-        assert solution.iterations < SolverOptions().max_iterations
+        assert result.iterations < SolverOptions().max_iterations
 
     def test_reactive_limit_clamps_the_machine(self):
         # holding 1.05 pu at bus 2 needs more than 5 MVAr, so it drops to PQ
@@ -204,11 +224,11 @@ class TestNewtonRaphson:
             roots=(1,),
         )
         island = _whole_island(case)
-        solution = solve_newton_raphson(case, island)
-        assert solution.converged
-        assert solution.v_mag[2] < 1.05  # setpoint unreachable at the limit
+        part, result = _solve(case, island)
+        assert result.converged
         ybus, order = build_admittance(case, island)
-        v = np.array([solution.voltage(b) for b in order])
+        v = part.v  # in the island's bus order
+        assert abs(v[order.index(2)]) < 1.05  # setpoint unreachable at the limit
         injections = v * np.conj(ybus.toarray() @ v) * case.base_mva
         q_machine = injections[order.index(2)].imag + case.bus_by_id[2].q_load
         assert q_machine == pytest.approx(5.0, abs=1e-5)
@@ -236,22 +256,21 @@ def _assert_the_exit_keeps_the_answer(case: NetworkCase, island: Island):
     that it stops; that reference must have converged to a point other than
     the one Gauss-Seidel finds from the same flat start.
     """
-    solution = solve_newton_raphson(case, island)
+    part, solution = _solve(case, island)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powerflow, "_usable", _finite_only)
-        reference = solve_newton_raphson(case, island)
+        reference_part, reference = _solve(case, island)
     assert solution.iterations <= reference.iterations
     if solution.converged == reference.converged:
         if solution.converged:
             assert solution.iterations == reference.iterations
-            assert np.array_equal(solution.v_mag.values, reference.v_mag.values)
-            assert np.array_equal(solution.v_angle.values, reference.v_angle.values)
-        return solution, reference
+            assert np.array_equal(part.v, reference_part.v)
+        return part, reference_part
     assert reference.converged and not solution.converged
     oracle = solve_gauss_seidel(case, island)
-    assert oracle.converged
-    assert np.abs(oracle.v_mag.values - reference.v_mag.values).max() > 0.1
-    return solution, reference
+    assert oracle.islands[0].converged
+    assert np.abs(np.abs(oracle.v) - np.abs(reference_part.v)).max() > 0.1
+    return part, reference_part
 
 
 class TestDivergenceExit:
@@ -273,12 +292,12 @@ class TestDivergenceExit:
         limit = v1 * v1 / (2.0 * (r * np.cos(angle) + x * np.sin(angle) + np.hypot(r, x)))
         p, q = share * limit * np.cos(angle), share * limit * np.sin(angle)
         case = two_bus_case(p * 100.0, q * 100.0, r=r, x=x, v1=v1)
-        solution = solve_newton_raphson(case, _whole_island(case))
-        assert solution.converged == two_bus_has_root(v1, p, q, r, x) == (share < 1.0)
-        if solution.converged:
+        part, result = _solve(case)
+        assert result.converged == two_bus_has_root(v1, p, q, r, x) == (share < 1.0)
+        if result.converged:
             # dV2/dP grows without bound toward the nose, so the tolerance's
             # 1e-8 pu of mismatch is worth more than 1e-8 pu of voltage there
-            assert solution.v_mag[2] == pytest.approx(two_bus_oracle(v1, p, q, r, x)["v2"], abs=1e-6)
+            assert abs(part.v[1]) == pytest.approx(two_bus_oracle(v1, p, q, r, x)["v2"], abs=1e-6)
 
     def test_a_step_is_usable_while_every_magnitude_stays_above_zero(self):
         step = np.zeros(3)
@@ -295,10 +314,10 @@ class TestDivergenceExit:
         # one a solve capped an iteration earlier ends at
         case = two_bus_case(800.0, 320.0)
         island = _whole_island(case)
-        solution = solve_newton_raphson(case, island)
-        assert not solution.converged and solution.iterations == 5
-        before = solve_newton_raphson(case, island, options=SolverOptions(max_iterations=4))
-        assert (solution.v_mag[2], solution.v_angle[2]) == (before.v_mag[2], before.v_angle[2])
+        part, result = _solve(case, island)
+        assert not result.converged and result.iterations == 5
+        before, _ = _solve(case, island, options=SolverOptions(max_iterations=4))
+        assert np.array_equal(part.v, before.v)
 
     def test_ieee14_solves_keep_their_answers(self, ieee14_text):
         rng = np.random.default_rng(14)
@@ -311,7 +330,7 @@ class TestDivergenceExit:
                     weights = {branch.id: float(rng.random()) for branch in case.branches}
                     for island in split_islands(case, build_spanning_forest(case, weights).config):
                         _, reference = _assert_the_exit_keeps_the_answer(case, island)
-                        diverged += not reference.converged
+                        diverged += not reference.islands[0].converged
         assert diverged >= 40
 
     # about one island in five of these runs past its loadability limit
@@ -326,7 +345,7 @@ class TestDivergenceExit:
         case = _scaled_loads(random_radial_feeder(seed, max(buses, roots + 1), roots), scale)
         for island in split_islands(case, default_config(case)):
             solution, reference = _assert_the_exit_keeps_the_answer(case, island)
-            assert solution.converged == reference.converged
+            assert solution.islands[0].converged == reference.islands[0].converged
 
     def test_a_root_reached_past_zero_magnitude_is_not_the_operating_point(self, ieee14_text):
         # IEEE-14 at half load; the island fed from bus 2 reaches regulated
@@ -338,28 +357,27 @@ class TestDivergenceExit:
         config = make_config(case, {2, 3, 4, 8, 11, 13, 14, 15, 17, 18, 19, 20})
         island = next(isl for isl in split_islands(case, config) if isl.root == 2)
         solution, reference = _assert_the_exit_keeps_the_answer(case, island)
-        assert not solution.converged and solution.iterations == 5
-        assert reference.converged and reference.iterations == 15
-        assert min(reference.v_mag.values) < 0.3
-        assert min(solve_gauss_seidel(case, island).v_mag.values) > 1.0
+        assert not solution.islands[0].converged and solution.islands[0].iterations == 5
+        assert reference.islands[0].converged and reference.islands[0].iterations == 15
+        assert np.abs(reference.v).min() < 0.3
+        assert np.abs(solve_gauss_seidel(case, island).v).min() > 1.0
 
 
 class TestGaussSeidel:
     def test_zero_load_two_bus_is_flat(self):
         case = two_bus_case(0.0, 0.0)
-        solution = solve_gauss_seidel(case, _whole_island(case))
-        assert solution.converged
-        assert solution.iterations == 1
-        assert solution.v_mag[2] == pytest.approx(1.0)
+        part = solve_gauss_seidel(case, _whole_island(case))
+        assert part.islands[0].converged
+        assert part.islands[0].iterations == 1
+        assert abs(part.v[1]) == pytest.approx(1.0)
 
     def test_agrees_with_newton_on_two_bus(self):
         case = two_bus_case(50.0, 20.0)
         island = _whole_island(case)
         nr = solve_newton_raphson(case, island)
         gs = solve_gauss_seidel(case, island)
-        assert gs.converged
-        for bus_id in nr.v_mag:
-            assert abs(gs.voltage(bus_id) - nr.voltage(bus_id)) <= 1e-6
+        assert gs.islands[0].converged
+        assert np.abs(gs.v - nr.v).max() <= 1e-6
 
     def test_agrees_with_newton_on_meshed_ieee14(self, ieee14_case, ieee14_meshed):
         # exercises reactive-limit clamping and release during the slow sweeps
@@ -367,24 +385,24 @@ class TestGaussSeidel:
             ieee14_case, _whole_island(ieee14_case), all_closed_config(ieee14_case),
             SolverOptions(tolerance=1e-10),
         )
-        assert gs.converged
-        assert abs(gs.total_loss_mw - ieee14_meshed.total_loss_mw) <= 0.01
-        worst = max(abs(gs.voltage(b) - ieee14_meshed.voltage(b)) for b in gs.v_mag)
+        result, = gs.islands
+        assert result.converged
+        assert abs(result.loss_mw - ieee14_meshed.total_loss_mw) <= 0.01
+        worst = max(abs(v - ieee14_meshed.voltage(b)) for b, v in zip(result.buses, gs.v.tolist()))
         assert worst <= 1e-6
 
 
 class TestBranchFlows:
     def test_zero_load_flows_are_zero(self):
         case = two_bus_case(0.0, 0.0)
-        flows, loss = branch_flows(case, np.array([0]), {1: 1.0 + 0j, 2: 1.0 + 0j})
+        _, power, _, loss = branch_flows(case, np.array([0]), np.array([1.0 + 0j, 1.0 + 0j]))
         assert loss == pytest.approx(0.0, abs=1e-12)
-        flow = flows[1]
-        assert flow.p_send == flow.q_send == flow.p_recv == flow.q_recv == 0.0
+        assert power.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_two_bus_flow_matches_oracle(self):
         case = two_bus_case(50.0, 20.0, r=0.01, x=0.05)
         oracle = two_bus_oracle(1.0, 0.5, 0.2, 0.01, 0.05)
-        solution = solve_newton_raphson(case, _whole_island(case))
+        solution = _solve_by_id(case)
         flow = solution.flows[1]
         assert flow.sending_bus == 1 and flow.receiving_bus == 2
         assert flow.p_send == pytest.approx(oracle["p_send"] * 100.0, abs=1e-5)
@@ -409,10 +427,10 @@ class TestIslandSolves:
         config = default_config(twin_case)
         both = solve_all_islands(twin_case, config)
         single = two_bus_case(50.0, 20.0, r=0.01, x=0.05)
-        one = solve_newton_raphson(single, _whole_island(single))
+        _, one = _solve(single)
         assert both.converged
         assert len(both.islands) == 2
-        assert both.total_loss_mw == pytest.approx(2.0 * one.total_loss_mw, abs=1e-9)
+        assert both.total_loss_mw == pytest.approx(2.0 * one.loss_mw, abs=1e-9)
 
     def test_ieee14_radial_two_islands(self, ieee14_case, ieee14_forest):
         solution = solve_all_islands(ieee14_case, ieee14_forest.config)
@@ -439,6 +457,41 @@ class TestIslandSolves:
                 ieee14_case.bus_by_id[b].p_gen for b in island.buses if b != island.root
             )
             assert island.slack_p_mw + gen == pytest.approx(load + island.loss_mw, abs=budget)
+
+    @pytest.mark.parametrize("case_name", ["five_bus_tworoot", "generated"])
+    def test_a_part_lines_up_with_its_island_positions(self, request, case_name):
+        # a solve's arrays run over the island's bus and branch positions,
+        # and the merged solution keys exactly those values by id
+        if case_name == "generated":
+            case = parse_case(bench_feeders().generate(1, 2, 30, 3)[0], fmt="json")
+        else:
+            case = request.getfixturevalue(case_name)
+        config = default_config(case)
+        index = forest_index(case, config)
+        assert len(index.islands) == 2
+        bus_ids, branch_ids = np.array(sorted(case.bus_by_id)), np.array(sorted(case.branch_by_id))
+        merged = solve_all_islands(case, config)
+        for island in index.islands:
+            part = solve_newton_raphson(case, island, config, sending=sending_ends(case, index))
+            result, = part.islands
+            buses, branches = island.bus_positions, island.branch_positions
+            assert result.buses == tuple(bus_ids[buses].tolist())
+            assert part.v.shape == buses.shape
+            assert part.power.shape == (branches.size, 4)
+            assert part.current_mag.shape == branches.shape
+            assert part.ends.shape == (branches.size, 2)
+            # each branch is sent from its parent end, toward the bus it feeds
+            send, recv = part.ends.T
+            np.testing.assert_array_equal(index.parent_branch[recv], branches)
+            np.testing.assert_array_equal(index.parent[recv], send)
+            for k, bus in enumerate(bus_ids[buses].tolist()):
+                v = part.v[k]
+                assert (merged.v_mag[bus], merged.v_angle[bus]) == (np.hypot(v.real, v.imag), np.angle(v))
+            for k, branch in enumerate(branch_ids[branches].tolist()):
+                flow = merged.flows[branch]
+                assert (flow.sending_bus, flow.receiving_bus) == tuple(bus_ids[part.ends[k]].tolist())
+                assert [flow.p_send, flow.q_send, flow.p_recv, flow.q_recv] == part.power[k].tolist()
+                assert flow.current_mag == part.current_mag[k]
 
     def test_loss_nonnegative_across_fixtures(
         self, triangle_case, six_bus_case, ring6_case, path5_case, five_bus_tworoot
@@ -526,7 +579,7 @@ class TestJacobian:
         setup = _classify(case, _whole_island(case))
         assert setup.pq == [] and setup.pv == [1, 2]
         _assert_jacobian_matches_oracles(setup, 3)
-        solution = solve_newton_raphson(case, _whole_island(case))
+        solution = _solve_by_id(case)
         assert solution.converged
         assert solution.v_mag[2] == pytest.approx(1.02)
 
@@ -540,8 +593,8 @@ class TestJacobian:
             raise AssertionError("a slack-only island has nothing to solve")
 
         monkeypatch.setattr(powerflow, "mismatch_jacobian", no_jacobian)
-        solution = solve_newton_raphson(six_bus_case, island)
-        assert solution.converged and solution.iterations == 1
+        _, result = _solve(six_bus_case, island)
+        assert result.converged and result.iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -563,30 +616,36 @@ def _assert_admittance_matches_oracle(case, island) -> None:
     _assert_close(ybus.toarray(), expected)
 
 
-def _oracle_arguments(case, branches, sending):
-    """branch_flows' branch positions and sending-end array as the ids the oracle takes."""
+def _oracle_arguments(case, branches, voltages, sending):
+    """branch_flows' positional arguments as the ids the oracle takes.
+
+    The voltages become Python complex numbers, so the oracle computes in
+    Python's complex arithmetic, not numpy's.
+    """
     bus_ids, branch_ids = sorted(case.bus_by_id), sorted(case.branch_by_id)
     ids = [branch_ids[k] for k in branches]
+    by_id = dict(zip(bus_ids, voltages.tolist()))
     if sending is None:
-        return ids, None
-    return ids, {branch_ids[k]: bus_ids[sending[k]] for k in branches}
+        return ids, by_id, None
+    return ids, by_id, {branch_ids[k]: bus_ids[sending[k]] for k in branches}
 
 
 def _assert_flows_match_oracle(case, branches, voltages, sending) -> None:
-    flows, loss = branch_flows(case, branches, voltages, sending)
-    ids, sending_ids = _oracle_arguments(case, branches, sending)
-    expected, expected_loss = oracle_branch_flows(case, ids, voltages, sending_ids)
-    assert list(flows) == list(expected)
-    for branch_id, flow in flows.items():
-        want = expected[branch_id]
-        assert (flow.branch_id, flow.sending_bus, flow.receiving_bus) == (
-            want.branch_id, want.sending_bus, want.receiving_bus
-        )
-        _assert_close(
-            [flow.p_send, flow.q_send, flow.p_recv, flow.q_recv, flow.current_mag],
-            [want.p_send, want.q_send, want.p_recv, want.q_recv, want.current_mag],
-        )
-    _assert_close(loss, expected_loss)
+    """branch_flows over bus positions has every bit of the oracle's scalar loop over ids."""
+    ends, power, current_mag, loss = branch_flows(case, branches, voltages, sending)
+    ids, by_id, sending_ids = _oracle_arguments(case, branches, voltages, sending)
+    expected, expected_loss = oracle_branch_flows(case, ids, by_id, sending_ids)
+    assert list(expected) == ids
+    bus_ids = sorted(case.bus_by_id)
+    rows = [
+        (bus_ids[send], bus_ids[recv], *flow, current)
+        for (send, recv), flow, current in zip(ends.tolist(), power.tolist(), current_mag.tolist())
+    ]
+    assert rows == [
+        (f.sending_bus, f.receiving_bus, f.p_send, f.q_send, f.p_recv, f.q_recv, f.current_mag)
+        for f in expected.values()
+    ]
+    assert loss == expected_loss
 
 
 @dataclasses.dataclass
@@ -638,9 +697,9 @@ def ieee14_recorded(ieee14_case):
     def recorded_solve(case, island, *args, **kwargs):
         work = _SolveWork(island)
         calls["solves"].append(work)
-        solution = solve(case, island, *args, **kwargs)
-        work.converged = solution.converged
-        return solution
+        part = solve(case, island, *args, **kwargs)
+        work.converged = part.islands[0].converged
+        return part
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powerflow, "build_admittance", wrap(
@@ -696,9 +755,10 @@ class TestCompiledLayers:
         below = index.parent_branch >= 0
         sending[index.parent_branch[below]] = index.parent[below]
         rng = np.random.default_rng(seed)
-        voltages = {
+        by_id = {
             bus: complex(rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1)) for bus in case.bus_by_id
         }
+        voltages = np.array([by_id[bus] for bus in sorted(by_id)])  # over bus positions
         for island in index.islands:
             branches = island.branch_positions
             if singular and len(case.branches) in island.branches:
@@ -707,7 +767,7 @@ class TestCompiledLayers:
                 with pytest.raises(SingularBranchError):
                     build_admittance(case, island)
                 with pytest.raises(SingularBranchError):
-                    oracle_branch_flows(case, island.branches, voltages)
+                    oracle_branch_flows(case, island.branches, by_id)
                 with pytest.raises(SingularBranchError):
                     branch_flows(case, branches, voltages, sending)
                 continue
@@ -737,8 +797,8 @@ class TestJacobianPattern:
             return result
 
         monkeypatch.setattr(powerflow, "mismatch_jacobian", checked)
-        solution = solve_newton_raphson(ieee14_case, island)
-        assert solution.converged
+        _, result = _solve(ieee14_case, island)
+        assert result.converged
         splits = [tuple(pq) for _, _, _, pq, _ in seen]
         assert len(set(splits)) == 2 and len(splits[-1]) == len(splits[0]) + 2
         for ybus, v, pvpq, pq, analytic in seen:
@@ -839,7 +899,7 @@ def _newton_points(case, island):
     pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
     pq = np.array(setup.pq, dtype=int)
     pattern = jacobian_pattern(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
-    for v in (setup.v, np.array([solved.voltage(bus) for bus in setup.order])):
+    for v in (setup.v, solved.v):
         # the pattern's matrix is overwritten by the next fill
         yield pattern, mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern), dense_jacobian(setup.ybus, v, pvpq, pq)
 
