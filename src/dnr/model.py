@@ -118,15 +118,6 @@ class NetworkCase:
         """Every branch id; the configurations of this case share this one set."""
         return frozenset(self.branch_by_id)
 
-    @property
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Bus id -> ((branch id, neighbour bus id), ...) over all branches.
-
-        The largest table derived from a case, so it is memoised for the
-        last few cases instead of kept on each one.
-        """
-        return _adjacencies.lookup(_adjacency, self)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -320,8 +311,6 @@ def validate_case(case: NetworkCase) -> list[Violation]:
 
     # connectivity with every branch closed; report the smaller side of a split
     if case.buses and not any(v.code in ("missing_bus", "missing_root") for v in violations):
-        # built for this walk, not memoised: a memo entry would keep every
-        # parsed case alive until two more cases had been walked
         reached = _reachable(_adjacency(case), start=case.buses[0].id)
         if len(reached) != len(case.bus_by_id):  # a duplicate id is its own violation
             others = sorted(set(case.bus_by_id) - reached)
@@ -398,14 +387,12 @@ class CaseMemo:
 
 
 def _adjacency(case: NetworkCase) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Bus id -> ((branch id, neighbour bus id), ...) over all branches."""
     adj: dict[int, list[tuple[int, int]]] = {bus.id: [] for bus in case.buses}
     for branch in case.branches:
         adj[branch.from_bus].append((branch.id, branch.to_bus))
         adj[branch.to_bus].append((branch.id, branch.from_bus))
     return {bus: tuple(sorted(entries)) for bus, entries in adj.items()}
-
-
-_adjacencies = CaseMemo(2)
 
 
 def _pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
@@ -557,8 +544,8 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
     """The configuration's forest, or None when it is not radial.
 
     Radial means the closed branches form a spanning forest with exactly one
-    root per tree.  Every topology question (`is_radial`, `islands`,
-    `topology.forest_index`) is a view on this one walk, and the last few
+    root per tree.  Every topology question (`is_radial`, `forest_index`,
+    `islands`) is a view on this one walk, and the last few
     results are memoised, so a configuration scored by several layers is
     walked once.  The result is shared between callers, which only read it.
     """
@@ -626,9 +613,14 @@ def is_radial(case: NetworkCase, config: Configuration) -> bool:
     return forest(case, config) is not None
 
 
-def islands(case: NetworkCase, config: Configuration) -> tuple[Island, ...]:
-    """Split a radial configuration into its per-root trees."""
+def forest_index(case: NetworkCase, config: Configuration) -> ForestIndex:
+    """The forest of a radial configuration; NotRadialError when it is not radial."""
     index = forest(case, config)
     if index is None:
         raise NotRadialError("configuration is not radial for this case")
-    return index.islands
+    return index
+
+
+def islands(case: NetworkCase, config: Configuration) -> tuple[Island, ...]:
+    """Split a radial configuration into its per-root trees."""
+    return forest_index(case, config).islands

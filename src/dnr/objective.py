@@ -19,16 +19,13 @@ from .model import (  # noqa: F401
     ForestIndex,
     Island,
     NetworkCase,
-    NotRadialError,
     _compiled_case,
     _find,
-    forest,
+    forest_index,
     is_radial,
 )
 from .powerflow import (
     _SOLVERS,
-    BranchFlows,
-    BusValues,
     IslandResult,
     NotConvergedError,
     PowerFlowSolution,
@@ -131,7 +128,9 @@ def _score_island(
     compiled = _compiled_case(case)
     base = case.base_mva
     buses, branches = island.bus_positions, island.branch_positions
-    v = v_mag[buses.searchsorted(sending)]
+    at_bus = np.empty(compiled.bus_ids.size)  # read at the island's buses only
+    at_bus[buses] = v_mag
+    v = at_bus[sending]
     p = power[:, 0] / base
     q = power[:, 1] / base
     terms = compiled.resistance[branches] * (p * p + q * q) / (v * v)
@@ -195,13 +194,6 @@ def _check(name: str, excesses: list[_Excess | None], passed: str) -> Constraint
     return ConstraintCheck(name, False, worst[1])
 
 
-def _radial_forest(case: NetworkCase, config: Configuration) -> ForestIndex:
-    index = forest(case, config)
-    if index is None:
-        raise NotRadialError("objective is defined on radial configurations")
-    return index
-
-
 def _report(case: NetworkCase, index: ForestIndex, scores: list[IslandScore]) -> ObjectiveReport:
     """The report of a radial configuration from the scores of its islands, in root order.
 
@@ -232,16 +224,19 @@ def evaluate_fo(
 ) -> ObjectiveReport:
     """Score a converged radial solution; closed branches carry unit weight.
 
-    Each island's arrays are read out of the solution by id and scored, and
-    the report assembled, as an IslandMemo does with a solve's part.
+    Each island's arrays are read out of the solution's columns by id and
+    scored, and the report assembled, as an IslandMemo does with a solve's
+    part.  The solution must be of this configuration: its islands' roots
+    and its closed branches.
     """
     if not solution.converged:
         raise NotConvergedError("objective needs a converged power flow")
-    index = _radial_forest(case, config)
-    if [r.root for r in solution.islands] != [island.root for island in index.islands]:
-        raise ValueError("solution islands do not match the configuration's")
+    index = forest_index(case, config)
     compiled = _compiled_case(case)
-    v_mag, flows = BusValues.of(solution.v_mag), BranchFlows.of(solution.flows)
+    v_mag, flows = solution.v_mag, solution.flows
+    same_roots = [r.root for r in solution.islands] == [island.root for island in index.islands]
+    if not (same_roots and np.array_equal(np.sort(flows.ids), compiled.branch_ids[index.closed])):
+        raise ValueError("solution islands do not match the configuration's")
     scores = []
     for island, result in zip(index.islands, solution.islands):
         rows = flows.rows(compiled.branch_ids[island.branch_positions])
@@ -277,7 +272,7 @@ class IslandMemo:
 
         Each island met for the first time is solved through _SOLVERS["nr"].
         """
-        index = _radial_forest(case, config)
+        index = forest_index(case, config)
         sending = None
         scores = []
         for island in index.islands:
@@ -286,7 +281,7 @@ class IslandMemo:
             if score is None:
                 if sending is None:
                     sending = sending_ends(case, index)
-                part = _SOLVERS["nr"](case, island, config, options, sending=sending)
+                part = _SOLVERS["nr"](case, island, options, sending)
                 score = self._scores[key] = _score_island(
                     case, island, np.hypot(part.v.real, part.v.imag), part.power, part.ends[:, 0], part.islands[0]
                 )

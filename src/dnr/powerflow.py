@@ -22,6 +22,7 @@ from .model import (
     NetworkCase,
     SingularBranchError,
     _CompiledCase,
+    _adjacency,
     _compiled_case,
     _find,
     _positions,
@@ -125,14 +126,6 @@ class BusValues(_Columns):
     def _row(self, i: int):
         return self.values[i].item()
 
-    @classmethod
-    def of(cls, values: Mapping[int, float]) -> BusValues:
-        """`values` itself when it is a BusValues, else its items as arrays."""
-        if isinstance(values, cls):
-            return values
-        n = len(values)
-        return cls(np.fromiter(values.keys(), np.int64, n), np.array(list(values.values())))
-
 
 class BranchFlows(_Columns):
     """Branch id -> BranchFlow, held as columns; a BranchFlow is built when a flow is indexed.
@@ -153,27 +146,14 @@ class BranchFlows(_Columns):
         send, recv = self.ends[i].tolist()
         return BranchFlow(self.ids[i].item(), send, recv, *self.power[i].tolist(), self.current_mag[i].item())
 
-    @classmethod
-    def of(cls, flows: Mapping[int, BranchFlow]) -> BranchFlows:
-        """`flows` itself when it is a BranchFlows, else its flows as columns."""
-        if isinstance(flows, cls):
-            return flows
-        rows = list(flows.values())
-        return cls(
-            np.fromiter(flows.keys(), np.int64, len(rows)),
-            np.array([(f.sending_bus, f.receiving_bus) for f in rows], dtype=np.int64).reshape(-1, 2),
-            np.array([(f.p_send, f.q_send, f.p_recv, f.q_recv) for f in rows], dtype=float).reshape(-1, 4),
-            np.array([f.current_mag for f in rows], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages, flows and totals by id; solve_all_islands and solve_network give BusValues and BranchFlows."""
+    """Voltages, flows and totals by id, as solve_all_islands and solve_network merge them from the islands' parts."""
 
-    v_mag: Mapping[int, float]
-    v_angle: Mapping[int, float]  # radians
-    flows: Mapping[int, BranchFlow]
+    v_mag: BusValues
+    v_angle: BusValues  # radians
+    flows: BranchFlows
     total_loss_mw: float
     converged: bool
     iterations: int
@@ -273,8 +253,8 @@ class JacobianPattern:
 
     `order` gives, for each row of `jacobian` (and each column), its
     variable in the mismatch's numbering [angles at PV+PQ; magnitudes at
-    PQ].  With a bus order the rows run bus by bus in that order, each
-    bus's angle before its magnitude; without one, `order` is the identity.
+    PQ].  The rows run bus by bus in the bus order the pattern was built
+    for, leaves first, each bus's angle before its magnitude.
     """
 
     columns: np.ndarray
@@ -306,14 +286,14 @@ def jacobian_pattern(
     ybus: sparse.spmatrix,
     pvpq: np.ndarray,
     pq: np.ndarray,
-    buses: np.ndarray | None = None,
+    buses: np.ndarray,
 ) -> JacobianPattern:
     """The structure of mismatch_jacobian for this Ybus pattern and PV/PQ split.
 
     `buses` orders the Jacobian's rows and columns bus by bus, as
-    leaves_first does; without it they stay in the mismatch's numbering.
-    The terms are keyed column * size + row, which _stable_order packs into
-    an int64 up to about half a million buses in one island.
+    leaves_first gives them.  The terms are keyed column * size + row,
+    which _stable_order packs into an int64 up to about half a million
+    buses in one island.
     """
     y = ybus.tocsc()
     n = y.shape[0]
@@ -322,14 +302,11 @@ def jacobian_pattern(
     var = np.full((2, n), -1)
     var[0, pvpq] = np.arange(pvpq.size)
     var[1, pq] = np.arange(pvpq.size, size)
-    if buses is None:
-        order = np.arange(size)
-    else:
-        order = var[:, buses].T.ravel()
-        order = order[order >= 0]
-        rank = np.full(size + 1, -1)  # the last entry keeps -1 at -1
-        rank[order] = np.arange(size)
-        var = rank[var]  # now each one's Jacobian row/column
+    order = var[:, buses].T.ravel()
+    order = order[order >= 0]
+    rank = np.full(size + 1, -1)  # the last entry keeps -1 at -1
+    rank[order] = np.arange(size)
+    var = rank[var]  # now each one's Jacobian row/column
     positions = np.arange(n)
     columns = np.repeat(positions, np.diff(y.indptr))
     rows = np.concatenate([y.indices, positions])
@@ -354,8 +331,8 @@ def mismatch_jacobian(
     v: np.ndarray,
     pvpq: np.ndarray,
     pq: np.ndarray,
-    pattern: JacobianPattern | None = None,
-    ibus: np.ndarray | None = None,
+    pattern: JacobianPattern,
+    ibus: np.ndarray,
 ) -> sparse.csc_matrix:
     """Jacobian of the power mismatch (_mismatch) w.r.t. [angles at PV+PQ; magnitudes at PQ].
 
@@ -363,18 +340,13 @@ def mismatch_jacobian(
     dSbus_dV: each stored y_rc gives dS_r/dVa_c = -j*v_r*conj(y_rc*v_c) and
     dS_r/dVm_c = v_r*conj(y_rc*v_c/|v_c|); the diagonal adds j*v*conj(I) and
     conj(I)*v/|v|.  Real parts land in the P rows, imaginary parts in the Q
-    rows.  `pattern` is jacobian_pattern(ybus, pvpq, pq), built here when not
-    given; a caller that fills many Jacobians for one Ybus pattern and PV/PQ
-    split passes it in, so each call only computes the values.  The matrix
-    returned is then the pattern's own, numbered as `pattern.order` says and
-    overwritten by its next fill.  `ibus` is ybus @ v, computed here when
-    not given; the Newton loop passes the product its mismatch used.
+    rows.  `pattern` is jacobian_pattern for this Ybus pattern and PV/PQ
+    split, so each call only computes the values.  The matrix returned is
+    the pattern's own, numbered leaves first as `pattern.order` says and
+    overwritten by its next fill.  `ibus` is ybus @ v, the product the
+    Newton loop's mismatch used.
     """
     y = ybus.tocsc()
-    if pattern is None:
-        pattern = jacobian_pattern(y, pvpq, pq)
-    if ibus is None:
-        ibus = y @ v
     vnorm = v / np.abs(v)
     vr = v[y.indices]
     cols = pattern.columns
@@ -561,7 +533,6 @@ def _usable(dx: np.ndarray, vm: np.ndarray) -> bool:
 def solve_newton_raphson(
     case: NetworkCase,
     island: Island,
-    config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
     sending: np.ndarray | None = None,
 ) -> IslandPart:
@@ -574,8 +545,6 @@ def solve_newton_raphson(
     Jacobian) or one that would leave a bus voltage magnitude at zero or
     below.  `sending` orients the branch flows, as branch_flows takes it.
     """
-    if config is not None and not island.branches <= config.closed:
-        raise ValueError("island branches are not closed in the given configuration")
     setup = _classify(case, island)
     ybus = setup.ybus
     cap = options.max_iterations
@@ -586,9 +555,10 @@ def solve_newton_raphson(
     pvpq = np.delete(np.arange(len(setup.order)), setup.slack)  # PV/PQ switches keep this set
     buses = leaves_first(ybus)
     # one pattern per PV/PQ split, kept for the rest of the solve: a bus that
-    # clamps and is later released returns to a split already seen
-    patterns: dict[tuple[int, ...], JacobianPattern] = {}
-    pq = pattern = None
+    # clamps and is later released returns to a split already seen.  The key
+    # is the PQ positions' bytes, whose hash Python computes once per object
+    patterns: dict[bytes, JacobianPattern] = {}
+    pq = None
     while iterations < cap:
         iterations += 1
         ibus = ybus @ setup.v
@@ -598,16 +568,16 @@ def solve_newton_raphson(
             if changed:
                 pq = None
         if pq is None:
-            split = tuple(setup.pq)
-            pq = np.array(split, dtype=int)
-            pattern = patterns.get(split)
+            pq = np.array(setup.pq, dtype=int)
+            split = pq.tobytes()
         f = _mismatch(scalc, setup.sbus, pvpq, pq)
         max_mismatch = float(np.abs(f).max()) if f.size else 0.0
         if max_mismatch <= tol:
             converged = True
             break
-        if pattern is None:
-            pattern = patterns[split] = jacobian_pattern(ybus, pvpq, pq, buses)
+        if split not in patterns:
+            patterns[split] = jacobian_pattern(ybus, pvpq, pq, buses)
+        pattern = patterns[split]
         jac = mismatch_jacobian(ybus, setup.v, pvpq, pq, pattern, ibus)
         dx = _newton_step(jac, f, pattern)
         va = np.angle(setup.v)
@@ -731,7 +701,7 @@ def solve_all_islands(
     solver = _SOLVERS[method]
     index = forest_index(case, config)
     sending = sending_ends(case, index)
-    parts = [solver(case, island, config, options, sending=sending) for island in index.islands]
+    parts = [solver(case, island, options, sending) for island in index.islands]
     return _merge(case, index.islands, parts)
 
 
@@ -749,11 +719,11 @@ def solve_network(
     to the slack through closed branches.
     """
     slack = case.roots[0] if slack is None else slack
-    reached = _reachable(case.adjacency, slack, config.closed)
+    reached = _reachable(_adjacency(case), slack, config.closed)
     if len(reached) != len(case.buses):
         stranded = sorted(set(case.bus_by_id) - reached)
         raise ValueError(f"buses {stranded} not connected to slack {slack}")
     compiled = _compiled_case(case)
     closed = _positions(compiled.branch_ids, config.closed)
     island = Island(slack, compiled.all_buses, config.closed, compiled.bus_positions, closed)
-    return _merge(case, (island,), [_SOLVERS[method](case, island, config, options)])
+    return _merge(case, (island,), [_SOLVERS[method](case, island, options)])

@@ -5,15 +5,15 @@ import heapq
 import math
 from dataclasses import dataclass
 
-# callers also look ForestIndex and islands up on this module
+# callers also look ForestIndex, forest_index and islands up on this module
 from .model import (  # noqa: F401
     Configuration,
     ForestIndex,
     NetworkCase,
-    NotRadialError,
     SwitchState,
+    _adjacency,
     _compiled_case,
-    forest,
+    forest_index,
     islands,
     make_config,
 )
@@ -61,14 +61,6 @@ class FundamentalLoop:
         return tuple(branch_id for _, branch_id in ranked)
 
 
-def forest_index(case: NetworkCase, config: Configuration) -> ForestIndex:
-    """Per-bus tree data of a radial configuration: a view on `model.forest`."""
-    index = forest(case, config)
-    if index is None:
-        raise NotRadialError("configuration is not radial for this case")
-    return index
-
-
 def path_to_root(index: ForestIndex, bus: int) -> list[int]:
     """Branch positions walked from the bus at position `bus` up to its island root."""
     path = []
@@ -97,7 +89,7 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
     order: list[tuple[int, float]] = []
     frontier: list[tuple[float, int]] = []  # (-weight, id) heap, stale entries dropped on pop
 
-    adjacency = case.adjacency
+    adjacency = _adjacency(case)
 
     def assign(bus: int) -> None:
         assigned.add(bus)
@@ -127,12 +119,12 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
 
 def weights_from_flow(case: NetworkCase, solution) -> dict[int, float]:
     """Branch weights for forest growth: sending-end apparent power in MVA."""
-    from .powerflow import BranchFlows, NotConvergedError
+    from .powerflow import NotConvergedError
 
     if not solution.converged:
         raise NotConvergedError("flow weights need a converged solution")
     weights = {b.id: 0.0 for b in case.branches}
-    flows = BranchFlows.of(solution.flows)
+    flows = solution.flows
     for branch_id, (p_send, q_send) in zip(flows.ids.tolist(), flows.power[:, :2].tolist()):
         weights[branch_id] = math.hypot(p_send, q_send)
     return weights

@@ -45,6 +45,9 @@ from dnr.powerflow import (
     _classify,
     _finish,
     _mismatch,
+    jacobian_pattern,
+    leaves_first,
+    mismatch_jacobian,
     solve_network,
 )
 from dnr.topology import (
@@ -706,6 +709,17 @@ def dense_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
             [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
         ]
     )
+
+
+def solver_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
+    """The Jacobian the Newton step factors, numbered leaves first, as a
+    dense array mapped back through `pattern.order` to the mismatch's
+    numbering, which fd_jacobian and dense_jacobian use."""
+    pattern = jacobian_pattern(ybus, pvpq, pq, leaves_first(ybus))
+    jacobian = mismatch_jacobian(ybus, v, pvpq, pq, pattern, ybus @ v)
+    natural = np.empty(jacobian.shape)
+    natural[np.ix_(pattern.order, pattern.order)] = jacobian.toarray()
+    return natural
 
 
 def oracle_jacobian_pattern(ybus, pvpq, pq, buses=None) -> JacobianPattern:

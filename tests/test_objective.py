@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import bench_feeders, two_bus_case
@@ -30,12 +31,14 @@ def _report(fo: float, feasible: bool = True) -> ObjectiveReport:
 
 def _fabricated_two_bus_solution() -> PowerFlowSolution:
     """Hand-built solution: 1.0 + j0.5 pu leaving bus 1 at exactly 1.0 pu."""
-    flow = BranchFlow(1, 1, 2, 100.0, 50.0, -98.75, -43.75, 1.118)
+    buses = np.array([1, 2])
     island = IslandResult(1, (1, 2), True, 3, 0.0, 1.25, 100.0, 50.0)
     return PowerFlowSolution(
-        v_mag={1: 1.0, 2: 0.99},
-        v_angle={1: 0.0, 2: -0.01},
-        flows={1: flow},
+        v_mag=BusValues(buses, np.array([1.0, 0.99])),
+        v_angle=BusValues(buses, np.array([0.0, -0.01])),
+        flows=BranchFlows(
+            np.array([1]), np.array([[1, 2]]), np.array([[100.0, 50.0, -98.75, -43.75]]), np.array([1.118])
+        ),
         total_loss_mw=1.25,
         converged=True,
         iterations=3,
@@ -136,6 +139,9 @@ class TestGuards:
         for islands in ((), solution.islands[::-1]):
             with pytest.raises(ValueError, match="islands"):
                 evaluate_fo(five_bus_tworoot, config, replace(solution, islands=islands))
+        # the same roots over other closed branches: bus 5 fed over the tie
+        with pytest.raises(ValueError, match="islands"):
+            evaluate_fo(five_bus_tworoot, make_config(five_bus_tworoot, {1, 3, 4}), solution)
 
 
 class TestConstraints:
@@ -212,35 +218,11 @@ class TestConstraints:
         assert report.feasible == all(c.passed for c in report.constraints)
 
 
-def _as_dicts(solution: PowerFlowSolution) -> PowerFlowSolution:
-    """The same solution with plain dicts where a solve leaves column views."""
-    return replace(
-        solution,
-        v_mag=dict(solution.v_mag),
-        v_angle=dict(solution.v_angle),
-        flows={branch_id: solution.flows[branch_id] for branch_id in solution.flows},
-    )
-
-
 class TestColumnarSolution:
     """A merged solution keeps per-bus and per-branch values as columns
     behind read-only mappings; the objective reads the columns into each
-    island's positions and must score them exactly as it scores the dicts
-    they stand for."""
-
-    def test_hand_built_dicts_and_their_columns_score_alike(self):
-        case = two_bus_case(98.75, 43.75, r=0.01, x=0.05)
-        config = make_config(case, {1})
-        plain = _fabricated_two_bus_solution()
-        columnar = replace(
-            plain,
-            v_mag=BusValues.of(plain.v_mag),
-            v_angle=BusValues.of(plain.v_angle),
-            flows=BranchFlows.of(plain.flows),
-        )
-        for name in ("v_mag", "v_angle", "flows"):
-            assert list(getattr(columnar, name).items()) == list(getattr(plain, name).items())
-        assert evaluate_fo(case, config, columnar) == evaluate_fo(case, config, plain)
+    island's positions and must score them exactly as a memo scores the
+    solves' parts."""
 
     @pytest.mark.parametrize(
         "case_name, closed",
@@ -274,27 +256,22 @@ class TestColumnarSolution:
         assert list(solution.v_mag) == [bus for island in islands for bus in sorted(island.buses)]
         assert list(solution.v_angle) == list(solution.v_mag)
         assert list(solution.flows) == [b for island in islands for b in sorted(island.branches)]
-        report = evaluate_fo(case, config, solution)
-        assert report == evaluate_fo(case, config, _as_dicts(solution))
-        # and as a memo scores the solves' parts, read in positions from the start
-        assert report == IslandMemo().report(case, config, SolverOptions())
-
-    def test_ieee14_forest_scores_as_its_dicts(self, ieee14_case, ieee14_forest):
-        solution = solve_all_islands(ieee14_case, ieee14_forest.config)
-        report = evaluate_fo(ieee14_case, ieee14_forest.config, solution)
-        assert report == evaluate_fo(ieee14_case, ieee14_forest.config, _as_dicts(solution))
+        # scored as a memo scores the solves' parts, read in positions from the start
+        assert evaluate_fo(case, config, solution) == IslandMemo().report(case, config, SolverOptions())
 
     def test_views_are_read_only_mappings(self, six_bus_case):
         solution = solve_all_islands(six_bus_case, make_config(six_bus_case, {1, 2, 3, 4}))
-        as_dicts = _as_dicts(solution)
-        assert solution.v_mag == as_dicts.v_mag and solution.flows == as_dicts.flows
         assert 99 not in solution.v_mag and "1" not in solution.flows
         with pytest.raises(KeyError):
             solution.v_mag[99]
         with pytest.raises(TypeError):
             solution.v_mag[1] = 1.0
-        flow = solution.flows[1]
-        assert isinstance(flow, BranchFlow) and flow == as_dicts.flows[1]
+        # a flow is built from its row of the columns when indexed
+        flows = solution.flows
+        row = list(flows).index(1)
+        send, recv = flows.ends[row].tolist()
+        expected = BranchFlow(1, send, recv, *flows.power[row].tolist(), flows.current_mag[row].item())
+        assert flows[1] == expected and dict(flows)[1] == expected
 
 
 class TestOrdering:

@@ -18,6 +18,7 @@ from conftest import (
     random_four_bus,
     random_radial_feeder,
     solve_gauss_seidel,
+    solver_jacobian,
     two_bus_case,
     two_bus_has_root,
     two_bus_oracle,
@@ -472,7 +473,7 @@ class TestIslandSolves:
         bus_ids, branch_ids = np.array(sorted(case.bus_by_id)), np.array(sorted(case.branch_by_id))
         merged = solve_all_islands(case, config)
         for island in index.islands:
-            part = solve_newton_raphson(case, island, config, sending=sending_ends(case, index))
+            part = solve_newton_raphson(case, island, sending=sending_ends(case, index))
             result, = part.islands
             buses, branches = island.bus_positions, island.branch_positions
             assert result.buses == tuple(bus_ids[buses].tolist())
@@ -520,15 +521,15 @@ class TestNetworkSolve:
 
 
 def _assert_jacobian_matches_oracles(setup, seed: int) -> None:
-    """Analytic Jacobian at a random off-flat point, against central
-    differences and against the dense matrix form of the same formulas."""
+    """The Jacobian the solver factors, at a random off-flat point, against
+    central differences and against the dense matrix form of the same formulas."""
     rng = np.random.default_rng(1000 + seed)
     vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))
     va = rng.uniform(-0.1, 0.1, len(setup.v))
     v = vm * np.exp(1j * va)
     pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
     pq = np.array(setup.pq, dtype=int)
-    analytic = mismatch_jacobian(setup.ybus, v, pvpq, pq).toarray()
+    analytic = solver_jacobian(setup.ybus, v, pvpq, pq)
     numeric = fd_jacobian(setup.ybus, v, setup.sbus, pvpq, pq)
     assert analytic.shape == numeric.shape
     scale = np.maximum(np.abs(numeric), 1.0)
@@ -587,7 +588,7 @@ class TestJacobian:
         island = Island(2, frozenset({2}), frozenset())
         setup = _classify(six_bus_case, island)
         empty = np.array([], dtype=int)
-        assert mismatch_jacobian(setup.ybus, setup.v, empty, empty).shape == (0, 0)
+        assert solver_jacobian(setup.ybus, setup.v, empty, empty).shape == (0, 0)
 
         def no_jacobian(*args):
             raise AssertionError("a slack-only island has nothing to solve")
@@ -786,9 +787,9 @@ class TestJacobianPattern:
         seen = []
         jacobian = powerflow.mismatch_jacobian
 
-        def checked(ybus, v, pvpq, pq, pattern=None, ibus=None):
+        def checked(ybus, v, pvpq, pq, pattern, ibus):
             # the solve hands over the product its mismatch used, at this v
-            assert ibus is not None and np.array_equal(ibus, ybus @ v)
+            assert np.array_equal(ibus, ybus @ v)
             result = jacobian(ybus, v, pvpq, pq, pattern, ibus)
             # back from the pattern's leaves-first numbering to the mismatch's
             natural = np.empty(result.shape)
@@ -828,7 +829,6 @@ class TestJacobianPattern:
         assert len(calls) == sum(work.patterns for work in ieee14_recorded["solves"])
         for ybus, pvpq, pq, buses in calls:
             _assert_pattern_matches_oracle(ybus, pvpq, pq, buses)
-            _assert_pattern_matches_oracle(ybus, pvpq, pq, None)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 60), roots=st.integers(1, 2))
@@ -847,10 +847,9 @@ class TestJacobianPattern:
     def test_lone_root_has_an_empty_pattern_in_any_order(self, six_bus_case):
         setup = _classify(six_bus_case, Island(2, frozenset({2}), frozenset()))
         empty = np.array([], dtype=int)
-        for buses in (leaves_first(setup.ybus), None):
-            pattern = jacobian_pattern(setup.ybus, empty, empty, buses)
-            assert pattern.jacobian.shape == (0, 0)
-            assert pattern.order.size == pattern.take.size == pattern.slots.size == 0
+        pattern = jacobian_pattern(setup.ybus, empty, empty, leaves_first(setup.ybus))
+        assert pattern.jacobian.shape == (0, 0)
+        assert pattern.order.size == pattern.take.size == pattern.slots.size == 0
 
 
 def _assert_pattern_matches_oracle(ybus, pvpq, pq, buses) -> None:
@@ -901,7 +900,8 @@ def _newton_points(case, island):
     pattern = jacobian_pattern(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
     for v in (setup.v, solved.v):
         # the pattern's matrix is overwritten by the next fill
-        yield pattern, mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern), dense_jacobian(setup.ybus, v, pvpq, pq)
+        jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern, setup.ybus @ v)
+        yield pattern, jacobian, dense_jacobian(setup.ybus, v, pvpq, pq)
 
 
 def _assert_leaves_first_without_fill(case, island) -> None:
