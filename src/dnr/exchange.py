@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Configuration, NetworkCase, is_radial
-from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
-from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands
+# callers also look evaluate_fo and solve_all_islands up on this module
+from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key  # noqa: F401
+from .powerflow import SolverOptions, solve_all_islands  # noqa: F401
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
 from .topology import FundamentalLoop, fundamental_loop
 
@@ -72,28 +73,23 @@ def evaluate_candidate(
     config: Configuration,
     options: SearchOptions = SearchOptions(),
     memo: IslandMemo | None = None,
-) -> tuple[ObjectiveReport, PowerFlowSolution | None] | Rejection:
-    """Score one configuration: radiality gate, power flow, then objective.
+) -> ObjectiveReport | Rejection:
+    """Score one configuration: radiality gate, then its report from an island memo.
 
-    Without a memo the islands are solved and merged into the solution
-    returned with the report.  With one, the report is assembled from the
-    memo's island scores, solving only the islands it has not met, and no
-    solution is returned.
+    The memo solves only the islands it has not met; without one, a new
+    memo solves every island of this configuration once.
     """
     if not is_radial(case, config):
         return Rejection(RejectReason.INFEASIBLE, detail="not radial")
-    solution = None
     if memo is None:
-        solution = solve_all_islands(case, config, options.solver_options, "nr")
-        report = evaluate_fo(case, config, solution) if solution.converged else None
-    else:
-        report = memo.report(case, config, options.solver_options)
+        memo = IslandMemo()
+    report = memo.report(case, config, options.solver_options)
     if report is None:
         return Rejection(RejectReason.POWER_FLOW_DIVERGED, detail="power flow diverged")
     if not report.feasible:
         failed = "; ".join(c.detail for c in report.constraints if not c.passed)
         return Rejection(RejectReason.INFEASIBLE, report, failed)
-    return report, solution
+    return report
 
 
 # incumbent ordering: objective.sort_key without a branch tie-break
@@ -127,7 +123,7 @@ class _Search:
         if isinstance(outcome, Rejection):
             report, rejection = outcome.report, outcome
         else:
-            report, rejection = outcome[0], None
+            report, rejection = outcome, None
         if report is not None:
             self.samples.append((featurize(self.case, config), report.fo_value))
         return report, rejection

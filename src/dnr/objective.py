@@ -258,12 +258,15 @@ class IslandMemo:
     solution.  `solves` counts the islands solved (one per entry) and
     `hits` the islands answered from the memo.
 
-    A memo holds the scores of one case under one set of solver options;
-    a search makes its own and drops it when it returns.
+    A memo holds the scores of one case under one set of solver options,
+    the case and options of its first report: a report asked for another
+    case (another object) or other options raises ValueError.  A search
+    makes its own and drops it when it returns.
     """
 
     def __init__(self) -> None:
         self._scores: dict[tuple[int, bytes], IslandScore] = {}
+        self._bound: tuple[NetworkCase, SolverOptions] | None = None
         self.solves = 0
         self.hits = 0
 
@@ -272,6 +275,10 @@ class IslandMemo:
 
         Each island met for the first time is solved through _SOLVERS["nr"].
         """
+        if self._bound is None:
+            self._bound = (case, options)
+        elif self._bound[0] is not case or self._bound[1] != options:
+            raise ValueError("an island memo answers for the case and solver options of its first report only")
         index = forest_index(case, config)
         sending = None
         scores = []

@@ -52,7 +52,6 @@ class BranchFlow:
     q_send: float
     p_recv: float
     q_recv: float
-    current_mag: float  # pu, sending end
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +76,6 @@ class IslandPart:
 
     v: np.ndarray
     power: np.ndarray
-    current_mag: np.ndarray
     ends: np.ndarray
     islands: tuple[IslandResult]
 
@@ -134,17 +132,16 @@ class BranchFlows(_Columns):
     p_send, q_send, p_recv and q_recv.
     """
 
-    __slots__ = ("ends", "power", "current_mag")
+    __slots__ = ("ends", "power")
 
-    def __init__(self, ids: np.ndarray, ends: np.ndarray, power: np.ndarray, current_mag: np.ndarray):
+    def __init__(self, ids: np.ndarray, ends: np.ndarray, power: np.ndarray):
         super().__init__(ids)
         self.ends = ends
         self.power = power
-        self.current_mag = current_mag
 
     def _row(self, i: int) -> BranchFlow:
         send, recv = self.ends[i].tolist()
-        return BranchFlow(self.ids[i].item(), send, recv, *self.power[i].tolist(), self.current_mag[i].item())
+        return BranchFlow(self.ids[i].item(), send, recv, *self.power[i].tolist())
 
 
 @dataclass(frozen=True)
@@ -514,9 +511,9 @@ def _finish(
     slack_q = float(scalc[setup.slack].imag * base + root_bus.q_load)
     voltages = np.empty(_compiled_case(case).bus_ids.size, dtype=complex)  # read at the island's buses only
     voltages[setup.buses] = v
-    ends, power, current_mag, loss_mw = branch_flows(case, setup.branches, voltages, sending)
+    ends, power, loss_mw = branch_flows(case, setup.branches, voltages, sending)
     result = IslandResult(island.root, tuple(setup.order), converged, iterations, max_mismatch, loss_mw, slack_p, slack_q)
-    return IslandPart(v, power, current_mag, ends, (result,))
+    return IslandPart(v, power, ends, (result,))
 
 
 def _usable(dx: np.ndarray, vm: np.ndarray) -> bool:
@@ -610,7 +607,7 @@ _CURRENT_V = np.array([[0, 5, 2, 7], [1, 0, 3, 2], [0, 5, 2, 7], [1, 0, 3, 2]])
 # the product pairs that sum to s_from.r, s_from.i, s_to.r and s_to.i
 _POWER_V = np.array([0, 1, 1, 4, 2, 3, 3, 6])
 _POWER_I = np.array([0, 1, 0, 1, 2, 3, 2, 3])
-# a row of [from-end pair, to-end pair] (power: p, q; current: real, imag) with the ends swapped
+# a row of [from-end p, q, to-end p, q] with the ends swapped
 _SWAP_ENDS = np.array([2, 3, 0, 1])
 
 
@@ -619,8 +616,8 @@ def branch_flows(
     branches: np.ndarray,
     voltages: np.ndarray,
     sending: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per-branch ends, power entering each end in MW/MVAr and sending-end current in pu, plus the summed loss.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-branch ends and power entering each end in MW/MVAr, plus the summed loss.
 
     `branches` are ascending branch positions in the case's compiled form
     (branch ids sorted), `voltages` holds a complex voltage per bus
@@ -643,12 +640,9 @@ def branch_flows(
         reverse = sending[branches] != ends[:, 0]
         if reverse.any():
             power[reverse] = power[reverse][:, _SWAP_ENDS]
-            current[reverse] = current[reverse][:, _SWAP_ENDS]
             ends = np.where(reverse[:, None], ends[:, ::-1], ends)
     base = case.base_mva
-    # the sending end's current; np.hypot has the bits of Python abs on a complex
-    current_mag = np.hypot(current[:, 0], current[:, 1])
-    return ends, power * base, current_mag, loss_pu * base
+    return ends, power * base, loss_pu * base
 
 
 def sending_ends(case: NetworkCase, index: ForestIndex) -> np.ndarray:
@@ -677,7 +671,6 @@ def _merge(case: NetworkCase, islands: tuple[Island, ...], parts: list[IslandPar
             compiled.branch_ids[np.concatenate([island.branch_positions for island in islands])],
             compiled.bus_ids[np.concatenate([part.ends for part in parts])],
             np.concatenate([part.power for part in parts]),
-            np.concatenate([part.current_mag for part in parts]),
         ),
         sequential_sum(np.array([r.loss_mw for r in results])),
         all(r.converged for r in results),

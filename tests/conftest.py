@@ -9,6 +9,7 @@ module can reuse them.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -23,7 +24,7 @@ from scipy import sparse
 
 from dnr import exchange
 from dnr.caseio import parse_case
-from dnr.exchange import Rejection, SearchTrace, evaluate_candidate, improve
+from dnr.exchange import RejectReason, Rejection, SearchTrace, improve
 from dnr.model import (
     Branch,
     Bus,
@@ -33,8 +34,10 @@ from dnr.model import (
     NetworkCase,
     SwitchState,
     all_closed_config,
+    is_radial,
     make_config,
 )
+from dnr.objective import ObjectiveReport, evaluate_fo
 from dnr.powerflow import (
     BranchFlow,
     IslandPart,
@@ -48,6 +51,7 @@ from dnr.powerflow import (
     jacobian_pattern,
     leaves_first,
     mismatch_jacobian,
+    solve_all_islands,
     solve_network,
 )
 from dnr.topology import (
@@ -245,6 +249,15 @@ def two_bus_case(
     )
     branches = (Branch(1, 1, 2, r=r, x=x, mva_limit=mva_limit),)
     return NetworkCase(100.0, buses, branches, roots=(1,))
+
+
+def scaled_loads(case: NetworkCase, scale: float) -> NetworkCase:
+    """A copy of `case` with every bus load times `scale`."""
+    buses = tuple(
+        dataclasses.replace(bus, p_load=bus.p_load * scale, q_load=bus.q_load * scale)
+        for bus in case.buses
+    )
+    return dataclasses.replace(case, buses=buses)
 
 
 def deep_chain(tie: tuple[int, int], n: int = 1500) -> NetworkCase:
@@ -473,9 +486,9 @@ def oracle_branch_flows(case: NetworkCase, branch_ids, voltages, sending=None):
         s_to = vt * i_to.conjugate()
         send_bus = sending.get(branch_id, branch.from_bus) if sending else branch.from_bus
         if send_bus == branch.from_bus:
-            s_send, s_recv, i_send, recv_bus = s_from, s_to, i_from, branch.to_bus
+            s_send, s_recv, recv_bus = s_from, s_to, branch.to_bus
         else:
-            s_send, s_recv, i_send, recv_bus = s_to, s_from, i_to, branch.from_bus
+            s_send, s_recv, recv_bus = s_to, s_from, branch.from_bus
         flows[branch_id] = BranchFlow(
             branch_id,
             send_bus,
@@ -484,13 +497,30 @@ def oracle_branch_flows(case: NetworkCase, branch_ids, voltages, sending=None):
             s_send.imag * base,
             s_recv.real * base,
             s_recv.imag * base,
-            abs(i_send),
         )
         loss_pu += (s_from + s_to).real
     return flows, loss_pu * base
 
 
-def outcome_fields(outcome) -> tuple:
+def fresh_outcome(case: NetworkCase, config: Configuration) -> ObjectiveReport | Rejection:
+    """evaluate_candidate's outcome by the independent route: every island
+    solved and merged into one id-keyed solution, which evaluate_fo scores.
+
+    Classified as evaluate_candidate classifies a memo's report.
+    """
+    if not is_radial(case, config):
+        return Rejection(RejectReason.INFEASIBLE, detail="not radial")
+    solution = solve_all_islands(case, config)
+    if not solution.converged:
+        return Rejection(RejectReason.POWER_FLOW_DIVERGED, detail="power flow diverged")
+    report = evaluate_fo(case, config, solution)
+    if not report.feasible:
+        failed = "; ".join(c.detail for c in report.constraints if not c.passed)
+        return Rejection(RejectReason.INFEASIBLE, report, failed)
+    return report
+
+
+def outcome_fields(outcome: ObjectiveReport | Rejection) -> tuple:
     """Every field of an evaluate_candidate outcome, each float as float.hex.
 
     The report (None when the candidate could not be scored): objective,
@@ -500,7 +530,7 @@ def outcome_fields(outcome) -> tuple:
     if isinstance(outcome, Rejection):
         report, rejected = outcome.report, (outcome.reason, outcome.detail)
     else:
-        report, rejected = outcome[0], None
+        report, rejected = outcome, None
     if report is None:
         return None, rejected
     return (
@@ -515,8 +545,8 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
     """Search from `start`, checking that the island memo changes no candidate's outcome.
 
     Each evaluate_candidate call of the search is recorded and its outcome
-    compared, field by field, with a fresh call on the same configuration
-    without a memo.  The moves are then replayed from `start`: each is an
+    compared, field by field, with fresh_outcome on the same
+    configuration.  The moves are then replayed from `start`: each is an
     exchange on the incumbent of its time, its fo_after has the bits of the
     fresh objective, and the last incumbent is the search's answer.
     """
@@ -534,9 +564,7 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
     assert len(scored) == trace.evaluations
     fresh = {}
     for config, outcome in scored:
-        if not isinstance(outcome, Rejection):
-            assert outcome[1] is None  # a memo's report comes without a merged solution
-        fresh[config.closed] = outcome_fields(evaluate_candidate(case, config))
+        fresh[config.closed] = outcome_fields(fresh_outcome(case, config))
         assert outcome_fields(outcome) == fresh[config.closed], sorted(config.closed)
     incumbent = start
     for move in trace.moves:
@@ -619,19 +647,17 @@ GAUSS_SEIDEL_MAX_SWEEPS = 5000
 def solve_gauss_seidel(
     case: NetworkCase,
     island: Island,
-    config: Configuration | None = None,
     options: SolverOptions = SolverOptions(),
     sending: np.ndarray | None = None,
 ) -> IslandPart:
     """Gauss-Seidel sweeps; slow but independent of the Newton machinery.
 
-    Shares the package's bus classification, reactive-limit handling and
-    result assembly, so it returns an IslandPart as solve_newton_raphson
-    does, and uses only `options.tolerance`: the sweep cap is
-    GAUSS_SEIDEL_MAX_SWEEPS, since the method converges linearly.
+    Takes solve_newton_raphson's arguments and shares the package's bus
+    classification, reactive-limit handling and result assembly, so it
+    returns an IslandPart as that does.  It uses only `options.tolerance`:
+    the sweep cap is GAUSS_SEIDEL_MAX_SWEEPS, since the method converges
+    linearly.
     """
-    if config is not None and not island.branches <= config.closed:
-        raise ValueError("island branches are not closed in the given configuration")
     setup = _classify(case, island)
     ydense = setup.ybus.toarray()
     cap = GAUSS_SEIDEL_MAX_SWEEPS
@@ -722,7 +748,7 @@ def solver_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
     return natural
 
 
-def oracle_jacobian_pattern(ybus, pvpq, pq, buses=None) -> JacobianPattern:
+def oracle_jacobian_pattern(ybus, pvpq, pq, buses) -> JacobianPattern:
     """jacobian_pattern as it was built with a stable argsort of the term keys.
 
     The matrix comes from scipy's COO-to-CSC conversion of the distinct cells.
@@ -733,14 +759,11 @@ def oracle_jacobian_pattern(ybus, pvpq, pq, buses=None) -> JacobianPattern:
     var = np.full((2, n), -1)
     var[0, pvpq] = np.arange(pvpq.size)
     var[1, pq] = np.arange(pvpq.size, size)
-    if buses is None:
-        order = np.arange(size)
-    else:
-        order = var[:, buses].T.ravel()
-        order = order[order >= 0]
-        rank = np.empty(size, dtype=var.dtype)
-        rank[order] = np.arange(size)
-        var = np.where(var >= 0, rank[var], -1)
+    order = var[:, buses].T.ravel()
+    order = order[order >= 0]
+    rank = np.empty(size, dtype=var.dtype)
+    rank[order] = np.arange(size)
+    var = np.where(var >= 0, rank[var], -1)
     positions = np.arange(n)
     columns = np.repeat(positions, np.diff(y.indptr))
     rows = np.concatenate([y.indices, positions])

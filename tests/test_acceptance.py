@@ -50,15 +50,13 @@ def test_criterion_2_reconfiguration_improves(ieee14_text):
     forest = build_spanning_forest(case, weights_from_flow(case, meshed))
 
     initial = evaluate_candidate(case, forest.config)
-    initial_fo = (
-        initial.report.fo_value if isinstance(initial, Rejection) else initial[0].fo_value
-    )
+    initial_fo = initial.report.fo_value if isinstance(initial, Rejection) else initial.fo_value
     assert initial_fo is not None
 
     final, trace = improve(case, forest.config)
-    result = evaluate_candidate(case, final)
-    assert not isinstance(result, Rejection)
-    report, solution = result
+    report = evaluate_candidate(case, final)
+    assert not isinstance(report, Rejection)
+    solution = solve_all_islands(case, final)
 
     assert is_radial(case, final)
     assert report.feasible
@@ -84,8 +82,8 @@ def test_criterion_2_reconfiguration_improves(ieee14_text):
             outcome = evaluate_candidate(case, candidate)
             if isinstance(outcome, Rejection):
                 continue
-            if outcome[0].feasible:
-                assert outcome[0].fo_value >= report.fo_value - 1e-9
+            if outcome.feasible:
+                assert outcome.fo_value >= report.fo_value - 1e-9
 
     elapsed = time.perf_counter() - started
     assert 0 < neighbors <= 300
@@ -108,7 +106,7 @@ def test_criterion_3_oracle_equivalence(triangle_case, six_bus_case):
 
             outcome = evaluate_candidate(case, config)
             assert not isinstance(outcome, Rejection) or outcome.report is not None
-            report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+            report = outcome.report if isinstance(outcome, Rejection) else outcome
 
             # brute-force the operating checks straight off the solution
             solution = solve_all_islands(case, config)
@@ -145,7 +143,7 @@ def test_criterion_3_oracle_equivalence(triangle_case, six_bus_case):
         final, _ = improve(case, forest.config)
         outcome = evaluate_candidate(case, final)
         assert not isinstance(outcome, Rejection)
-        assert outcome[0].fo_value == pytest.approx(best_fo, rel=1e-12)
+        assert outcome.fo_value == pytest.approx(best_fo, rel=1e-12)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -173,7 +171,7 @@ def test_criterion_4_solver_cross_validation(
             if result.converged:
                 # a converged island met the tolerance it was given
                 assert result.max_mismatch <= tight.tolerance, (island.root, result.max_mismatch)
-            gs = solve_gauss_seidel(case, island, config, tight)
+            gs = solve_gauss_seidel(case, island, tight)
             gs_result, = gs.islands
             if not (result.converged and gs_result.converged):
                 continue
@@ -216,7 +214,7 @@ def test_criterion_5_objective_consistency(ieee14_case, ieee14_forest, ieee14_se
         if not is_radial(ieee14_case, config):
             continue
         outcome = evaluate_candidate(ieee14_case, config)
-        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+        report = outcome.report if isinstance(outcome, Rejection) else outcome
         if report is None:
             continue
         solution = solve_all_islands(ieee14_case, config)
@@ -244,7 +242,7 @@ def test_criterion_6_surrogate_neutrality(
         ranked = evaluate_candidate(case, ranked_final)
         assert not isinstance(plain, Rejection)
         assert not isinstance(ranked, Rejection)
-        assert ranked[0].fo_value == pytest.approx(plain[0].fo_value, abs=1e-9)
+        assert ranked.fo_value == pytest.approx(plain.fo_value, abs=1e-9)
         assert ranked_trace.evaluations <= plain_trace.evaluations
 
 

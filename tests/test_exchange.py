@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import search_scores_as_fresh, two_bus_case
+from conftest import outcome_fields, scaled_loads, search_scores_as_fresh, two_bus_case
 from dnr.exchange import (
     InitialInfeasibleError,
     RejectReason,
@@ -17,14 +17,27 @@ from dnr.exchange import (
 )
 from dnr import exchange, model, powerflow
 from dnr.model import all_closed_config, is_radial, make_config
-from dnr.objective import ObjectiveReport
-from dnr.powerflow import SolverOptions, solve_network
+from dnr.objective import IslandMemo, ObjectiveReport
+from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
 from dnr.topology import build_spanning_forest, weights_from_flow
 
 
 def _forest_config(case):
     meshed = solve_network(case, all_closed_config(case), slack=case.roots[0])
     return build_spanning_forest(case, weights_from_flow(case, meshed)).config
+
+
+def _counted_solves(monkeypatch) -> list:
+    """The (root, branches) of every island solve from here on, in call order."""
+    solved = []
+    solve = powerflow._SOLVERS["nr"]
+
+    def counted(case, island, *args, **kwargs):
+        solved.append((island.root, island.branches))
+        return solve(case, island, *args, **kwargs)
+
+    monkeypatch.setitem(powerflow._SOLVERS, "nr", counted)
+    return solved
 
 
 def _enumerate_reports(case, need: int):
@@ -37,14 +50,22 @@ def _enumerate_reports(case, need: int):
 
 
 class TestEvaluateCandidate:
-    def test_feasible_config_returns_report_and_solution(self, six_bus_case):
-        result = evaluate_candidate(six_bus_case, make_config(six_bus_case, {1, 2, 4, 5}))
-        assert not isinstance(result, Rejection)
-        report, solution = result
+    def test_feasible_config_returns_its_report(self, six_bus_case):
+        report = evaluate_candidate(six_bus_case, make_config(six_bus_case, {1, 2, 4, 5}))
         assert isinstance(report, ObjectiveReport)
         assert report.feasible
         assert report.fo_value == pytest.approx(8.72037, abs=1e-4)
-        assert solution.converged
+
+    def test_each_call_without_a_memo_solves_every_island_once(
+        self, ieee14_case, ieee14_search, monkeypatch
+    ):
+        solved = _counted_solves(monkeypatch)
+        first = evaluate_candidate(ieee14_case, ieee14_search[0])
+        assert sorted(root for root, _ in solved) == [1, 2]
+        # nothing is kept between calls: the second solves both islands again
+        second = evaluate_candidate(ieee14_case, ieee14_search[0])
+        assert len(solved) == 4 and solved[2:] == solved[:2]
+        assert outcome_fields(second) == outcome_fields(first)
 
     def test_one_candidate_walks_the_network_once(self, ieee14_case, ieee14_search, monkeypatch):
         # gate, island split, sending ends and objective all read one walk
@@ -109,14 +130,14 @@ class TestImproveFixedPoint:
 
     def test_triangle_detour_start_reaches_enumerated_best(self, triangle_case):
         best = min(
-            result[0].fo_value
+            result.fo_value
             for _, result in _enumerate_reports(triangle_case, 2)
-            if not isinstance(result, Rejection) and result[0].feasible
+            if not isinstance(result, Rejection) and result.feasible
         )
         final, trace = improve(triangle_case, make_config(triangle_case, {1, 3}))
         result = evaluate_candidate(triangle_case, final)
         assert not isinstance(result, Rejection)
-        assert result[0].fo_value == pytest.approx(best, rel=1e-9)
+        assert result.fo_value == pytest.approx(best, rel=1e-9)
         assert len(trace.accepted_moves) >= 1
 
     def test_rerun_from_result_accepts_nothing(self, ieee14_case, ieee14_search):
@@ -129,11 +150,10 @@ class TestImproveFixedPoint:
 class TestImproveIeee14:
     def test_final_configuration(self, ieee14_case, ieee14_search):
         final, trace = ieee14_search
-        result = evaluate_candidate(ieee14_case, final)
-        assert not isinstance(result, Rejection)
-        report, solution = result
+        report = evaluate_candidate(ieee14_case, final)
+        assert not isinstance(report, Rejection)
         assert report.feasible
-        assert solution.converged
+        assert solve_all_islands(ieee14_case, final).converged
         assert report.fo_value == pytest.approx(11.383316, abs=1e-4)
         assert sorted(final.open_ids) == [1, 5, 6, 7, 9, 16, 19, 20]
 
@@ -143,7 +163,7 @@ class TestImproveIeee14:
         final, _ = ieee14_search
         result = evaluate_candidate(ieee14_case, final)
         assert not isinstance(result, Rejection)
-        assert result[0].fo_value < start.report.fo_value
+        assert result.fo_value < start.report.fo_value
 
     def test_accepted_moves_strictly_decrease(self, ieee14_search):
         _, trace = ieee14_search
@@ -200,26 +220,26 @@ class TestImproveSixBus:
 
     def test_reaches_enumerated_global_optimum(self, six_bus_case):
         rows = [
-            result[0].fo_value
+            result.fo_value
             for _, result in _enumerate_reports(six_bus_case, 4)
-            if not isinstance(result, Rejection) and result[0].feasible
+            if not isinstance(result, Rejection) and result.feasible
         ]
         final, _ = improve(six_bus_case, _forest_config(six_bus_case))
         result = evaluate_candidate(six_bus_case, final)
         assert not isinstance(result, Rejection)
-        assert result[0].fo_value == pytest.approx(min(rows), rel=1e-9)
-        assert result[0].fo_value == pytest.approx(6.125326, abs=1e-4)
+        assert result.fo_value == pytest.approx(min(rows), rel=1e-9)
+        assert result.fo_value == pytest.approx(6.125326, abs=1e-4)
 
     def test_one_exchange_local_optimality_by_enumeration(self, six_bus_case):
         final, _ = improve(six_bus_case, _forest_config(six_bus_case))
         base = evaluate_candidate(six_bus_case, final)
         assert not isinstance(base, Rejection)
         for config, result in _enumerate_reports(six_bus_case, 4):
-            if isinstance(result, Rejection) or not result[0].feasible:
+            if isinstance(result, Rejection) or not result.feasible:
                 continue
             swaps = len(set(config.open_ids) ^ set(final.open_ids)) // 2
             if swaps <= 1:
-                assert result[0].fo_value >= base[0].fo_value - 1e-9
+                assert result.fo_value >= base.fo_value - 1e-9
 
 
 class TestImproveGuards:
@@ -237,7 +257,7 @@ class TestImproveGuards:
         final, _ = improve(six_bus_case, _forest_config(six_bus_case))
         result = evaluate_candidate(six_bus_case, final)
         assert not isinstance(result, Rejection)
-        assert result[0].feasible
+        assert result.feasible
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +277,7 @@ class TestSurrogateNeutrality:
         for label, (config, _) in two_runs.items():
             result = evaluate_candidate(ieee14_case, config)
             assert not isinstance(result, Rejection)
-            values[label] = result[0].fo_value
+            values[label] = result.fo_value
         assert values["rank"] == pytest.approx(values["none"], abs=1e-9)
 
     def test_ranking_never_costs_evaluations(self, two_runs):
@@ -316,15 +336,37 @@ class TestIslandMemo:
     def test_only_distinct_islands_reach_the_solver_in_each_search(
         self, ieee14_case, ieee14_forest, monkeypatch
     ):
-        solved = []
-        solve = powerflow._SOLVERS["nr"]
-
-        def counted(case, island, *args, **kwargs):
-            solved.append((island.root, island.branches))
-            return solve(case, island, *args, **kwargs)
-
-        monkeypatch.setitem(powerflow._SOLVERS, "nr", counted)
+        solved = _counted_solves(monkeypatch)
         traces = [improve(ieee14_case, ieee14_forest.config)[1] for _ in range(2)]
         # a memo that outlived its search would leave the second nothing to solve
         assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(52, 41, 63)] * 2
         assert len(solved) == 82 and len(set(solved[:41])) == 41 and solved[41:] == solved[:41]
+
+    def test_a_memo_answers_for_its_first_case_only(self, ieee14_case, ieee14_search):
+        final = ieee14_search[0]
+        memo = IslandMemo()
+        assert evaluate_candidate(ieee14_case, final, memo=memo).fo_value == pytest.approx(11.3833, abs=1e-4)
+        # the same configuration with loads 30% heavier loses more
+        heavier = scaled_loads(ieee14_case, 1.3)
+        config = make_config(heavier, final.closed)
+        assert evaluate_candidate(heavier, config).fo_value == pytest.approx(20.5014, abs=1e-4)
+        with pytest.raises(ValueError, match="case and solver options of its first report"):
+            evaluate_candidate(heavier, config, memo=memo)
+        # the memo knows its case by identity, not by value
+        with pytest.raises(ValueError, match="case and solver options of its first report"):
+            evaluate_candidate(dataclasses.replace(ieee14_case), final, memo=memo)
+        assert memo.hits == 0
+
+    def test_a_memo_answers_for_its_first_solver_options_only(self, ieee14_case, ieee14_search):
+        final = ieee14_search[0]
+        memo = IslandMemo()
+        loose = SearchOptions(solver_options=SolverOptions(tolerance=1e-2, max_iterations=2))
+        outcome = evaluate_candidate(ieee14_case, final, loose, memo)
+        assert isinstance(outcome, Rejection) and outcome.reason is RejectReason.POWER_FLOW_DIVERGED
+        assert not isinstance(evaluate_candidate(ieee14_case, final), Rejection)
+        with pytest.raises(ValueError, match="case and solver options of its first report"):
+            evaluate_candidate(ieee14_case, final, SearchOptions(), memo)
+        # equal options are the same options
+        again = SearchOptions(solver_options=SolverOptions(tolerance=1e-2, max_iterations=2))
+        assert outcome_fields(evaluate_candidate(ieee14_case, final, again, memo)) == outcome_fields(outcome)
+        assert (memo.solves, memo.hits) == (2, 2)

@@ -45,7 +45,7 @@ def _flow_forest(case: NetworkCase):
 def _rank(case: NetworkCase, closed) -> tuple[bool, float] | None:
     """Feasibility, then objective, of a configuration; None when it cannot be scored."""
     outcome = evaluate_candidate(case, make_config(case, closed))
-    report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+    report = outcome.report if isinstance(outcome, Rejection) else outcome
     return None if report is None else sort_key(report)[:2]
 
 
@@ -59,7 +59,7 @@ def test_newton_matches_gauss_seidel_on_the_flow_forest(size, seed):
     newton = solve_all_islands(case, config, tight)
     assert newton.converged
     for island in islands(case, config):
-        oracle = solve_gauss_seidel(case, island, config, tight)
+        oracle = solve_gauss_seidel(case, island, tight)
         result, = oracle.islands
         assert result.converged
         assert set(result.buses) == island.buses

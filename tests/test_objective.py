@@ -36,9 +36,7 @@ def _fabricated_two_bus_solution() -> PowerFlowSolution:
     return PowerFlowSolution(
         v_mag=BusValues(buses, np.array([1.0, 0.99])),
         v_angle=BusValues(buses, np.array([0.0, -0.01])),
-        flows=BranchFlows(
-            np.array([1]), np.array([[1, 2]]), np.array([[100.0, 50.0, -98.75, -43.75]]), np.array([1.118])
-        ),
+        flows=BranchFlows(np.array([1]), np.array([[1, 2]]), np.array([[100.0, 50.0, -98.75, -43.75]])),
         total_loss_mw=1.25,
         converged=True,
         iterations=3,
@@ -270,7 +268,7 @@ class TestColumnarSolution:
         flows = solution.flows
         row = list(flows).index(1)
         send, recv = flows.ends[row].tolist()
-        expected = BranchFlow(1, send, recv, *flows.power[row].tolist(), flows.current_mag[row].item())
+        expected = BranchFlow(1, send, recv, *flows.power[row].tolist())
         assert flows[1] == expected and dict(flows)[1] == expected
 
 

@@ -17,6 +17,7 @@ from conftest import (
     oracle_jacobian_pattern,
     random_four_bus,
     random_radial_feeder,
+    scaled_loads,
     solve_gauss_seidel,
     solver_jacobian,
     two_bus_case,
@@ -240,14 +241,6 @@ def _finite_only(dx: np.ndarray, vm: np.ndarray) -> bool:
     return bool(np.isfinite(dx).all())
 
 
-def _scaled_loads(case: NetworkCase, scale: float) -> NetworkCase:
-    buses = tuple(
-        dataclasses.replace(bus, p_load=bus.p_load * scale, q_load=bus.q_load * scale)
-        for bus in case.buses
-    )
-    return dataclasses.replace(case, buses=buses)
-
-
 def _assert_the_exit_keeps_the_answer(case: NetworkCase, island: Island):
     """The solve and its run-to-cap reference, checked against each other.
 
@@ -326,7 +319,7 @@ class TestDivergenceExit:
         for roots in ((1,), (1, 2), (1, 3), (1, 2, 3)):
             base = parse_case(ieee14_text, fmt="cdf", roots=roots)
             for scale in (0.5, 1.0, 2.0):
-                case = _scaled_loads(base, scale)
+                case = scaled_loads(base, scale)
                 for _ in range(6):
                     weights = {branch.id: float(rng.random()) for branch in case.branches}
                     for island in split_islands(case, build_spanning_forest(case, weights).config):
@@ -343,7 +336,7 @@ class TestDivergenceExit:
         scale=st.floats(1.0, 40.0),
     )
     def test_seeded_feeders_keep_their_answers(self, seed, buses, roots, scale):
-        case = _scaled_loads(random_radial_feeder(seed, max(buses, roots + 1), roots), scale)
+        case = scaled_loads(random_radial_feeder(seed, max(buses, roots + 1), roots), scale)
         for island in split_islands(case, default_config(case)):
             solution, reference = _assert_the_exit_keeps_the_answer(case, island)
             assert solution.islands[0].converged == reference.islands[0].converged
@@ -354,7 +347,7 @@ class TestDivergenceExit:
         # passes bus magnitudes through zero at its fifth step and converges
         # ten steps later to a low-voltage root near 0.25 pu, which
         # Gauss-Seidel does not find: its solution holds every bus above 1 pu
-        case = _scaled_loads(parse_case(ieee14_text, fmt="cdf", roots=(1, 2)), 0.5)
+        case = scaled_loads(parse_case(ieee14_text, fmt="cdf", roots=(1, 2)), 0.5)
         config = make_config(case, {2, 3, 4, 8, 11, 13, 14, 15, 17, 18, 19, 20})
         island = next(isl for isl in split_islands(case, config) if isl.root == 2)
         solution, reference = _assert_the_exit_keeps_the_answer(case, island)
@@ -382,10 +375,7 @@ class TestGaussSeidel:
 
     def test_agrees_with_newton_on_meshed_ieee14(self, ieee14_case, ieee14_meshed):
         # exercises reactive-limit clamping and release during the slow sweeps
-        gs = solve_gauss_seidel(
-            ieee14_case, _whole_island(ieee14_case), all_closed_config(ieee14_case),
-            SolverOptions(tolerance=1e-10),
-        )
+        gs = solve_gauss_seidel(ieee14_case, _whole_island(ieee14_case), SolverOptions(tolerance=1e-10))
         result, = gs.islands
         assert result.converged
         assert abs(result.loss_mw - ieee14_meshed.total_loss_mw) <= 0.01
@@ -396,7 +386,7 @@ class TestGaussSeidel:
 class TestBranchFlows:
     def test_zero_load_flows_are_zero(self):
         case = two_bus_case(0.0, 0.0)
-        _, power, _, loss = branch_flows(case, np.array([0]), np.array([1.0 + 0j, 1.0 + 0j]))
+        _, power, loss = branch_flows(case, np.array([0]), np.array([1.0 + 0j, 1.0 + 0j]))
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert power.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
@@ -411,7 +401,6 @@ class TestBranchFlows:
         # power entering at both ends sums to the series loss
         assert flow.p_send + flow.p_recv == pytest.approx(oracle["loss_p"] * 100.0, abs=1e-5)
         assert flow.p_recv == pytest.approx(-50.0, abs=1e-5)  # delivered load
-        assert flow.current_mag == pytest.approx(oracle["current"], abs=1e-8)
 
     def test_per_branch_losses_sum_to_total(self, ieee14_meshed):
         per_branch = sum(f.p_send + f.p_recv for f in ieee14_meshed.flows.values())
@@ -479,7 +468,6 @@ class TestIslandSolves:
             assert result.buses == tuple(bus_ids[buses].tolist())
             assert part.v.shape == buses.shape
             assert part.power.shape == (branches.size, 4)
-            assert part.current_mag.shape == branches.shape
             assert part.ends.shape == (branches.size, 2)
             # each branch is sent from its parent end, toward the bus it feeds
             send, recv = part.ends.T
@@ -492,7 +480,6 @@ class TestIslandSolves:
                 flow = merged.flows[branch]
                 assert (flow.sending_bus, flow.receiving_bus) == tuple(bus_ids[part.ends[k]].tolist())
                 assert [flow.p_send, flow.q_send, flow.p_recv, flow.q_recv] == part.power[k].tolist()
-                assert flow.current_mag == part.current_mag[k]
 
     def test_loss_nonnegative_across_fixtures(
         self, triangle_case, six_bus_case, ring6_case, path5_case, five_bus_tworoot
@@ -633,18 +620,14 @@ def _oracle_arguments(case, branches, voltages, sending):
 
 def _assert_flows_match_oracle(case, branches, voltages, sending) -> None:
     """branch_flows over bus positions has every bit of the oracle's scalar loop over ids."""
-    ends, power, current_mag, loss = branch_flows(case, branches, voltages, sending)
+    ends, power, loss = branch_flows(case, branches, voltages, sending)
     ids, by_id, sending_ids = _oracle_arguments(case, branches, voltages, sending)
     expected, expected_loss = oracle_branch_flows(case, ids, by_id, sending_ids)
     assert list(expected) == ids
     bus_ids = sorted(case.bus_by_id)
-    rows = [
-        (bus_ids[send], bus_ids[recv], *flow, current)
-        for (send, recv), flow, current in zip(ends.tolist(), power.tolist(), current_mag.tolist())
-    ]
+    rows = [(bus_ids[send], bus_ids[recv], *flow) for (send, recv), flow in zip(ends.tolist(), power.tolist())]
     assert rows == [
-        (f.sending_bus, f.receiving_bus, f.p_send, f.q_send, f.p_recv, f.q_recv, f.current_mag)
-        for f in expected.values()
+        (f.sending_bus, f.receiving_bus, f.p_send, f.q_send, f.p_recv, f.q_recv) for f in expected.values()
     ]
     assert loss == expected_loss
 

@@ -24,7 +24,7 @@ def ieee14_history(ieee14_case, ieee14_forest) -> list[tuple[tuple[float, ...], 
 
     def recorded(case, config, *args):
         outcome = evaluate(case, config, *args)
-        report = outcome.report if isinstance(outcome, Rejection) else outcome[0]
+        report = outcome.report if isinstance(outcome, Rejection) else outcome
         if report is not None:
             history.append((featurize(case, config), report.fo_value))
         return outcome
@@ -40,7 +40,7 @@ def _scored_samples(case, need: int) -> list[tuple[tuple[float, ...], float]]:
     for closed in enumerate_radial(case):
         config = make_config(case, closed)
         result = evaluate_candidate(case, config)
-        fo = result.report.fo_value if isinstance(result, Rejection) else result[0].fo_value
+        fo = result.report.fo_value if isinstance(result, Rejection) else result.fo_value
         if fo is not None:
             samples.append((featurize(case, config), fo))
     assert len(samples) >= need
@@ -206,7 +206,7 @@ class TestRankCandidates:
             config = make_config(triangle_case, closed)
             result = evaluate_candidate(triangle_case, config)
             assert not isinstance(result, Rejection)
-            per_config.append((config, featurize(triangle_case, config), result[0].fo_value))
+            per_config.append((config, featurize(triangle_case, config), result.fo_value))
         # revisits during a search duplicate history rows; mimic that to reach dim+1
         samples = [(fv, fo) for _, fv, fo in per_config] * 2
         model = fit(triangle_case, samples)
