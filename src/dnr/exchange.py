@@ -109,11 +109,12 @@ class _Search:
         self.options = options
         self.trace = SearchTrace()
         self.memo = IslandMemo()
-        # features and objective of every scored configuration, for surrogate fits
+        # features and objective of every scored configuration, for surrogate
+        # fits; kept only when the surrogate is on, since nothing else reads them
         self.samples: list[tuple[tuple[float, ...], float]] = []
 
     def score(self, config: Configuration) -> tuple[ObjectiveReport | None, Rejection | None]:
-        """Evaluate one configuration, count it and keep its surrogate sample.
+        """Evaluate one configuration, count it and keep its surrogate sample if the surrogate is on.
 
         The report is None when the candidate could not be scored; the
         rejection is None when it passed every check.
@@ -124,7 +125,7 @@ class _Search:
             report, rejection = outcome.report, outcome
         else:
             report, rejection = outcome, None
-        if report is not None:
+        if report is not None and self.options.use_surrogate:
             self.samples.append((featurize(self.case, config), report.fo_value))
         return report, rejection
 

@@ -236,6 +236,14 @@ def _mismatch(scalc: np.ndarray, sbus: np.ndarray, pvpq: np.ndarray, pq: np.ndar
     return np.concatenate([mis[pvpq].real, mis[pq].imag])
 
 
+# the most unknowns a Newton system is filled and solved dense.  SuperLU costs
+# 30 to 50 us a factor and solve below 120 unknowns; LAPACK's dense LU
+# (partial pivoting) grows as n^3 from about 12 us at 30.  Timed per step on
+# generated radial feeders (2-vCPU Xeon, one BLAS thread): dense is faster up
+# to about 64 unknowns, SuperLU from about 78 on
+_DENSE_MAX = 64
+
+
 @dataclass(frozen=True, slots=True)
 class JacobianPattern:
     """Where the Jacobian's terms land, for one Ybus pattern and one PV/PQ split.
@@ -243,12 +251,14 @@ class JacobianPattern:
     `columns` is the bus column of each stored Ybus entry in CSC order.
     `take` picks the kept terms out of [dS/dVa real, dS/dVm real, dS/dVa
     imag, dS/dVm imag], each listing the stored entries and then the
-    diagonal terms; `slots` puts each kept term at its place in the data of
-    `jacobian`, where the two terms of a diagonal entry sum in that order.
-    `jacobian` is the matrix every fill with this pattern writes its values
-    into and returns.
+    diagonal terms; `slots` puts each kept term at its place in the
+    Jacobian's data, where the two terms of a diagonal entry sum in that
+    order.  Over _DENSE_MAX unknowns `jacobian` is the CSC matrix every
+    fill with this pattern writes its values into and returns, and a slot
+    indexes its data; up to _DENSE_MAX it is None, each fill returns a new
+    dense array, and a slot is a cell of that array in row-major order.
 
-    `order` gives, for each row of `jacobian` (and each column), its
+    `order` gives, for each row of the Jacobian (and each column), its
     variable in the mismatch's numbering [angles at PV+PQ; magnitudes at
     PQ].  The rows run bus by bus in the bus order the pattern was built
     for, leaves first, each bus's angle before its magnitude.
@@ -257,7 +267,7 @@ class JacobianPattern:
     columns: np.ndarray
     take: np.ndarray
     slots: np.ndarray
-    jacobian: sparse.csc_matrix
+    jacobian: sparse.csc_matrix | None
     order: np.ndarray
 
 
@@ -288,9 +298,11 @@ def jacobian_pattern(
     """The structure of mismatch_jacobian for this Ybus pattern and PV/PQ split.
 
     `buses` orders the Jacobian's rows and columns bus by bus, as
-    leaves_first gives them.  The terms are keyed column * size + row,
-    which _stable_order packs into an int64 up to about half a million
-    buses in one island.
+    leaves_first gives them.  Up to _DENSE_MAX unknowns each term's slot
+    is its row-major cell, row * size + column.  Larger systems key the
+    terms column * size + row, which _stable_order packs into an int64 up
+    to about half a million buses in one island, and store the distinct
+    cells as a CSC matrix.
     """
     y = ybus.tocsc()
     n = y.shape[0]
@@ -312,6 +324,8 @@ def jacobian_pattern(
     at_i = var[[0, 0, 1, 1]][:, rows].ravel()
     at_j = var[[0, 1, 0, 1]][:, cols].ravel()
     take = np.flatnonzero((at_i >= 0) & (at_j >= 0))
+    if size <= _DENSE_MAX:
+        return JacobianPattern(columns, take, at_i[take] * size + at_j[take], None, order)
     # np.unique(keys, return_inverse=True), without its overhead; a term's
     # slot depends on its key only, so the sort need not be stable
     keys, by_key = _stable_order(at_j[take] * size + at_i[take], size * size)
@@ -330,7 +344,7 @@ def mismatch_jacobian(
     pq: np.ndarray,
     pattern: JacobianPattern,
     ibus: np.ndarray,
-) -> sparse.csc_matrix:
+) -> np.ndarray | sparse.csc_matrix:
     """Jacobian of the power mismatch (_mismatch) w.r.t. [angles at PV+PQ; magnitudes at PQ].
 
     Filled entry-wise on the stored pattern of Ybus, after MATPOWER's
@@ -339,7 +353,8 @@ def mismatch_jacobian(
     conj(I)*v/|v|.  Real parts land in the P rows, imaginary parts in the Q
     rows.  `pattern` is jacobian_pattern for this Ybus pattern and PV/PQ
     split, so each call only computes the values.  The matrix returned is
-    the pattern's own, numbered leaves first as `pattern.order` says and
+    numbered leaves first as `pattern.order` says: a new dense array up to
+    _DENSE_MAX unknowns, otherwise the pattern's own CSC matrix,
     overwritten by its next fill.  `ibus` is ybus @ v, the product the
     Newton loop's mismatch used.
     """
@@ -351,6 +366,9 @@ def mismatch_jacobian(
     ds_dvm = np.concatenate([vr * np.conj(y.data * vnorm[cols]), np.conj(ibus) * vnorm])
     terms = np.concatenate([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag])[pattern.take]
     jacobian = pattern.jacobian
+    if jacobian is None:
+        size = pattern.order.size
+        return np.bincount(pattern.slots, weights=terms, minlength=size * size).reshape(size, size)
     jacobian.data = np.bincount(pattern.slots, weights=terms, minlength=jacobian.data.size)
     return jacobian
 
@@ -374,24 +392,18 @@ def _factor(matrix: sparse.csc_matrix):
     return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=1e-3, panel_size=1)
 
 
-# the most unknowns a Newton step solves as a dense system.  SuperLU costs
-# about 40 us a factor and solve whatever the size below a hundred unknowns;
-# LAPACK's dense LU (partial pivoting) grows as n^3 from about 17 us at 30.
-# Timed per step on generated radial feeders (2-vCPU Xeon, one BLAS thread):
-# dense is faster up to about 64 unknowns, SuperLU from about 78 on
-_DENSE_MAX = 64
-
-
-def _newton_step(jacobian: sparse.csc_matrix, mismatch: np.ndarray, pattern: JacobianPattern) -> np.ndarray:
+def _newton_step(
+    jacobian: np.ndarray | sparse.csc_matrix, mismatch: np.ndarray, pattern: JacobianPattern
+) -> np.ndarray:
     """-J^-1 f for a fill with `pattern`, f and the step in the mismatch's numbering; NaN when J is singular.
 
-    Up to _DENSE_MAX unknowns J is solved as a dense array, larger systems
+    A dense J (up to _DENSE_MAX unknowns) goes to LAPACK as it is, a CSC J
     through its leaves-first SuperLU factor.
     """
     rhs = -mismatch[pattern.order]
     try:
-        if mismatch.size <= _DENSE_MAX:
-            solved = np.linalg.solve(jacobian.toarray(), rhs)
+        if pattern.jacobian is None:
+            solved = np.linalg.solve(jacobian, rhs)
         else:
             solved = _factor(jacobian).solve(rhs)
     # LAPACK meets an exactly zero pivot, or SuperLU finds the factor exactly singular

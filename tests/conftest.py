@@ -737,21 +737,29 @@ def dense_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
     )
 
 
+def filled_array(jacobian) -> np.ndarray:
+    """A mismatch_jacobian fill as a dense array: the fill itself up to
+    _DENSE_MAX unknowns, the CSC matrix's toarray() above."""
+    return jacobian.toarray() if sparse.issparse(jacobian) else jacobian
+
+
 def solver_jacobian(ybus, v, pvpq, pq) -> np.ndarray:
-    """The Jacobian the Newton step factors, numbered leaves first, as a
+    """The Jacobian the Newton step solves, numbered leaves first, as a
     dense array mapped back through `pattern.order` to the mismatch's
     numbering, which fd_jacobian and dense_jacobian use."""
     pattern = jacobian_pattern(ybus, pvpq, pq, leaves_first(ybus))
     jacobian = mismatch_jacobian(ybus, v, pvpq, pq, pattern, ybus @ v)
     natural = np.empty(jacobian.shape)
-    natural[np.ix_(pattern.order, pattern.order)] = jacobian.toarray()
+    natural[np.ix_(pattern.order, pattern.order)] = filled_array(jacobian)
     return natural
 
 
 def oracle_jacobian_pattern(ybus, pvpq, pq, buses) -> JacobianPattern:
     """jacobian_pattern as it was built with a stable argsort of the term keys.
 
-    The matrix comes from scipy's COO-to-CSC conversion of the distinct cells.
+    The matrix comes from scipy's COO-to-CSC conversion of the distinct
+    cells, at every size: mismatch_jacobian fills it as CSC where the
+    solver's own pattern is dense.
     """
     y = ybus.tocsc()
     n = y.shape[0]

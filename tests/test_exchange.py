@@ -289,6 +289,28 @@ class TestSurrogateNeutrality:
         assert two_runs["rank"][1].surrogate_hits > 0
 
 
+class TestSurrogateOff:
+    def test_no_search_sample_is_featurized(self, ieee14_case, ieee14_forest, monkeypatch):
+        # samples feed only surrogate fits, so with the surrogate off none is kept
+        calls = []
+        featurize = exchange.featurize
+        monkeypatch.setattr(exchange, "featurize", lambda *args: calls.append(args) or featurize(*args))
+        config, trace = improve(ieee14_case, ieee14_forest.config, options=SearchOptions(use_surrogate=False))
+        assert calls == []
+        # the configuration and trace the search gave while it still featurized every scored candidate
+        assert sorted(config.open_ids) == [1, 5, 6, 7, 9, 16, 19, 20]
+        assert (trace.evaluations, len(trace.moves), trace.island_solves, trace.island_hits) == (52, 51, 41, 63)
+        reasons = [move.rejected_reason for move in trace.moves]
+        assert [reasons.count(reason) for reason in RejectReason] == [26, 5, 18]
+        accepted = [
+            (m.close_branch, m.open_branch, m.fo_before.hex(), m.fo_after.hex()) for m in trace.moves if m.accepted
+        ]
+        assert accepted == [
+            (4, 7, "0x1.3f2ca43979a6bp+4", "0x1.7b2dc7be6c585p+3"),
+            (18, 16, "0x1.7b2dc7be6c585p+3", "0x1.6c441faa41131p+3"),
+        ]
+
+
 class TestSingleScoringPath:
     """Every candidate is scored, counted and logged by the same two steps."""
 

@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from conftest import (
     bench_feeders,
     dense_jacobian,
     fd_jacobian,
+    filled_array,
     oracle_admittance,
     oracle_branch_flows,
     oracle_jacobian_pattern,
@@ -186,7 +188,10 @@ class TestNewtonRaphson:
 
         def zero_values(*args):
             result = jacobian(*args)
-            result.data[:] = 0.0
+            if sparse.issparse(result):
+                result.data[:] = 0.0
+            else:
+                result[:] = 0.0
             return result
 
         monkeypatch.setattr(powerflow, "mismatch_jacobian", zero_values)
@@ -639,16 +644,17 @@ class _SolveWork:
     island: Island
     jacobians: int = 0
     splits: set = dataclasses.field(default_factory=set)  # the PQ sets Jacobians were filled for
-    patterns: int = 0
+    patterns: list = dataclasses.field(default_factory=list)  # the JacobianPatterns built
     switches: int = 0  # calls of _apply_q_limits that changed the PV/PQ sets
     stale_products: int = 0  # Jacobians handed a Ybus @ v other than at their v
     converged: bool | None = None
+    iterations: int = 0
 
 
 @pytest.fixture(scope="module")
 def ieee14_recorded(ieee14_case):
     """One IEEE-14 reconfiguration as the CLI runs it, recording the power-flow calls."""
-    calls = {"admittance": [], "flows": [], "patterns": [], "solves": []}
+    calls = {"admittance": [], "flows": [], "patterns": [], "solves": [], "sparse": 0}
 
     def wrap(name, record):
         inner = getattr(powerflow, name)
@@ -669,8 +675,11 @@ def ieee14_recorded(ieee14_case):
             work.stale_products += 1
 
     def pattern(args, kwargs, result):
-        calls["solves"][-1].patterns += 1
+        calls["solves"][-1].patterns.append(result)
         calls["patterns"].append(args)
+
+    def built_sparse(args, kwargs, result):
+        calls["sparse"] += 1
 
     def switched(args, kwargs, result):
         if result[0]:
@@ -683,6 +692,7 @@ def ieee14_recorded(ieee14_case):
         calls["solves"].append(work)
         part = solve(case, island, *args, **kwargs)
         work.converged = part.islands[0].converged
+        work.iterations = part.islands[0].iterations
         return part
 
     with pytest.MonkeyPatch.context() as mp:
@@ -695,6 +705,7 @@ def ieee14_recorded(ieee14_case):
         mp.setattr(powerflow, "mismatch_jacobian", wrap("mismatch_jacobian", jacobian))
         mp.setattr(powerflow, "jacobian_pattern", wrap("jacobian_pattern", pattern))
         mp.setattr(powerflow, "_apply_q_limits", wrap("_apply_q_limits", switched))
+        mp.setattr(powerflow, "_csc", wrap("_csc", built_sparse))
         mp.setitem(powerflow._SOLVERS, "nr", recorded_solve)
         meshed = solve_network(ieee14_case, all_closed_config(ieee14_case))
         forest = build_spanning_forest(ieee14_case, weights_from_flow(ieee14_case, meshed))
@@ -776,7 +787,7 @@ class TestJacobianPattern:
             result = jacobian(ybus, v, pvpq, pq, pattern, ibus)
             # back from the pattern's leaves-first numbering to the mismatch's
             natural = np.empty(result.shape)
-            natural[np.ix_(pattern.order, pattern.order)] = result.toarray()
+            natural[np.ix_(pattern.order, pattern.order)] = filled_array(result)
             seen.append((ybus, v.copy(), pvpq.copy(), pq.copy(), natural))
             return result
 
@@ -799,8 +810,16 @@ class TestJacobianPattern:
         assert sum(work.jacobians for work in solves) == 247
         assert sum(work.jacobians for work in solves if work.converged) == 128
         for work in solves:
-            assert work.patterns == len(work.splits), work.island
-        assert sum(work.patterns for work in solves) == 77
+            assert len(work.patterns) == len(work.splits), work.island
+        assert sum(len(work.patterns) for work in solves) == 77
+        search = solves[1:-2]  # without the meshed solve and the final solve's two islands
+        assert sum(w.iterations for w in search if w.converged) == 143
+        assert sum(w.iterations for w in search if not w.converged) == 119
+        # every IEEE-14 system has at most _DENSE_MAX unknowns and is filled
+        # dense, so the one sparse matrix a solve builds is its Ybus
+        assert ieee14_recorded["sparse"] == len(solves) == 44
+        for work in solves:
+            assert all(p.order.size <= _DENSE_MAX and p.jacobian is None for p in work.patterns), work.island
         assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
 
     def test_each_jacobian_reuses_the_product_at_its_voltages(self, ieee14_recorded):
@@ -809,7 +828,7 @@ class TestJacobianPattern:
 
     def test_every_ieee14_pattern_matches_the_stable_argsort_oracle(self, ieee14_recorded):
         calls = ieee14_recorded["patterns"]
-        assert len(calls) == sum(work.patterns for work in ieee14_recorded["solves"])
+        assert len(calls) == sum(len(work.patterns) for work in ieee14_recorded["solves"])
         for ybus, pvpq, pq, buses in calls:
             _assert_pattern_matches_oracle(ybus, pvpq, pq, buses)
 
@@ -831,19 +850,83 @@ class TestJacobianPattern:
         setup = _classify(six_bus_case, Island(2, frozenset({2}), frozenset()))
         empty = np.array([], dtype=int)
         pattern = jacobian_pattern(setup.ybus, empty, empty, leaves_first(setup.ybus))
-        assert pattern.jacobian.shape == (0, 0)
+        assert pattern.jacobian is None  # no unknowns: a dense pattern
         assert pattern.order.size == pattern.take.size == pattern.slots.size == 0
+        ibus = setup.ybus @ setup.v
+        assert mismatch_jacobian(setup.ybus, setup.v, empty, empty, pattern, ibus).shape == (0, 0)
 
 
 def _assert_pattern_matches_oracle(ybus, pvpq, pq, buses) -> None:
     pattern = jacobian_pattern(ybus, pvpq, pq, buses)
     expected = oracle_jacobian_pattern(ybus, pvpq, pq, buses)
-    for name in ("columns", "take", "slots", "order"):
+    for name in ("columns", "take", "order"):
         np.testing.assert_array_equal(getattr(pattern, name), getattr(expected, name), err_msg=name)
+    size = expected.order.size
+    if size <= _DENSE_MAX:
+        # each term at the row-major cell of the oracle's CSC entry it sums into
+        assert pattern.jacobian is None
+        matrix = expected.jacobian
+        cells = matrix.indices * size + np.repeat(np.arange(size), np.diff(matrix.indptr))
+        np.testing.assert_array_equal(pattern.slots, cells[expected.slots])
+        return
+    np.testing.assert_array_equal(pattern.slots, expected.slots)
     # the same cells, in CSC order
     assert pattern.jacobian.shape == expected.jacobian.shape
     np.testing.assert_array_equal(pattern.jacobian.indptr, expected.jacobian.indptr)
     np.testing.assert_array_equal(pattern.jacobian.indices, expected.jacobian.indices)
+
+
+def _assert_dense_fill_has_the_csc_bits(ybus, v, pvpq, pq) -> None:
+    """The dense fill is toarray() of the CSC fill through the stable-argsort
+    oracle's pattern, bit for bit: each entry sums the same terms in the same order."""
+    buses = leaves_first(ybus)
+    ibus = ybus @ v
+    pattern = jacobian_pattern(ybus, pvpq, pq, buses)
+    assert pattern.jacobian is None
+    dense = mismatch_jacobian(ybus, v, pvpq, pq, pattern, ibus)
+    csc = mismatch_jacobian(ybus, v, pvpq, pq, oracle_jacobian_pattern(ybus, pvpq, pq, buses), ibus)
+    expected = csc.toarray()
+    assert dense.shape == expected.shape
+    np.testing.assert_array_equal(dense.view(np.uint64), expected.view(np.uint64))
+
+
+class TestDenseFill:
+    """Up to _DENSE_MAX unknowns the Jacobian is filled straight into a dense
+    array, with every bit of the CSC fill it replaces."""
+
+    def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
+        # 41 radial islands and the meshed network, at the flat start and the solution
+        islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
+        assert len(islands) == 42
+        lone = []
+        for island in islands.values():
+            setup = _classify(ieee14_case, island)
+            if not (setup.pv or setup.pq):
+                lone.append(island.root)
+                continue  # a lone root: no Jacobian
+            pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
+            pq = np.array(setup.pq, dtype=int)
+            for v in (setup.v, solve_newton_raphson(ieee14_case, island).v):
+                _assert_dense_fill_has_the_csc_bits(setup.ybus, v, pvpq, pq)
+        assert lone == [1]  # root bus 1 with both its branches open
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), buses=st.integers(2, 32), roots=st.integers(1, 2))
+    def test_seeded_feeders_with_any_split(self, seed, buses, roots):
+        # at most 31 buses besides the root: at most 62 unknowns, all filled dense
+        case = random_radial_feeder(seed, max(buses, roots + 1), roots)
+        rng = np.random.default_rng(seed)
+        for island in forest_index(case, default_config(case)).islands:
+            setup = _classify(case, island)
+            pvpq = np.delete(np.arange(len(setup.order)), setup.slack)
+            if not pvpq.size:
+                continue  # a lone root: no Jacobian
+            pq = np.sort(rng.choice(pvpq, rng.integers(0, pvpq.size + 1), replace=False))
+            off_flat = (1.0 + rng.uniform(-0.05, 0.05, pvpq.size + 1)) * np.exp(
+                1j * rng.uniform(-0.1, 0.1, pvpq.size + 1)
+            )
+            for v in (setup.v, off_flat):
+                _assert_dense_fill_has_the_csc_bits(setup.ybus, v, pvpq, pq)
 
 
 class TestStableOrder:
@@ -871,20 +954,27 @@ class TestStableOrder:
 
 
 def _newton_points(case, island):
-    """(pattern, Jacobian numbered leaves first, dense Jacobian) at the flat
-    start and at the solution, the two points every Newton solve factors a
-    Jacobian near; nothing for a lone root."""
+    """(pattern, Jacobian numbered leaves first, the same Jacobian as CSC,
+    dense Jacobian) at the flat start and at the solution, the two points
+    every Newton solve factors a Jacobian near; nothing for a lone root.
+
+    The CSC matrix is the solver's own fill over _DENSE_MAX unknowns, and
+    below it the fill through the oracle's pattern, in the same numbering."""
     setup = _classify(case, island)
     if not (setup.pv or setup.pq):
         return
     solved = solve_newton_raphson(case, island)
     pvpq = np.array(sorted(setup.pv + setup.pq), dtype=int)
     pq = np.array(setup.pq, dtype=int)
-    pattern = jacobian_pattern(setup.ybus, pvpq, pq, leaves_first(setup.ybus))
+    buses = leaves_first(setup.ybus)
+    pattern = jacobian_pattern(setup.ybus, pvpq, pq, buses)
+    oracle = oracle_jacobian_pattern(setup.ybus, pvpq, pq, buses)
     for v in (setup.v, solved.v):
-        # the pattern's matrix is overwritten by the next fill
-        jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern, setup.ybus @ v)
-        yield pattern, jacobian, dense_jacobian(setup.ybus, v, pvpq, pq)
+        # a pattern's CSC matrix is overwritten by its next fill
+        ibus = setup.ybus @ v
+        jacobian = mismatch_jacobian(setup.ybus, v, pvpq, pq, pattern, ibus)
+        csc = jacobian if sparse.issparse(jacobian) else mismatch_jacobian(setup.ybus, v, pvpq, pq, oracle, ibus)
+        yield pattern, jacobian, csc, dense_jacobian(setup.ybus, v, pvpq, pq)
 
 
 def _assert_leaves_first_without_fill(case, island) -> None:
@@ -895,18 +985,18 @@ def _assert_leaves_first_without_fill(case, island) -> None:
     _assert_step_solves_the_dense_system, since at a diverged solve's last
     iterate J's condition number reaches 7e5 and two sound solvers' steps
     differ by more than 1e-12."""
-    for pattern, jacobian, dense in _newton_points(case, island):
+    for pattern, jacobian, csc, dense in _newton_points(case, island):
         size = dense.shape[0]
         assert sorted(pattern.order) == list(range(size))
         permute = np.eye(size)[pattern.order]
-        _assert_close(jacobian.toarray(), permute @ dense @ permute.T)
-        factors = _factor(jacobian)
+        _assert_close(filled_array(jacobian), permute @ dense @ permute.T)
+        factors = _factor(csc)
         # SuperLU swapped no rows: every pivot is the diagonal, which on a
         # tree numbered leaves first is what keeps the factor free of fill
         np.testing.assert_array_equal(factors.perm_r, np.arange(size))
-        assert factors.L.nnz + factors.U.nnz <= jacobian.nnz + size
-        rhs = jacobian @ np.random.default_rng(size).standard_normal(size)
-        _assert_close(jacobian @ factors.solve(rhs), rhs)
+        assert factors.L.nnz + factors.U.nnz <= csc.nnz + size
+        rhs = csc @ np.random.default_rng(size).standard_normal(size)
+        _assert_close(csc @ factors.solve(rhs), rhs)
 
 
 def _assert_step_solves_the_dense_system(case, island) -> None:
@@ -922,7 +1012,7 @@ def _assert_step_solves_the_dense_system(case, island) -> None:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powerflow, "_factor", counted)
-        for pattern, jacobian, dense in _newton_points(case, island):
+        for pattern, jacobian, _, dense in _newton_points(case, island):
             size = dense.shape[0]
             rhs = dense @ np.random.default_rng(size).standard_normal(size)
             factored.clear()
