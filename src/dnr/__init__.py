@@ -11,12 +11,14 @@ from .caseio import (
 from .exchange import (
     InitialInfeasibleError,
     Move,
+    Reconfiguration,
     RejectReason,
     Rejection,
     SearchOptions,
     SearchTrace,
     evaluate_candidate,
     improve,
+    reconfigure,
 )
 from .model import (
     Branch,

@@ -14,11 +14,9 @@ from .caseio import (
     trace_to_json,
     write_report,
 )
-from .exchange import InitialInfeasibleError, SearchOptions, improve
-from .model import all_closed_config, default_config, is_radial, validate_case
-from .objective import evaluate_fo
+from .exchange import InitialInfeasibleError, SearchOptions, reconfigure
+from .model import default_config, is_radial, validate_case
 from .powerflow import SolverOptions, solve_all_islands, solve_network
-from .topology import build_spanning_forest, weights_from_flow
 
 
 def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
@@ -187,32 +185,21 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
     _check_writable("--out", args.out)
     _check_writable("--trace", args.trace)
     case = _load_case(args)
-    solver_options = SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter)
-    search_options = SearchOptions(
+    options = SearchOptions(
         max_passes=args.max_passes,
         use_surrogate=not args.no_surrogate,
-        solver_options=solver_options,
+        solver_options=SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter),
     )
-
-    meshed = solve_network(case, all_closed_config(case), options=solver_options)
-    if not meshed.converged:
-        print("all-closed power flow did not converge", file=sys.stderr)
-        return 1
-    forest = build_spanning_forest(case, weights_from_flow(case, meshed))
-
-    config, trace = improve(case, forest.config, search_options)
-
-    solution = solve_all_islands(case, config, solver_options)
-    objective = evaluate_fo(case, config, solution)
+    result = reconfigure(case, options)
     timestamp = None if args.stable else datetime.now(timezone.utc).isoformat()
-    report = write_report(case, config, solution, objective, trace, timestamp)
+    report = write_report(case, result.config, result.solution, result.objective, result.trace, timestamp)
     if args.out is not None:
         args.out.write_text(report)
     else:
         print(report, end="")
     if args.trace is not None:
-        args.trace.write_text(trace_to_json(trace))
-    return 0 if objective.feasible and solution.converged else 1
+        args.trace.write_text(trace_to_json(result.trace))
+    return 0 if result.objective.feasible and result.solution.converged else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -243,10 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"{violation.code}: {violation.message}", file=sys.stderr)
         return 1
-    except InitialInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (InitialInfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,18 +6,18 @@ open point along the loop, first toward the nearest neighbouring switch,
 reversing direction once an attempt fails, and passes repeat until no move
 is accepted.  A final exhaustive sweep certifies that no single exchange
 improves the result, which directional walks alone cannot promise.
+`reconfigure` runs the whole method, from the all-closed flow to the score.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Configuration, NetworkCase, is_radial
-# callers also look evaluate_fo and solve_all_islands up on this module
-from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key  # noqa: F401
-from .powerflow import SolverOptions, solve_all_islands  # noqa: F401
+from .model import Configuration, NetworkCase, all_closed_config, is_radial
+from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
+from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands, solve_network
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
-from .topology import FundamentalLoop, fundamental_loop
+from .topology import FundamentalLoop, build_spanning_forest, fundamental_loop, weights_from_flow
 
 
 class RejectReason(Enum):
@@ -27,7 +27,7 @@ class RejectReason(Enum):
 
 
 class InitialInfeasibleError(RuntimeError):
-    """The starting configuration cannot even be scored (not radial/diverged)."""
+    """No start to search from: the all-closed flow or the start diverged, or it is not radial."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,3 +304,24 @@ def improve(
         config, key = swept
     search.trace.island_solves, search.trace.island_hits = search.memo.solves, search.memo.hits
     return config, search.trace
+
+
+@dataclass(frozen=True)
+class Reconfiguration:
+    """One run of the method: its radial start, the searched configuration and its final solve and score."""
+    start: Configuration
+    config: Configuration
+    trace: SearchTrace
+    solution: PowerFlowSolution
+    objective: ObjectiveReport
+
+
+def reconfigure(case: NetworkCase, options: SearchOptions = SearchOptions()) -> Reconfiguration:
+    """All-closed solve, flow-weighted spanning forest, branch exchange, final per-island solve and score."""
+    meshed = solve_network(case, all_closed_config(case), options=options.solver_options)
+    if not meshed.converged:
+        raise InitialInfeasibleError("all-closed power flow did not converge")
+    start = build_spanning_forest(case, weights_from_flow(case, meshed)).config
+    config, trace = improve(case, start, options)
+    solution = solve_all_islands(case, config, options.solver_options)
+    return Reconfiguration(start, config, trace, solution, evaluate_fo(case, config, solution))

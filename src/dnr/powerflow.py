@@ -713,17 +713,16 @@ def solve_all_islands(
 def solve_network(
     case: NetworkCase,
     config: Configuration,
-    slack: int | None = None,
     options: SolverOptions = SolverOptions(),
     method: str = "nr",
 ) -> PowerFlowSolution:
     """Solve the whole closed-branch graph as one network (meshes allowed).
 
-    The slack defaults to the first declared root; other feeder buses hold
-    their setpoint like any regulated machine.  Every bus must be connected
-    to the slack through closed branches.
+    The slack is the first declared root; other feeder buses hold their
+    setpoint like any regulated machine.  Every bus must be connected to
+    the slack through closed branches.
     """
-    slack = case.roots[0] if slack is None else slack
+    slack = case.roots[0]
     reached = _reachable(_adjacency(case), slack, config.closed)
     if len(reached) != len(case.buses):
         stranded = sorted(set(case.bus_by_id) - reached)

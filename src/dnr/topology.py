@@ -30,7 +30,6 @@ class UnreachableError(ValueError):
 @dataclass(frozen=True)
 class ForestBuildResult:
     config: Configuration
-    open_list: tuple[int, ...]
     insertion_order: tuple[tuple[int, float], ...]
 
 
@@ -112,9 +111,7 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
         order.append((branch_id, weights[branch_id]))
         assign(best.to_bus if best.from_bus in assigned else best.from_bus)
 
-    config = make_config(case, closed)
-    open_list = tuple(sorted(config.open_ids))
-    return ForestBuildResult(config, open_list, tuple(order))
+    return ForestBuildResult(make_config(case, closed), tuple(order))
 
 
 def weights_from_flow(case: NetworkCase, solution) -> dict[int, float]:

@@ -439,7 +439,7 @@ def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fore
         assigned.add(best.from_bus if best.from_bus not in assigned else best.to_bus)
         order.append((best.id, weights[best.id]))
     config = make_config(case, closed)
-    return ForestBuildResult(config, tuple(sorted(config.open_ids)), tuple(order))
+    return ForestBuildResult(config, tuple(order))
 
 
 def _oracle_pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:

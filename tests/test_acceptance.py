@@ -33,7 +33,7 @@ BASE_CASE_LOSS_MW = 13.436
 def test_criterion_1_base_case_loss(ieee14_text):
     started = time.perf_counter()
     case = parse_case(ieee14_text, fmt="cdf", roots=[1, 2])
-    solution = solve_network(case, all_closed_config(case), slack=1)
+    solution = solve_network(case, all_closed_config(case))
     elapsed = time.perf_counter() - started
 
     assert solution.converged
@@ -46,7 +46,7 @@ def test_criterion_1_base_case_loss(ieee14_text):
 def test_criterion_2_reconfiguration_improves(ieee14_text):
     started = time.perf_counter()
     case = parse_case(ieee14_text, fmt="cdf", roots=[1, 2])
-    meshed = solve_network(case, all_closed_config(case), slack=1)
+    meshed = solve_network(case, all_closed_config(case))
     forest = build_spanning_forest(case, weights_from_flow(case, meshed))
 
     initial = evaluate_candidate(case, forest.config)
@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence(triangle_case, six_bus_case):
             if report.feasible and (best_fo is None or report.fo_value < best_fo):
                 best_fo = report.fo_value
 
-        meshed = solve_network(case, all_closed_config(case), slack=case.roots[0])
+        meshed = solve_network(case, all_closed_config(case))
         forest = build_spanning_forest(case, weights_from_flow(case, meshed))
         final, _ = improve(case, forest.config)
         outcome = evaluate_candidate(case, final)
@@ -231,7 +231,7 @@ def test_criterion_6_surrogate_neutrality(
     triangle_case, six_bus_case, ring6_case, five_bus_tworoot, ieee14_case
 ):
     for case in (triangle_case, six_bus_case, ring6_case, five_bus_tworoot, ieee14_case):
-        meshed = solve_network(case, all_closed_config(case), slack=case.roots[0])
+        meshed = solve_network(case, all_closed_config(case))
         forest = build_spanning_forest(case, weights_from_flow(case, meshed))
         plain_final, plain_trace = improve(
             case, forest.config, options=SearchOptions(use_surrogate=False)

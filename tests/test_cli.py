@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, deep_chain, ieee14_with_field, two_bus_case, two_bus_has_root
-from dnr import cli
+from dnr import exchange
 from dnr.caseio import parse_case, write_native_case
 from dnr.cli import main
 
@@ -201,6 +201,9 @@ class TestInputBoundary:
             pytest.param(_unwritable("--out", "missing/r.json"), 2, "is not a directory", id="out-missing-directory"),
             pytest.param(_unwritable("--trace", "missing/t.json"), 2, "is not a directory", id="trace-missing-directory"),
             pytest.param(_unwritable("--out", "taken"), 2, "it is a directory", id="out-is-a-directory"),
+            # its one line cannot carry its load, so the meshed solve that seeds the forest diverges
+            pytest.param(lambda tmp_path: [str(DATA_DIR / "two_bus_collapse.json")], 1,
+                         "error: all-closed power flow did not converge", id="diverged-all-closed-flow"),
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, capsys, monkeypatch, case_args, code, message):
@@ -208,7 +211,7 @@ class TestInputBoundary:
             raise AssertionError("the search ran")
 
         # each case fails before the search, and prints no report
-        monkeypatch.setattr(cli, "improve", search)
+        monkeypatch.setattr(exchange, "improve", search)
         # in-process: an exception escaping main() fails the test outright
         try:
             returned = main(["reconfigure", *case_args(tmp_path), "--stable"])

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import outcome_fields, scaled_loads, search_scores_as_fresh, two_bus_case
+from conftest import DATA_DIR, outcome_fields, scaled_loads, search_scores_as_fresh, two_bus_case
 from dnr.exchange import (
     InitialInfeasibleError,
     RejectReason,
@@ -16,14 +16,15 @@ from dnr.exchange import (
     improve,
 )
 from dnr import exchange, model, powerflow
+from dnr.caseio import parse_case
 from dnr.model import all_closed_config, is_radial, make_config
-from dnr.objective import IslandMemo, ObjectiveReport
+from dnr.objective import IslandMemo, ObjectiveReport, evaluate_fo
 from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
 from dnr.topology import build_spanning_forest, weights_from_flow
 
 
 def _forest_config(case):
-    meshed = solve_network(case, all_closed_config(case), slack=case.roots[0])
+    meshed = solve_network(case, all_closed_config(case))
     return build_spanning_forest(case, weights_from_flow(case, meshed)).config
 
 
@@ -392,3 +393,37 @@ class TestIslandMemo:
         again = SearchOptions(solver_options=SolverOptions(tolerance=1e-2, max_iterations=2))
         assert outcome_fields(evaluate_candidate(ieee14_case, final, again, memo)) == outcome_fields(outcome)
         assert (memo.solves, memo.hits) == (2, 2)
+
+
+class TestReconfigure:
+    @pytest.mark.parametrize("case_name", ["ieee14_case", "six_bus_case"])
+    def test_equals_the_chain_written_out(self, request, case_name):
+        case = request.getfixturevalue(case_name)
+        start = _forest_config(case)
+        config, trace = improve(case, start)
+        solution = solve_all_islands(case, config)
+        result = exchange.reconfigure(case)
+        assert (result.start, result.config) == (start, config)
+        assert result.trace.moves == trace.moves
+        assert dict(result.solution.v_mag) == dict(solution.v_mag)
+        assert dict(result.solution.v_angle) == dict(solution.v_angle)
+        assert dict(result.solution.flows) == dict(solution.flows)
+        assert result.objective.fo_value == evaluate_fo(case, config, solution).fo_value
+
+    def test_a_diverged_all_closed_flow_raises(self):
+        case = parse_case((DATA_DIR / "two_bus_collapse.json").read_text())
+        with pytest.raises(InitialInfeasibleError, match="all-closed power flow did not converge"):
+            exchange.reconfigure(case)
+
+    def test_a_diverged_start_raises(self, ieee14_text):
+        # fed from buses 1, 6 and 8 the meshed flow converges, the forest it weights does not
+        case = parse_case(ieee14_text, fmt="cdf", roots=(1, 6, 8))
+        with pytest.raises(InitialInfeasibleError, match="initial configuration rejected: power flow diverged"):
+            exchange.reconfigure(case)
+
+    def test_options_reach_the_search_and_every_solve(self, ieee14_case):
+        unsearched = exchange.reconfigure(ieee14_case, SearchOptions(max_passes=0))
+        assert unsearched.config == unsearched.start and unsearched.trace.moves == []
+        starved = SearchOptions(solver_options=SolverOptions(max_iterations=1))
+        with pytest.raises(InitialInfeasibleError, match="all-closed"):
+            exchange.reconfigure(ieee14_case, starved)

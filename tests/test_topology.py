@@ -37,7 +37,7 @@ def _uniform_weights(case: NetworkCase) -> dict[int, float]:
 class TestSpanningForest:
     def test_ieee14_two_trees(self, ieee14_case, ieee14_forest):
         assert len(ieee14_forest.config.closed) == 12
-        assert len(ieee14_forest.open_list) == 8
+        assert len(ieee14_forest.config.open_ids) == 8
         assert is_radial(ieee14_case, ieee14_forest.config)
 
     def test_three_bus_path_closes_everything(self):
@@ -49,12 +49,12 @@ class TestSpanningForest:
         )
         result = build_spanning_forest(case, _uniform_weights(case))
         assert result.config.closed == frozenset({1, 2})
-        assert result.open_list == ()
+        assert result.config.open_ids == frozenset()
 
     def test_weighted_triangle_keeps_the_heavy_pair(self, triangle_case):
         result = build_spanning_forest(triangle_case, {1: 3.0, 2: 2.0, 3: 1.0})
         assert result.config.closed == frozenset({1, 2})
-        assert result.open_list == (3,)
+        assert result.config.open_ids == {3}
         assert result.insertion_order == ((1, 3.0), (2, 2.0))
 
     def test_equal_weights_fall_to_lower_ids(self, triangle_case):
