@@ -33,7 +33,6 @@ from .model import (
     SwitchState,
     Violation,
     all_closed_config,
-    config_from_states,
     default_config,
     forest,
     is_radial,

@@ -25,7 +25,7 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
         "--format",
         choices=("auto", "cdf", "json"),
         default="auto",
-        help="input format (default: by file extension, content sniff fallback)",
+        help="input format (default: JSON when the text opens with { or [, CDF otherwise)",
     )
     parser.add_argument(
         "--roots",
@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_arguments(p_rec)
     p_rec.add_argument("--no-surrogate", action="store_true",
                        help="disable the linear ranking model")
-    p_rec.add_argument("--max-passes", type=_integer_from(0), default=20,
-                       help="cap on improvement passes")
     p_rec.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     p_rec.add_argument("--trace", type=Path, default=None, help="write the move-by-move trace here")
     p_rec.add_argument("--stable", action="store_true",
@@ -118,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_case(args: argparse.Namespace, validate: bool = True):
     path = Path(args.case)
-    fmt = args.format
-    if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            fmt = "json"
-        elif suffix in (".cdf", ".txt"):
-            fmt = "cdf"
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
@@ -133,7 +124,7 @@ def _load_case(args: argparse.Namespace, validate: bool = True):
         raise ParseError(f"cannot read case file {path}: {exc.strerror}") from None
     return parse_case(
         text,
-        fmt=fmt,
+        fmt=args.format,
         roots=args.roots,
         delta_t_hours=getattr(args, "delta_t", None),
         validate=validate,
@@ -186,7 +177,6 @@ def _cmd_reconfigure(args: argparse.Namespace) -> int:
     _check_writable("--trace", args.trace)
     case = _load_case(args)
     options = SearchOptions(
-        max_passes=args.max_passes,
         use_surrogate=not args.no_surrogate,
         solver_options=SolverOptions(tolerance=args.tolerance, max_iterations=args.max_iter),
     )

@@ -56,7 +56,6 @@ class SearchTrace:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    max_passes: int = 20
     use_surrogate: bool = True
     solver_options: SolverOptions = SolverOptions()
 
@@ -274,9 +273,6 @@ def improve(
     `model` warm-starts the surrogate's ranking until the search history
     can fit its own; the parameter goes when the surrogate does.
     """
-    # every later candidate is a fundamental-loop exchange, radial by construction
-    if not is_radial(case, initial):
-        raise InitialInfeasibleError("initial configuration rejected: not radial")
     search = _Search(case, options)
     report, rejection = search.score(initial)
     if report is None:
@@ -284,9 +280,9 @@ def improve(
     config, key = initial, sort_key(report)
     model = model if model is not None and model.trained else untrained_model()
 
-    passes = 0
-    while passes < options.max_passes:
-        passes += 1
+    # each pass strictly lowers the key or ends the search, and a case has
+    # finitely many radial configurations, so the loop ends
+    while True:
         if options.use_surrogate:
             refit = fit(case, search.samples)
             if refit.trained:

@@ -152,17 +152,16 @@ class Configuration:
 class Island:
     """One tree of a radial configuration: root, member buses, closed branches.
 
-    A forest's islands also carry their buses and branches as ascending
-    positions in the compiled form of the case it was walked on, so a solve
-    reads them instead of looking the ids up; an island built by hand
-    leaves them None.
+    An island also carries its buses and branches as ascending positions in
+    the compiled form of its case, so a solve reads them instead of looking
+    the ids up.
     """
 
     root: int
     buses: frozenset[int]
     branches: frozenset[int]
-    bus_positions: np.ndarray | None = field(default=None, compare=False, repr=False)
-    branch_positions: np.ndarray | None = field(default=None, compare=False, repr=False)
+    bus_positions: np.ndarray = field(compare=False, repr=False)
+    branch_positions: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -189,21 +188,6 @@ def make_config(case: NetworkCase, closed: set[int] | frozenset[int]) -> Configu
                 f"non-switchable branch {branch.id} must stay {branch.default_state.value}"
             )
     return Configuration(ids, closed)
-
-
-def config_from_states(
-    case: NetworkCase, states: dict[int, SwitchState | int]
-) -> Configuration:
-    """Configuration from a full branch-id -> state map; 1/0 mean closed/open."""
-    ids = set(case.branch_by_id)
-    if set(states) != ids:
-        raise ConfigurationError("switch states must cover exactly the case's branch ids")
-    closed = {
-        bid
-        for bid, st in states.items()
-        if (st is SwitchState.CLOSED) or (not isinstance(st, SwitchState) and st == 1)
-    }
-    return make_config(case, closed)
 
 
 def default_config(case: NetworkCase) -> Configuration:
@@ -254,6 +238,9 @@ def validate_case(case: NetworkCase) -> list[Violation]:
         elif bus.v_setpoint is not None and not bus.v_setpoint > 0.0:
             message = f"bus {bus.id} voltage setpoint {bus.v_setpoint} is not positive"
             violations.append(Violation("bad_setpoint", message, bus_id=bus.id))
+        if bus.q_min is not None and bus.q_max is not None and bus.q_min > bus.q_max:
+            message = f"bus {bus.id} reactive limits [{bus.q_min}, {bus.q_max}] MVAr are inverted"
+            violations.append(Violation("bad_q_limits", message, bus_id=bus.id))
 
     seen_branches: set[int] = set()
     for branch in case.branches:

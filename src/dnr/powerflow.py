@@ -177,15 +177,6 @@ def _check_singular(compiled: _CompiledCase, branches: np.ndarray) -> None:
         raise SingularBranchError(f"closed branch {first} has zero impedance")
 
 
-def _island_positions(compiled: _CompiledCase, island: Island) -> tuple[np.ndarray, np.ndarray]:
-    """The island's buses and branches as ascending positions: carried by a forest's islands, checked on others."""
-    if island.bus_positions is not None:
-        return island.bus_positions, island.branch_positions
-    buses, branches = _positions(compiled.bus_ids, island.buses), _positions(compiled.branch_ids, island.branches)
-    _find(compiled.bus_ids[buses], compiled.bus_ids[compiled.ends[branches]].ravel())  # KeyError: an end it lacks
-    return buses, branches
-
-
 def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """`keys` sorted, and np.argsort(keys, kind="stable"), for int64 keys in [0, bound).
 
@@ -211,7 +202,7 @@ def build_admittance(case: NetworkCase, island: Island) -> tuple[sparse.csc_matr
     packs into an int64 up to about a million buses in one island.
     """
     compiled = _compiled_case(case)
-    buses, branches = _island_positions(compiled, island)
+    buses, branches = island.bus_positions, island.branch_positions
     _check_singular(compiled, branches)
     n = buses.size
     local = np.empty(compiled.bus_ids.size, dtype=np.intp)
@@ -432,7 +423,7 @@ class _IslandSetup:
 def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     ybus, order = build_admittance(case, island)
     compiled = _compiled_case(case)
-    buses, branches = _island_positions(compiled, island)
+    buses, branches = island.bus_positions, island.branch_positions
     slack = order.index(island.root)
     regulated = compiled.regulated[buses]
     regulated[slack] = False

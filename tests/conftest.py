@@ -33,11 +33,13 @@ from dnr.model import (
     Island,
     NetworkCase,
     SwitchState,
+    _compiled_case,
+    _positions,
     all_closed_config,
     is_radial,
     make_config,
 )
-from dnr.objective import ObjectiveReport, evaluate_fo
+from dnr.objective import ObjectiveReport, evaluate_fo, sort_key
 from dnr.powerflow import (
     BranchFlow,
     IslandPart,
@@ -442,6 +444,23 @@ def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fore
     return ForestBuildResult(config, tuple(order))
 
 
+def island_of(case: NetworkCase, root: int | None = None, buses=None, branches=None) -> Island:
+    """An island of `case` by ids, with the compiled positions a solve reads.
+
+    By default it is every bus and branch under the first root.
+    """
+    buses = frozenset(case.bus_by_id if buses is None else buses)
+    branches = frozenset(case.branch_by_id if branches is None else branches)
+    compiled = _compiled_case(case)
+    return Island(
+        case.roots[0] if root is None else root,
+        buses,
+        branches,
+        _positions(compiled.bus_ids, buses),
+        _positions(compiled.branch_ids, branches),
+    )
+
+
 def _oracle_pi_stamp(branch: Branch) -> tuple[complex, complex, complex, complex]:
     if branch.r == 0.0 and branch.x == 0.0:
         raise SingularBranchError(f"closed branch {branch.id} has zero impedance")
@@ -575,6 +594,31 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
             incumbent = candidate
     assert incumbent == final
     return final, trace
+
+
+def assert_one_exchange_optimal(case: NetworkCase, final: Configuration) -> None:
+    """No radial configuration one switch pair away from `final` ranks better.
+
+    Every switchable open branch is tried against every switchable closed
+    one, radiality by networkx, and each radial neighbour is ranked by
+    feasibility, then objective, as the search ranks it.
+    """
+    def rank(closed) -> tuple[bool, float] | None:
+        outcome = exchange.evaluate_candidate(case, make_config(case, closed))
+        report = outcome.report if isinstance(outcome, Rejection) else outcome
+        return None if report is None else sort_key(report)[:2]
+
+    best = rank(final.closed)
+    assert best is not None
+    switchable = {b.id for b in case.branches if b.switchable}
+    for close_id in sorted(final.open_ids & switchable):
+        for open_id in sorted(final.closed & switchable):
+            closed = (final.closed - {open_id}) | {close_id}
+            if not oracle_is_radial(case, closed):
+                continue
+            neighbour = rank(closed)
+            if neighbour is not None:
+                assert not neighbour < (best[0], best[1] - 1e-9), (close_id, open_id, neighbour, best)
 
 
 def enumerate_radial(case: NetworkCase) -> list[frozenset[int]]:

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     enumerate_radial,
     fd_jacobian,
+    island_of,
     oracle_is_radial,
     random_four_bus,
     solve_gauss_seidel,
@@ -17,7 +18,7 @@ from conftest import (
 )
 from dnr.caseio import parse_case, write_native_case
 from dnr.exchange import Rejection, SearchOptions, evaluate_candidate, improve
-from dnr.model import Island, all_closed_config, is_radial, islands, make_config
+from dnr.model import all_closed_config, is_radial, islands, make_config
 from dnr.powerflow import (
     SolverOptions,
     _classify,
@@ -182,7 +183,7 @@ def test_criterion_4_solver_cross_validation(
 
     for seed in range(20):
         case = random_four_bus(seed)
-        island = Island(1, frozenset(case.bus_by_id), frozenset(case.branch_by_id))
+        island = island_of(case)
         setup = _classify(case, island)
         rng = np.random.default_rng(4000 + seed)
         vm = np.abs(setup.v) + rng.uniform(-0.05, 0.05, len(setup.v))

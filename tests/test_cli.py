@@ -108,6 +108,16 @@ class TestValidate:
         assert out == ""
         assert err.startswith("bad_setpoint:")
 
+    def test_inverted_reactive_limits_fail_validation(self, capsys):
+        # IEEE-14 fed from buses 1 and 2, with bus 3's limits swapped past each other
+        path = str(DATA_DIR / "inverted_q_limits.json")
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == "bad_q_limits: bus 3 reactive limits [50.0, -40.0] MVAr are inverted\n"
+        assert main(["reconfigure", path, "--stable"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bad_q_limits:")
+
     def test_reconfigure_refuses_invalid_input(self, tmp_path, capsys):
         case = two_bus_case(10.0, 5.0)
         broken = dataclasses.replace(
@@ -190,7 +200,7 @@ class TestInputBoundary:
             pytest.param(_flags("--max-iter", "0"), 2, "--max-iter", id="zero-iterations"),
             pytest.param(_flags("--max-iter", "-3"), 2, "--max-iter", id="negative-iterations"),
             pytest.param(_flags("--max-iter", "2.5"), 2, "--max-iter", id="fractional-iterations"),
-            pytest.param(_flags("--max-passes", "-1"), 2, "--max-passes", id="negative-passes"),
+            pytest.param(_flags("--max-passes", "-1"), 2, "unrecognized arguments", id="negative-passes"),
             pytest.param(_flags("--surrogate-prune", "0.1"), 2, "unrecognized arguments", id="prune-flag"),
             pytest.param(_flags("--delta-t", "nan"), 2, "--delta-t", id="nan-interval-flag"),
             pytest.param(_flags("--delta-t", "inf"), 2, "--delta-t", id="infinite-interval-flag"),
@@ -304,6 +314,25 @@ class TestReconfigure:
         assert report["power_flow"]["converged"] is True
         assert report["search"]["moves_accepted"] == 2
         assert "meta" not in report
+
+    def test_the_format_is_read_from_the_text(self, tmp_path, capsys, ieee14_text, stable_report):
+        # CDF text under a .json name reports as the .cdf file does
+        misnamed = tmp_path / "ieee14.json"
+        misnamed.write_text(ieee14_text)
+        assert main(["reconfigure", str(misnamed), "--roots", "1,2", "--stable"]) == 0
+        assert capsys.readouterr().out == stable_report
+        # and native text under a .cdf name as under a .json one
+        native = write_native_case(parse_case(ieee14_text, fmt="cdf", roots=(1, 2)))
+        reports = []
+        for name in ("native.json", "native.cdf"):
+            (tmp_path / name).write_text(native)
+            assert main(["reconfigure", str(tmp_path / name), "--stable"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        # --format still overrides what the text says
+        assert main(["validate", str(misnamed), "--format", "json"]) == 2
+        assert main(["validate", str(tmp_path / "native.json"), "--format", "cdf"]) == 2
+        assert capsys.readouterr().err.count("error:") == 2
 
     def test_stable_runs_are_byte_identical(self, cdf_path, stable_report, capsys):
         # stdout and --out carry the same bytes, and reruns reproduce them

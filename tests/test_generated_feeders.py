@@ -11,11 +11,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bench_feeders, oracle_is_radial, search_scores_as_fresh, solve_gauss_seidel
+from conftest import (
+    assert_one_exchange_optimal,
+    bench_feeders,
+    oracle_is_radial,
+    search_scores_as_fresh,
+    solve_gauss_seidel,
+)
 from dnr.caseio import parse_case, write_native_case
-from dnr.exchange import Rejection, evaluate_candidate, improve
+from dnr.exchange import improve
 from dnr.model import NetworkCase, all_closed_config, default_config, is_radial, islands, make_config
-from dnr.objective import sort_key
 from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
 from dnr.topology import build_spanning_forest, weights_from_flow
 
@@ -40,13 +45,6 @@ def _flow_forest(case: NetworkCase):
     """The search's start, as `dnr reconfigure` builds it."""
     meshed = solve_network(case, all_closed_config(case))
     return build_spanning_forest(case, weights_from_flow(case, meshed)).config
-
-
-def _rank(case: NetworkCase, closed) -> tuple[bool, float] | None:
-    """Feasibility, then objective, of a configuration; None when it cannot be scored."""
-    outcome = evaluate_candidate(case, make_config(case, closed))
-    report = outcome.report if isinstance(outcome, Rejection) else outcome
-    return None if report is None else sort_key(report)[:2]
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -106,17 +104,7 @@ def test_the_island_memo_changes_no_move(size, seed):
 def test_improve_ends_one_exchange_optimal(size, seed):
     case = _generated(seed, size)
     final, _ = improve(case, _flow_forest(case))
-    best = _rank(case, final.closed)
-    assert best is not None
-    switchable = {b.id for b in case.branches if b.switchable}
-    for close_id in sorted(final.open_ids & switchable):
-        for open_id in sorted(final.closed & switchable):
-            closed = (final.closed - {open_id}) | {close_id}
-            if not oracle_is_radial(case, closed):
-                continue
-            rank = _rank(case, closed)
-            if rank is not None:
-                assert not rank < (best[0], best[1] - 1e-9), (close_id, open_id, rank, best)
+    assert_one_exchange_optimal(case, final)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -20,7 +20,6 @@ from dnr.model import (
     NotRadialError,
     SwitchState,
     all_closed_config,
-    config_from_states,
     default_config,
     forest,
     islands,
@@ -158,6 +157,19 @@ class TestValidateCase:
             for buses, bus_id in ((feeder, 1), (machine, 2)):
                 violations = validate_case(NetworkCase(100.0, buses, line, (1,)))
                 assert [(v.code, v.bus_id) for v in violations] == [("bad_setpoint", bus_id)]
+
+    def test_reactive_limits_must_not_be_inverted(self):
+        line = (Branch(1, 1, 2, r=0.01, x=0.02),)
+        for q_min, q_max, codes in (
+            (50.0, -40.0, [("bad_q_limits", 2)]),
+            (-40.0, 50.0, []),
+            (5.0, 5.0, []),  # equal limits mean none
+            (50.0, None, []),
+            (None, -40.0, []),
+        ):
+            machine = Bus(2, BusKind.GENERATOR, v_setpoint=1.0, q_min=q_min, q_max=q_max)
+            case = NetworkCase(100.0, (Bus(1, BusKind.FEEDER, v_setpoint=1.0), machine), line, (1,))
+            assert [(v.code, v.bus_id) for v in validate_case(case)] == codes
 
     def test_root_listed_twice(self):
         # each root is an island's slack; a repeated one cannot split the case
@@ -386,23 +398,15 @@ class TestConfiguration:
         config = make_config(case, {1, 2})
         assert config.closed == frozenset({1, 2})
 
-    def test_config_from_states_accepts_enums_and_ints(self, triangle_case):
-        by_enum = config_from_states(
-            triangle_case,
-            {1: SwitchState.CLOSED, 2: SwitchState.OPEN, 3: SwitchState.CLOSED},
-        )
-        by_int = config_from_states(triangle_case, {1: 1, 2: 0, 3: 1})
-        assert by_enum == by_int
-        assert by_enum.closed == frozenset({1, 3})
-        with pytest.raises(ConfigurationError):
-            config_from_states(triangle_case, {1: 1, 2: 0})  # missing branch 3
-
     def test_default_config_follows_default_states(self, triangle_case):
         assert default_config(triangle_case).closed == frozenset({1, 2})
 
     def test_states_round_trip(self, six_bus_case):
         config = make_config(six_bus_case, {1, 2, 3, 4})
-        assert config_from_states(six_bus_case, config.states()) == config
+        states = config.states()
+        assert list(states) == sorted(six_bus_case.branch_ids)
+        closed = {bid for bid, state in states.items() if state is SwitchState.CLOSED}
+        assert make_config(six_bus_case, closed) == config
 
 
 class TestBusFields:
