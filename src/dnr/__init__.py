@@ -1,6 +1,7 @@
 """Distribution network reconfiguration: model, power flow, loss-driven switching."""
 
-from .caseio import (
+# the package's public names, imported to be re-exported
+from .caseio import (  # noqa: F401
     ParseError,
     ValidationError,
     parse_case,
@@ -8,7 +9,7 @@ from .caseio import (
     write_native_case,
     write_report,
 )
-from .exchange import (
+from .exchange import (  # noqa: F401
     InitialInfeasibleError,
     Move,
     Reconfiguration,
@@ -20,7 +21,7 @@ from .exchange import (
     improve,
     reconfigure,
 )
-from .model import (
+from .model import (  # noqa: F401
     Branch,
     Bus,
     BusKind,
@@ -40,13 +41,13 @@ from .model import (
     make_config,
     validate_case,
 )
-from .objective import (
+from .objective import (  # noqa: F401
     ConstraintCheck,
     ObjectiveReport,
     evaluate_fo,
     sort_key,
 )
-from .powerflow import (
+from .powerflow import (  # noqa: F401
     BranchFlow,
     BranchFlows,
     BusValues,
@@ -62,8 +63,8 @@ from .powerflow import (
     solve_network,
     solve_newton_raphson,
 )
-from .surrogate import LinearModel, featurize, fit, rank_candidates
-from .topology import (
+from .surrogate import LinearModel, featurize, fit, rank_candidates  # noqa: F401
+from .topology import (  # noqa: F401
     ForestBuildResult,
     FundamentalLoop,
     UnreachableError,

@@ -132,7 +132,7 @@ def _section(lines: list[str], header: str) -> tuple[list[tuple[int, str]], bool
 
 def _parse_cdf(text: str) -> NetworkCase:
     lines = text.splitlines()
-    if not lines:
+    if not text.strip():
         raise ParseError("empty case text", line_no=1)
     base_mva = _num(lines[0], 31, 37, 1, default=0.0)
     if base_mva <= 0.0:
@@ -384,6 +384,7 @@ def write_report(
 def trace_to_json(trace: SearchTrace) -> str:
     payload = {
         "evaluations": trace.evaluations,
+        "config_hits": trace.config_hits,
         "surrogate_hits": trace.surrogate_hits,
         "island_solves": trace.island_solves,
         "island_hits": trace.island_hits,

@@ -43,7 +43,8 @@ class Move:
 @dataclass
 class SearchTrace:
     moves: list[Move] = field(default_factory=list)
-    evaluations: int = 0  # candidates scored, each by one evaluate_candidate call
+    evaluations: int = 0  # candidates scored, a repeated configuration included
+    config_hits: int = 0  # evaluations answered by the search's configuration memo
     surrogate_hits: int = 0
     # the search's IslandMemo, read when the search returns: islands solved and answered without a solve
     island_solves: int = 0
@@ -95,6 +96,16 @@ def evaluate_candidate(
 _Key = tuple[bool, float, tuple[int, ...]]
 
 
+@dataclass(frozen=True, slots=True)
+class _Scored:
+    """What the search reads of one configuration's evaluation, kept for its repeats."""
+
+    key: _Key | None  # None when the configuration could not be scored
+    reason: RejectReason | None  # None when it passed every check
+    detail: str
+    features: tuple[float, ...] | None  # its surrogate sample's features, when samples are kept
+
+
 def _nearest(case: NetworkCase, loop: FundamentalLoop) -> int | None:
     """The loop's switchable branch nearest its open branch, None when it has none."""
     return next((b for b in loop.nearest_first() if case.branch_by_id[b].switchable), None)
@@ -108,52 +119,56 @@ class _Search:
         self.options = options
         self.trace = SearchTrace()
         self.memo = IslandMemo()
+        # one entry per distinct configuration, keyed by its open branch ids:
+        # a few ids, where the closed set holds nearly every branch
+        self.scored: dict[frozenset[int], _Scored] = {}
         # features and objective of every scored configuration, for surrogate
         # fits; kept only when the surrogate is on, since nothing else reads them
         self.samples: list[tuple[tuple[float, ...], float]] = []
 
-    def score(self, config: Configuration) -> tuple[ObjectiveReport | None, Rejection | None]:
+    def score(self, config: Configuration) -> _Scored:
         """Evaluate one configuration, count it and keep its surrogate sample if the surrogate is on.
 
-        The report is None when the candidate could not be scored; the
-        rejection is None when it passed every check.
+        A configuration met before in this search is answered from its first
+        evaluation; it still counts as an evaluation and adds its sample again.
         """
-        outcome = evaluate_candidate(self.case, config, self.options, self.memo)
         self.trace.evaluations += 1
-        if isinstance(outcome, Rejection):
-            report, rejection = outcome.report, outcome
+        open_ids = config.open_ids
+        scored = self.scored.get(open_ids)
+        if scored is None:
+            outcome = evaluate_candidate(self.case, config, self.options, self.memo)
+            if isinstance(outcome, Rejection):
+                report, reason, detail = outcome.report, outcome.reason, outcome.detail
+            else:
+                report, reason, detail = outcome, None, ""
+            features = None
+            if report is not None and self.options.use_surrogate:
+                features = featurize(self.case, config)
+            key = None if report is None else sort_key(report)
+            scored = self.scored[open_ids] = _Scored(key, reason, detail, features)
         else:
-            report, rejection = outcome, None
-        if report is not None and self.options.use_surrogate:
-            self.samples.append((featurize(self.case, config), report.fo_value))
-        return report, rejection
+            self.trace.config_hits += 1
+        if scored.features is not None:
+            self.samples.append((scored.features, scored.key[1]))
+        return scored
 
-    def log(
-        self,
-        close_id: int,
-        open_id: int,
-        key: _Key,
-        report: ObjectiveReport | None,
-        reason: RejectReason | None,
-    ) -> None:
-        """Record one tried exchange; it was accepted exactly when no reason is given."""
-        fo_after = report.fo_value if report is not None else None
-        self.trace.moves.append(Move(close_id, open_id, key[1], fo_after, reason is None, reason))
+    def log(self, close_id: int, open_id: int, key: _Key, scored: _Scored, accepted: bool) -> None:
+        """Record one tried exchange; a rejected one gives its reason, a worse objective when it passed."""
+        fo_after = scored.key[1] if scored.key is not None else None
+        reason = None if accepted else scored.reason or RejectReason.WORSE_OBJECTIVE
+        self.trace.moves.append(Move(close_id, open_id, key[1], fo_after, accepted, reason))
 
     def attempt(
         self, config: Configuration, key: _Key, close_id: int, open_id: int
     ) -> tuple[Configuration, _Key] | None:
         """Try one exchange against the incumbent; log it either way."""
         candidate = config.with_exchange(close_id, open_id)
-        report, rejection = self.score(candidate)
+        scored = self.score(candidate)
         # a scored-but-infeasible candidate can still better an infeasible
         # incumbent; anything unscorable cannot
-        if report is not None and sort_key(report) < key:
-            self.log(close_id, open_id, key, report, None)
-            return candidate, sort_key(report)
-        reason = rejection.reason if rejection else RejectReason.WORSE_OBJECTIVE
-        self.log(close_id, open_id, key, report, reason)
-        return None
+        better = scored.key is not None and scored.key < key
+        self.log(close_id, open_id, key, scored, better)
+        return (candidate, scored.key) if better else None
 
     def walk_loop(
         self, config: Configuration, key: _Key, switch: int
@@ -211,7 +226,7 @@ class _Search:
         self, config: Configuration, key: _Key
     ) -> tuple[Configuration, _Key] | None:
         """Evaluate every single exchange; apply the best strict improvement."""
-        best: tuple[tuple, Configuration, int, int, ObjectiveReport] | None = None
+        best: tuple[tuple, Configuration, int, int, _Scored] | None = None
         for switch in sorted(config.open_ids):
             if not self.case.branch_by_id[switch].switchable:
                 continue
@@ -220,19 +235,18 @@ class _Search:
                 if not self.case.branch_by_id[target].switchable:
                     continue
                 candidate = config.with_exchange(switch, target)
-                report, rejection = self.score(candidate)
-                if report is not None and sort_key(report) < key:
-                    rank = sort_key(report, branch_key=tuple(sorted(candidate.open_ids)))
+                scored = self.score(candidate)
+                if scored.key is not None and scored.key < key:
+                    rank = (*scored.key[:2], tuple(sorted(candidate.open_ids)))
                     if best is None or rank < best[0]:
-                        best = (rank, candidate, switch, target, report)
+                        best = (rank, candidate, switch, target, scored)
                     continue
-                reason = rejection.reason if rejection else RejectReason.WORSE_OBJECTIVE
-                self.log(switch, target, key, report, reason)
+                self.log(switch, target, key, scored, False)
         if best is None:
             return None
-        _, candidate, switch, target, report = best
-        self.log(switch, target, key, report, None)
-        return candidate, sort_key(report)
+        _, candidate, switch, target, scored = best
+        self.log(switch, target, key, scored, True)
+        return candidate, scored.key
 
     def order_switches(self, config: Configuration, model: LinearModel) -> list[int]:
         """Pass order over open switches, surrogate-ranked when possible."""
@@ -274,10 +288,10 @@ def improve(
     can fit its own; the parameter goes when the surrogate does.
     """
     search = _Search(case, options)
-    report, rejection = search.score(initial)
-    if report is None:
-        raise InitialInfeasibleError(f"initial configuration rejected: {rejection.detail}")
-    config, key = initial, sort_key(report)
+    scored = search.score(initial)
+    if scored.key is None:
+        raise InitialInfeasibleError(f"initial configuration rejected: {scored.detail}")
+    config, key = initial, scored.key
     model = model if model is not None and model.trained else untrained_model()
 
     # each pass strictly lowers the key or ends the search, and a case has

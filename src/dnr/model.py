@@ -400,9 +400,11 @@ class _CompiledCase:
     bus positions and `stamp` its (y_ff, y_ft, y_tf, y_tt) from `_pi_stamp`,
     zero where `singular` marks a branch without series impedance.  Per bus:
     shunt admittance, per-unit injection, whether the bus regulates its
-    voltage as a PV bus, and its setpoint (1.0 where none).  The objective
-    reads the voltage band per bus, and per branch the resistance and the
-    MVA rating (NaN where none).
+    voltage as a PV bus, and its setpoint (1.0 where none); its machine's
+    reactive range `q_min`, `q_max` (NaN where `Bus.q_limits` is None) and
+    its reactive load `q_load` in MVAr, which a PV bus's limit check reads.
+    The objective reads the voltage band per bus, and per branch the
+    resistance and the MVA rating (NaN where none).
 
     The walk reads `graph`, a CSR matrix over bus positions with one entry
     per branch end, and gives a shallow copy of it its own weights;
@@ -424,6 +426,9 @@ class _CompiledCase:
     injection: np.ndarray
     regulated: np.ndarray
     setpoint: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    q_load: np.ndarray
     v_min: np.ndarray
     v_max: np.ndarray
     resistance: np.ndarray
@@ -497,6 +502,9 @@ def _compile(case: NetworkCase) -> _CompiledCase:
             [b.v_setpoint is not None and b.kind is not BusKind.LOAD for b in buses], dtype=bool
         ),
         setpoint=np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in buses]),
+        q_min=np.array([math.nan if b.q_limits is None else b.q_limits[0] for b in buses]),
+        q_max=np.array([math.nan if b.q_limits is None else b.q_limits[1] for b in buses]),
+        q_load=np.array([b.q_load for b in buses], dtype=float),
         v_min=np.array([b.v_min for b in buses], dtype=float),
         v_max=np.array([b.v_max for b in buses], dtype=float),
         resistance=np.array([b.r for b in branches], dtype=float),

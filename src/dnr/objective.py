@@ -274,6 +274,8 @@ class IslandMemo:
         """The configuration's report, as evaluate_fo gives it for its solution; None when an island diverged.
 
         Each island met for the first time is solved through _SOLVERS["nr"].
+        The islands are taken in root order, and the first that diverged
+        ends the report: the islands after it are neither solved nor counted.
         """
         if self._bound is None:
             self._bound = (case, options)
@@ -295,9 +297,9 @@ class IslandMemo:
                 self.solves += 1
             else:
                 self.hits += 1
+            if not score.converged:
+                return None
             scores.append(score)
-        if not all(score.converged for score in scores):
-            return None
         return _report(case, index, scores)
 
 

@@ -417,6 +417,9 @@ class _IslandSetup:
     sbus: np.ndarray  # pu injections; Q entries of PV buses updated on switch
     v: np.ndarray  # complex start vector
     vset: np.ndarray  # setpoints where regulated
+    q_min: np.ndarray  # machine reactive range (MVAr), NaN where the bus has none
+    q_max: np.ndarray
+    q_load: np.ndarray  # MVAr
     clamped: dict[int, int] = field(default_factory=dict)  # position -> limit side
 
 
@@ -442,6 +445,9 @@ def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
         compiled.injection[buses],
         vset.astype(complex),
         vset,
+        compiled.q_min[buses],
+        compiled.q_max[buses],
+        compiled.q_load[buses],
     )
 
 
@@ -473,23 +479,22 @@ def _apply_q_limits(
         ibus = setup.ybus @ setup.v
         scalc = setup.v * np.conj(ibus)
     for i in list(setup.pv):
-        bus = case.bus_by_id[setup.order[i]]
-        limits = bus.q_limits
-        if limits is None:
+        low, high, q_load = setup.q_min[i], setup.q_max[i], setup.q_load[i]
+        if math.isnan(low):
             continue
-        q_machine = scalc[i].imag * base + bus.q_load
+        q_machine = scalc[i].imag * base + q_load
         clamped = None
-        if q_machine > limits[1]:
-            clamped = limits[1]
+        if q_machine > high:
+            clamped = high
             setup.clamped[i] = 1
-        elif q_machine < limits[0]:
-            clamped = limits[0]
+        elif q_machine < low:
+            clamped = low
             setup.clamped[i] = -1
         if clamped is not None:
             setup.pv.remove(i)
             setup.pq.append(i)
             setup.pq.sort()
-            setup.sbus[i] = complex(setup.sbus[i].real, (clamped - bus.q_load) / base)
+            setup.sbus[i] = complex(setup.sbus[i].real, (clamped - q_load) / base)
             clamped_any = True
     return reverted or clamped_any, ibus, scalc
 

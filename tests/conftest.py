@@ -565,9 +565,11 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
 
     Each evaluate_candidate call of the search is recorded and its outcome
     compared, field by field, with fresh_outcome on the same
-    configuration.  The moves are then replayed from `start`: each is an
-    exchange on the incumbent of its time, its fo_after has the bits of the
-    fresh objective, and the last incumbent is the search's answer.
+    configuration; a configuration is evaluated once, and the trace counts
+    its repeats as configuration memo hits.  The moves are then replayed
+    from `start`: each is an exchange on the incumbent of its time, its
+    fo_after has the bits of the fresh objective, and the last incumbent is
+    the search's answer.
     """
     scored = []
     evaluate = exchange.evaluate_candidate
@@ -580,7 +582,7 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exchange, "evaluate_candidate", recorded)
         final, trace = improve(case, start)
-    assert len(scored) == trace.evaluations
+    assert len(scored) == len({config.closed for config, _ in scored}) == trace.evaluations - trace.config_hits
     fresh = {}
     for config, outcome in scored:
         fresh[config.closed] = outcome_fields(fresh_outcome(case, config))
@@ -594,6 +596,25 @@ def search_scores_as_fresh(case: NetworkCase, start: Configuration) -> tuple[Con
             incumbent = candidate
     assert incumbent == final
     return final, trace
+
+
+def search_samples(
+    case: NetworkCase, start: Configuration
+) -> tuple[list[Configuration], list[tuple[tuple[float, ...], float]], SearchTrace]:
+    """Search from `start`: every configuration scored, in evaluation order
+    and repeats included, the surrogate samples the search kept, and the trace."""
+    searches, scored = [], []
+    score = exchange._Search.score
+
+    def recorded(search, config):
+        searches.append(search)
+        scored.append(config)
+        return score(search, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exchange._Search, "score", recorded)
+        _, trace = improve(case, start)
+    return scored, searches[0].samples, trace
 
 
 def assert_one_exchange_optimal(case: NetworkCase, final: Configuration) -> None:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    enumerate_radial,
     fd_jacobian,
     island_of,
     oracle_is_radial,

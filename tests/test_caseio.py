@@ -19,7 +19,7 @@ from dnr.caseio import (
 from dnr.exchange import SearchTrace
 from dnr.model import BusKind, all_closed_config, default_config, make_config
 from dnr.objective import evaluate_fo
-from dnr.powerflow import solve_all_islands, solve_network
+from dnr.powerflow import solve_all_islands
 
 
 class TestCdfParsing:
@@ -286,10 +286,11 @@ class TestReports:
         assert total == pytest.approx(payload["total_loss_mw"])
 
     def test_trace_serialization(self):
-        trace = SearchTrace(evaluations=3, surrogate_hits=1, island_solves=4, island_hits=2)
+        trace = SearchTrace(evaluations=3, config_hits=1, surrogate_hits=1, island_solves=4, island_hits=2)
         payload = json.loads(trace_to_json(trace))
         assert payload == {
-            "evaluations": 3, "surrogate_hits": 1, "island_solves": 4, "island_hits": 2, "moves": []
+            "evaluations": 3, "config_hits": 1, "surrogate_hits": 1, "island_solves": 4, "island_hits": 2,
+            "moves": [],
         }
 
 

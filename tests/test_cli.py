@@ -51,6 +51,13 @@ class TestArgumentHandling:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_whitespace_only_text_is_an_empty_case(self, tmp_path, capsys):
+        path = tmp_path / "blank.cdf"
+        path.write_text("  \n\n")
+        rc = main(["validate", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: empty case text (line 1)\n"
+
     def test_garbage_text_exits_two(self, tmp_path, capsys):
         path = tmp_path / "garbage.cdf"
         path.write_text("this is not a case file\n")
@@ -372,6 +379,9 @@ class TestReconfigure:
         assert trace["evaluations"] > 0
         accepted = [m for m in trace["moves"] if m["accepted"]]
         assert len(accepted) == report["search"]["moves_accepted"]
+        # the memo counts are the trace's alone, so the report's bytes do not move with them
+        assert (trace["config_hits"], trace["island_solves"], trace["island_hits"]) == (21, 39, 17)
+        assert not {"config_hits", "island_solves", "island_hits"} & set(report["search"])
 
     def test_no_surrogate_matches_default_answer(self, cdf_path, stable_report, capsys):
         rc = main([

@@ -9,8 +9,10 @@ import pytest
 from conftest import (
     DATA_DIR,
     assert_one_exchange_optimal,
+    fresh_outcome,
     outcome_fields,
     scaled_loads,
+    search_samples,
     search_scores_as_fresh,
     two_bus_case,
 )
@@ -24,9 +26,10 @@ from dnr.exchange import (
 )
 from dnr import exchange, model, powerflow
 from dnr.caseio import parse_case
-from dnr.model import all_closed_config, is_radial, make_config
+from dnr.model import Branch, Bus, BusKind, NetworkCase, all_closed_config, is_radial, make_config
 from dnr.objective import IslandMemo, ObjectiveReport, evaluate_fo
 from dnr.powerflow import SolverOptions, solve_all_islands, solve_network
+from dnr.surrogate import featurize
 from dnr.topology import build_spanning_forest, weights_from_flow
 
 
@@ -204,8 +207,12 @@ class TestImproveIeee14:
             else:
                 assert move.rejected_reason is not None
         assert trace.evaluations >= len(trace.accepted_moves)
-        # every candidate is radial with two islands, each solved or answered by the memo
-        assert trace.island_solves + trace.island_hits == 2 * trace.evaluations
+        # 21 evaluations repeat a configuration and are answered whole by the
+        # search's configuration memo; each of the 31 distinct ones is radial
+        # with two islands, solved or answered by the island memo up to the
+        # first that diverged, and 6 diverged at the island fed from bus 1
+        assert (trace.evaluations, trace.config_hits) == (52, 21)
+        assert trace.island_solves + trace.island_hits == 2 * 31 - 6
 
     @pytest.mark.parametrize("roots", [(1,), (1, 3)], ids=["1", "1,3"])
     def test_ieee14_search_ends_one_exchange_optimal(self, ieee14_text, roots):
@@ -307,7 +314,8 @@ class TestSurrogateOff:
         assert calls == []
         # the configuration and trace the search gave while it still featurized every scored candidate
         assert sorted(config.open_ids) == [1, 5, 6, 7, 9, 16, 19, 20]
-        assert (trace.evaluations, len(trace.moves), trace.island_solves, trace.island_hits) == (52, 51, 41, 63)
+        assert (trace.evaluations, len(trace.moves), trace.island_solves, trace.island_hits) == (52, 51, 39, 17)
+        assert trace.config_hits == 21
         reasons = [move.rejected_reason for move in trace.moves]
         assert [reasons.count(reason) for reason in RejectReason] == [26, 5, 18]
         accepted = [
@@ -344,9 +352,44 @@ class TestSingleScoringPath:
             exchange, "evaluate_candidate", lambda *args: calls.append(args[1]) or score(*args)
         )
         _, trace = improve(ieee14_case, ieee14_forest.config, options=options)
-        assert trace.evaluations == len(calls)
-        # the start is scored once and every other call is a logged move
-        assert len(calls) == len(trace.moves) + 1
+        # a repeated configuration is answered without a call, and counted
+        assert trace.evaluations - trace.config_hits == len(calls)
+        # the start is scored once and every other evaluation is a logged move
+        assert trace.evaluations == len(trace.moves) + 1
+
+    def test_each_distinct_configuration_is_evaluated_once(self, ieee14_case, ieee14_forest, monkeypatch):
+        calls = []
+        score = exchange.evaluate_candidate
+        monkeypatch.setattr(
+            exchange, "evaluate_candidate", lambda *args: calls.append(args[1]) or score(*args)
+        )
+        start = ieee14_forest.config
+        _, trace = improve(ieee14_case, start)
+        # the configurations the moves name, replayed from the start
+        incumbent, met = start, {start.closed}
+        for move in trace.moves:
+            candidate = incumbent.with_exchange(move.close_branch, move.open_branch)
+            met.add(candidate.closed)
+            if move.accepted:
+                incumbent = candidate
+        assert sorted(sorted(c.closed) for c in calls) == sorted(sorted(closed) for closed in met)
+        assert trace.evaluations - trace.config_hits == len(met) == 31
+
+    def test_surrogate_samples_are_those_of_scoring_every_evaluation_afresh(self, ieee14_case, ieee14_forest):
+        # each evaluation, repeats included, adds the sample that scoring its
+        # configuration with no memo at all gives, in evaluation order
+        scored, samples, trace = search_samples(ieee14_case, ieee14_forest.config)
+        assert len(scored) == trace.evaluations and trace.config_hits > 0
+        expected = []
+        for config in scored:
+            outcome = fresh_outcome(ieee14_case, config)
+            report = outcome.report if isinstance(outcome, Rejection) else outcome
+            if report is not None:
+                expected.append((featurize(ieee14_case, config), report.fo_value))
+        assert len(samples) == 34
+        assert [([x.hex() for x in f], fo.hex()) for f, fo in samples] == [
+            ([x.hex() for x in f], fo.hex()) for f, fo in expected
+        ]
 
     def test_non_radial_start_is_refused_before_scoring(self, triangle_case, monkeypatch):
         solved = _counted_solves(monkeypatch)
@@ -368,8 +411,8 @@ class TestIslandMemo:
         solved = _counted_solves(monkeypatch)
         traces = [improve(ieee14_case, ieee14_forest.config)[1] for _ in range(2)]
         # a memo that outlived its search would leave the second nothing to solve
-        assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(52, 41, 63)] * 2
-        assert len(solved) == 82 and len(set(solved[:41])) == 41 and solved[41:] == solved[:41]
+        assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(52, 39, 17)] * 2
+        assert len(solved) == 78 and len(set(solved[:39])) == 39 and solved[39:] == solved[:39]
 
     def test_a_memo_answers_for_its_first_case_only(self, ieee14_case, ieee14_search):
         final = ieee14_search[0]
@@ -398,7 +441,31 @@ class TestIslandMemo:
         # equal options are the same options
         again = SearchOptions(solver_options=SolverOptions(tolerance=1e-2, max_iterations=2))
         assert outcome_fields(evaluate_candidate(ieee14_case, final, again, memo)) == outcome_fields(outcome)
-        assert (memo.solves, memo.hits) == (2, 2)
+        # the island fed from bus 1 diverges first, so the other is never met
+        assert (memo.solves, memo.hits) == (1, 1)
+
+    @pytest.mark.parametrize(
+        ("roots", "solved_roots"), [((1, 3), [1]), ((3, 1), [3, 1])], ids=["heavy-first", "light-first"]
+    )
+    def test_the_first_diverged_island_ends_the_report(self, monkeypatch, roots, solved_roots):
+        # two lines apart: bus 1 feeds a load no operating point carries, bus 3 a light one
+        buses = (
+            Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+            Bus(2, p_load=5000.0, q_load=2000.0),
+            Bus(3, BusKind.FEEDER, v_setpoint=1.0),
+            Bus(4, p_load=10.0, q_load=5.0),
+        )
+        branches = (Branch(1, 1, 2, r=0.01, x=0.05), Branch(2, 3, 4, r=0.01, x=0.05))
+        case = NetworkCase(100.0, buses, branches, roots=roots)
+        config = make_config(case, {1, 2})
+        solved = _counted_solves(monkeypatch)
+        memo = IslandMemo()
+        assert memo.report(case, config, SolverOptions()) is None
+        # islands are met in root order, and none after the one that diverged
+        assert [root for root, _ in solved] == solved_roots
+        assert (memo.solves, memo.hits) == (len(solved_roots), 0)
+        assert memo.report(case, config, SolverOptions()) is None
+        assert (memo.solves, memo.hits) == (len(solved_roots), len(solved_roots))
 
 
 class TestReconfigure:

@@ -565,6 +565,33 @@ class TestJacobian:
         assert solution.converged
         assert solution.v_mag[2] == pytest.approx(1.02)
 
+    @pytest.mark.parametrize(
+        ("q_min", "q_max", "clamps"),
+        [(5.0, 5.0, False), (None, 5.0, False), (-5.0, 5.0, True)],
+        ids=["equal-limits", "one-limit", "range"],
+    )
+    def test_a_machine_clamps_only_on_a_reactive_range(self, q_min, q_max, clamps):
+        # holding 1.05 pu against a 1.0 pu root over x = 0.05 takes about
+        # 100 MVAr; equal limits, like a missing one, mean no limit at all
+        case = NetworkCase(
+            100.0,
+            (
+                Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+                Bus(2, BusKind.GENERATOR, p_load=10.0, q_load=4.0, v_setpoint=1.05, q_min=q_min, q_max=q_max),
+            ),
+            (Branch(1, 1, 2, r=0.01, x=0.05),),
+            roots=(1,),
+        )
+        setup = _classify(case, island_of(case))
+        assert np.isnan(setup.q_min[1]) == np.isnan(setup.q_max[1]) == (not clamps)
+        assert setup.q_load[1] == 4.0
+        solution = _solve_by_id(case)
+        assert solution.converged
+        if clamps:
+            assert solution.v_mag[2] < 1.01  # the machine gives its 5 MVAr and no more
+        else:
+            assert solution.v_mag[2] == pytest.approx(1.05)
+
     def test_slack_only_island_needs_no_newton_step(self, six_bus_case, monkeypatch):
         island = island_of(six_bus_case, 2, {2}, ())
         setup = _classify(six_bus_case, island)
@@ -709,14 +736,14 @@ class TestCompiledLayers:
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
-        assert len(islands) == 42  # 41 radial islands and the meshed network
+        assert len(islands) == 40  # 39 radial islands and the meshed network
         for island in islands.values():
             _assert_admittance_matches_oracle(ieee14_case, island)
-        # 44 solves: 41 distinct search islands, the meshed network and the
+        # 42 solves: 39 distinct search islands, the meshed network and the
         # final solve's two; an island the search's memo answers is neither
         # solved nor given flows again, so each solve computes flows once
-        assert len(ieee14_recorded["solves"]) == 44
-        assert len(ieee14_recorded["flows"]) == 44
+        assert len(ieee14_recorded["solves"]) == 42
+        assert len(ieee14_recorded["flows"]) == 42
         for branch_ids, voltages, sending in ieee14_recorded["flows"]:
             _assert_flows_match_oracle(ieee14_case, branch_ids, voltages, sending)
 
@@ -796,17 +823,17 @@ class TestJacobianPattern:
         # a bus that clamps and is released returns to a split the solve
         # already has a pattern for, so a solve builds fewer than one per switch
         solves = ieee14_recorded["solves"]
-        assert sum(work.jacobians for work in solves) == 247
-        assert sum(work.jacobians for work in solves if work.converged) == 128
+        assert sum(work.jacobians for work in solves) == 240
+        assert sum(work.jacobians for work in solves if work.converged) == 121
         for work in solves:
             assert len(work.patterns) == len(work.splits), work.island
-        assert sum(len(work.patterns) for work in solves) == 77
+        assert sum(len(work.patterns) for work in solves) == 75
         search = solves[1:-2]  # without the meshed solve and the final solve's two islands
-        assert sum(w.iterations for w in search if w.converged) == 143
+        assert sum(w.iterations for w in search if w.converged) == 134
         assert sum(w.iterations for w in search if not w.converged) == 119
         # every IEEE-14 system has at most _DENSE_MAX unknowns and is filled
         # dense, so the one sparse matrix a solve builds is its Ybus
-        assert ieee14_recorded["sparse"] == len(solves) == 44
+        assert ieee14_recorded["sparse"] == len(solves) == 42
         for work in solves:
             assert all(p.order.size <= _DENSE_MAX and p.jacobian is None for p in work.patterns), work.island
         assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
@@ -884,9 +911,9 @@ class TestDenseFill:
     array, with every bit of the CSC fill it replaces."""
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
-        # 41 radial islands and the meshed network, at the flat start and the solution
+        # 39 radial islands and the meshed network, at the flat start and the solution
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
-        assert len(islands) == 42
+        assert len(islands) == 40
         lone = []
         for island in islands.values():
             setup = _classify(ieee14_case, island)
@@ -1016,7 +1043,7 @@ class TestLeavesFirst:
     def test_every_radial_ieee14_search_island(self, ieee14_case, ieee14_recorded):
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
         radial = [isl for isl in islands.values() if len(isl.branches) == len(isl.buses) - 1]
-        assert len(radial) == 41
+        assert len(radial) == 39
         for island in radial:
             _assert_leaves_first_without_fill(ieee14_case, island)
 
@@ -1033,7 +1060,7 @@ class TestNewtonStep:
     larger systems through the leaves-first SuperLU factor."""
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
-        # 41 radial islands and the meshed network
+        # 39 radial islands and the meshed network
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
         for island in islands.values():
             _assert_step_solves_the_dense_system(ieee14_case, island)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bench_feeders, deep_chain, enumerate_radial, oracle_featurize, two_bus_case
+from conftest import bench_feeders, deep_chain, enumerate_radial, oracle_featurize, search_samples, two_bus_case
 from dnr import exchange, surrogate
 from dnr.caseio import parse_case
 from dnr.exchange import RejectReason, Rejection, evaluate_candidate, improve
@@ -18,21 +18,8 @@ LOAD_P, LOAD_Q, LOAD_MOMENT, RESISTANCE = 1, 2, 3, 4
 
 @pytest.fixture(scope="module")
 def ieee14_history(ieee14_case, ieee14_forest) -> list[tuple[tuple[float, ...], float]]:
-    """Features and objective of each configuration an IEEE-14 search scores: its surrogate's fit data."""
-    history = []
-    evaluate = exchange.evaluate_candidate
-
-    def recorded(case, config, *args):
-        outcome = evaluate(case, config, *args)
-        report = outcome.report if isinstance(outcome, Rejection) else outcome
-        if report is not None:
-            history.append((featurize(case, config), report.fo_value))
-        return outcome
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exchange, "evaluate_candidate", recorded)
-        improve(ieee14_case, ieee14_forest.config)
-    return history
+    """Features and objective of each evaluation an IEEE-14 search scores: its surrogate's fit data."""
+    return search_samples(ieee14_case, ieee14_forest.config)[1]
 
 
 def _scored_samples(case, need: int) -> list[tuple[tuple[float, ...], float]]:
@@ -123,12 +110,24 @@ class TestFeaturize:
             checked.append(config.closed)
             return features
 
+        scored = []  # (closed, whether it diverged) of each evaluate_candidate call
+        evaluate = exchange.evaluate_candidate
+
+        def recorded(of_case, config, *args):
+            outcome = evaluate(of_case, config, *args)
+            diverged = isinstance(outcome, Rejection) and outcome.reason is RejectReason.POWER_FLOW_DIVERGED
+            scored.append((config.closed, diverged))
+            return outcome
+
         monkeypatch.setattr(exchange, "featurize", compared)
         monkeypatch.setattr(surrogate, "featurize", compared)
+        monkeypatch.setattr(exchange, "evaluate_candidate", recorded)
         _, trace = improve(case, start)
-        # each scored configuration (every candidate but the diverged ones), and the ranked ones
-        diverged = sum(m.rejected_reason is RejectReason.POWER_FLOW_DIVERGED for m in trace.moves)
-        assert len(checked) >= trace.evaluations - diverged > 0
+        # each distinct scored configuration (every candidate but the repeats
+        # and the diverged ones), and the ranked ones
+        diverged = {closed for closed, failed in scored if failed}
+        assert set(checked) >= {closed for closed, _ in scored} - diverged
+        assert len(scored) == trace.evaluations - trace.config_hits > len(diverged)
 
     def test_deterministic(self, ieee14_case, ieee14_forest):
         first = featurize(ieee14_case, ieee14_forest.config)
@@ -160,7 +159,7 @@ class TestFit:
             model.predict(samples[0][0])
 
     def test_search_history_fit_is_sane(self, ieee14_case, ieee14_history):
-        assert len(ieee14_history) >= 20
+        assert len(ieee14_history) == 34  # 52 evaluations, 18 of them diverged
         model = fit(ieee14_case, ieee14_history)
         assert model.trained
         assert len(model.coefficients) == 9

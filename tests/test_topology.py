@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 
 import networkx as nx
@@ -15,7 +14,6 @@ from dnr.model import (
     BusKind,
     NetworkCase,
     SwitchState,
-    all_closed_config,
     is_radial,
     make_config,
 )
