@@ -1,12 +1,16 @@
 """Branch-exchange local search over radial configurations.
 
 One move closes an open switch and opens a closed switch on the loop that
-closure would create, so radiality survives every step.  Walks slide the
-open point along the loop, first toward the nearest neighbouring switch,
-reversing direction once an attempt fails, and passes repeat until no move
-is accepted.  A final exhaustive sweep certifies that no single exchange
-improves the result, which directional walks alone cannot promise.
-`reconfigure` runs the whole method, from the all-closed flow to the score.
+closure would create, so radiality survives every step.  A walk slides the
+open point along one loop, which has two sides: the switches met walking
+from either end of the open branch.  It starts on the side whose first
+switch is nearer (fewer hops, then the lower id), stays on a side while its
+moves are accepted, turns to the other side after a miss (a rejected move,
+or a side with nothing left to try), and stops after two misses in a row.
+Passes of walks repeat until no move is accepted.  A final exhaustive sweep
+certifies that no single exchange improves the result, which the walks
+alone cannot promise.  `reconfigure` runs the whole method, from the
+all-closed flow to the score.
 """
 from __future__ import annotations
 
@@ -92,8 +96,8 @@ def evaluate_candidate(
     return report
 
 
-# incumbent ordering: objective.sort_key without a branch tie-break
-_Key = tuple[bool, float, tuple[int, ...]]
+# incumbent ordering: objective.sort_key
+_Key = tuple[bool, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,9 +110,19 @@ class _Scored:
     features: tuple[float, ...] | None  # its surrogate sample's features, when samples are kept
 
 
-def _nearest(case: NetworkCase, loop: FundamentalLoop) -> int | None:
-    """The loop's switchable branch nearest its open branch, None when it has none."""
-    return next((b for b in loop.nearest_first() if case.branch_by_id[b].switchable), None)
+def _sides(case: NetworkCase, loop: FundamentalLoop) -> tuple[list[int], list[int]]:
+    """The switchable ids of each of the loop's sides, nearest first.
+
+    The side whose first switch is nearer the open branch, by (hops, id),
+    goes first; an empty side goes last.
+    """
+    u, v = (
+        [(hops, b) for hops, b in enumerate(ids) if case.branch_by_id[b].switchable]
+        for ids in loop.sides()
+    )
+    if not u or (v and v[0] < u[0]):
+        u, v = v, u
+    return [b for _, b in u], [b for _, b in v]
 
 
 class _Search:
@@ -176,50 +190,27 @@ class _Search:
         """Slide the open point of one loop while the incumbent keeps improving.
 
         The loop is fixed once `switch` is chosen: its branches stay the
-        cycle (or root-to-root path) regardless of which one is currently
-        open.  Arms extend from the two ends of `switch`; a failed attempt
-        flips direction, a second consecutive failure ends the walk.
+        cycle (or root-to-root path) whichever of them is open.  The walk
+        tries the next untried switch on the current side, starting on the
+        side `_sides` puts first.  An accepted move stays on that side; a
+        rejected move, or a side with nothing left to try, is a miss and
+        turns to the other side.  Two misses in a row end the walk.
         """
         loop = fundamental_loop(self.case, config, switch)
-        nearest = _nearest(self.case, loop)
-        if nearest is None:
-            return config, key
-        ordered = list(loop.branch_ids)
-        if loop.inter_feeder:
-            # disjoint arms of the root-to-root path, nearest branch first
-            arm_u = list(reversed(ordered[: loop.u_side_count]))
-            arm_v = ordered[loop.u_side_count :]
-        else:
-            # a cycle: either direction can slide the whole way around
-            arm_u = ordered
-            arm_v = list(reversed(ordered))
-        arm_u = [b for b in arm_u if self.case.branch_by_id[b].switchable]
-        arm_v = [b for b in arm_v if self.case.branch_by_id[b].switchable]
-        arms = [arm_u, arm_v] if arm_u and arm_u[0] == nearest else [arm_v, arm_u]
-
-        open_position = switch
-        tried = {switch}
-        cursor = [0, 0]
-        direction = 0
-        failed = [False, False]
-        while not all(failed):
-            arm = arms[direction]
-            while cursor[direction] < len(arm) and arm[cursor[direction]] in tried:
-                cursor[direction] += 1
-            if cursor[direction] >= len(arm):
-                failed[direction] = True
-                direction = 1 - direction
-                continue
-            target = arm[cursor[direction]]
-            tried.add(target)
-            accepted = self.attempt(config, key, open_position, target)
-            if accepted is not None:
-                config, key = accepted
-                open_position = target
-                failed = [False, False]
-            else:
-                failed[direction] = True
-                direction = 1 - direction
+        sides = [iter(ids) for ids in _sides(self.case, loop)]
+        tried: set[int] = set()
+        side = misses = 0
+        while misses < 2:
+            target = next((b for b in sides[side] if b not in tried), None)
+            if target is not None:
+                tried.add(target)
+                accepted = self.attempt(config, key, switch, target)
+                if accepted is not None:
+                    config, key = accepted
+                    switch, misses = target, 0
+                    continue
+            misses += 1
+            side = 1 - side
         return config, key
 
     def full_sweep(
@@ -237,7 +228,7 @@ class _Search:
                 candidate = config.with_exchange(switch, target)
                 scored = self.score(candidate)
                 if scored.key is not None and scored.key < key:
-                    rank = (*scored.key[:2], tuple(sorted(candidate.open_ids)))
+                    rank = (*scored.key, tuple(sorted(candidate.open_ids)))
                     if best is None or rank < best[0]:
                         best = (rank, candidate, switch, target, scored)
                     continue
@@ -255,9 +246,9 @@ class _Search:
             return open_ids
         first_moves: dict[int, Configuration] = {}
         for switch in open_ids:
-            nearest = _nearest(self.case, fundamental_loop(self.case, config, switch))
-            if nearest is not None:
-                first_moves[switch] = config.with_exchange(switch, nearest)
+            nearest, _ = _sides(self.case, fundamental_loop(self.case, config, switch))
+            if nearest:
+                first_moves[switch] = config.with_exchange(switch, nearest[0])
         scoreable = list(first_moves)
         ranked_configs = rank_candidates(model, self.case, [first_moves[s] for s in scoreable])
         positions = {cfg: i for i, cfg in enumerate(ranked_configs)}

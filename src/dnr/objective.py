@@ -303,8 +303,6 @@ class IslandMemo:
         return _report(case, index, scores)
 
 
-def sort_key(
-    report: ObjectiveReport, branch_key: tuple[int, ...] = ()
-) -> tuple[bool, float, tuple[int, ...]]:
-    """Ordering tuple: feasible first, then lower objective, then lower ids."""
-    return (not report.feasible, report.fo_value, branch_key)
+def sort_key(report: ObjectiveReport) -> tuple[bool, float]:
+    """Ordering tuple: feasible first, then lower objective."""
+    return (not report.feasible, report.fo_value)

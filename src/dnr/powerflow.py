@@ -5,7 +5,6 @@ per-unit on the case base; solutions expose MW/MVAr at the branch level.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -156,9 +155,6 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     islands: tuple[IslandResult, ...] = ()
-
-    def voltage(self, bus_id: int) -> complex:
-        return self.v_mag[bus_id] * cmath.exp(1j * self.v_angle[bus_id])
 
 
 def sequential_sum(values: np.ndarray) -> float:

@@ -30,7 +30,6 @@ class UnreachableError(ValueError):
 @dataclass(frozen=True)
 class ForestBuildResult:
     config: Configuration
-    insertion_order: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,18 @@ class FundamentalLoop:
     inter_feeder: bool
     u_side_count: int
 
-    def hop_distance(self, position: int) -> int:
-        """Walk length from the open branch to the branch at `position`."""
-        if self.inter_feeder:
-            k = self.u_side_count
-            return k - 1 - position if position < k else position - k
-        return min(position, len(self.branch_ids) - 1 - position)
+    def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The branch ids walked from the open branch's from-end and from its to-end, nearest first.
 
-    def nearest_first(self) -> tuple[int, ...]:
-        """Branch ids by hop distance from the open branch, lower id on ties."""
-        ranked = sorted((self.hop_distance(pos), b) for pos, b in enumerate(self.branch_ids))
-        return tuple(branch_id for _, branch_id in ranked)
+        Either walk goes all the way round a cycle.  An inter-feeder path
+        splits at the open branch, and a side is empty when its end of the
+        open branch is a root.
+        """
+        ids = self.branch_ids
+        if not self.inter_feeder:
+            return ids, ids[::-1]
+        k = self.u_side_count
+        return ids[:k][::-1], ids[k:]
 
 
 def path_to_root(index: ForestIndex, bus: int) -> list[int]:
@@ -85,7 +85,6 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
     }
     assigned: set[int] = set()
     closed: set[int] = set()
-    order: list[tuple[int, float]] = []
     frontier: list[tuple[float, int]] = []  # (-weight, id) heap, stale entries dropped on pop
 
     adjacency = _adjacency(case)
@@ -108,10 +107,9 @@ def build_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fores
         if best.from_bus in assigned and best.to_bus in assigned:
             continue  # both ends were assigned after it was pushed
         closed.add(branch_id)
-        order.append((branch_id, weights[branch_id]))
         assign(best.to_bus if best.from_bus in assigned else best.from_bus)
 
-    return ForestBuildResult(make_config(case, closed), tuple(order))
+    return ForestBuildResult(make_config(case, closed))
 
 
 def weights_from_flow(case: NetworkCase, solution) -> dict[int, float]:

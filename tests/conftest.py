@@ -9,6 +9,7 @@ module can reuse them.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import importlib.util
@@ -44,6 +45,7 @@ from dnr.powerflow import (
     BranchFlow,
     IslandPart,
     JacobianPattern,
+    PowerFlowSolution,
     SingularBranchError,
     SolverOptions,
     _apply_q_limits,
@@ -359,6 +361,11 @@ def random_radial_feeder(seed: int, buses: int, roots: int = 1) -> NetworkCase:
 # oracles
 
 
+def voltage(solution: PowerFlowSolution, bus_id: int) -> complex:
+    """A bus's complex voltage, from the solution's magnitude and angle."""
+    return solution.v_mag[bus_id] * cmath.exp(1j * solution.v_angle[bus_id])
+
+
 def oracle_is_radial(case: NetworkCase, closed_ids) -> bool:
     """Radiality by networkx: acyclic and exactly one root per component."""
     graph = nx.MultiGraph()
@@ -415,7 +422,6 @@ def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fore
     """Flow-weighted forest by rescanning every candidate branch per added bus."""
     assigned: set[int] = set(case.roots)
     closed: set[int] = set()
-    order: list[tuple[int, float]] = []
     candidates = [
         b
         for b in case.branches
@@ -439,9 +445,7 @@ def oracle_spanning_forest(case: NetworkCase, weights: dict[int, float]) -> Fore
             raise UnreachableError(sorted(set(case.bus_by_id) - assigned))
         closed.add(best.id)
         assigned.add(best.from_bus if best.from_bus not in assigned else best.to_bus)
-        order.append((best.id, weights[best.id]))
-    config = make_config(case, closed)
-    return ForestBuildResult(config, tuple(order))
+    return ForestBuildResult(make_config(case, closed))
 
 
 def island_of(case: NetworkCase, root: int | None = None, buses=None, branches=None) -> Island:
@@ -627,7 +631,7 @@ def assert_one_exchange_optimal(case: NetworkCase, final: Configuration) -> None
     def rank(closed) -> tuple[bool, float] | None:
         outcome = exchange.evaluate_candidate(case, make_config(case, closed))
         report = outcome.report if isinstance(outcome, Rejection) else outcome
-        return None if report is None else sort_key(report)[:2]
+        return None if report is None else sort_key(report)
 
     best = rank(final.closed)
     assert best is not None

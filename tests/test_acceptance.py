@@ -14,6 +14,7 @@ from conftest import (
     random_four_bus,
     solve_gauss_seidel,
     solver_jacobian,
+    voltage,
 )
 from dnr.caseio import parse_case, write_native_case
 from dnr.exchange import Rejection, SearchOptions, evaluate_candidate, improve
@@ -177,7 +178,7 @@ def test_criterion_4_solver_cross_validation(
                 continue
             assert set(gs_result.buses) == island.buses
             for bus_id, v in zip(gs_result.buses, gs.v.tolist()):
-                delta = abs(nr.voltage(bus_id) - v)
+                delta = abs(voltage(nr, bus_id) - v)
                 assert delta <= 1e-6, f"bus {bus_id} disagrees by {delta:.2e}"
 
     for seed in range(20):

@@ -17,6 +17,7 @@ from conftest import (
     oracle_is_radial,
     search_scores_as_fresh,
     solve_gauss_seidel,
+    voltage,
 )
 from dnr.caseio import parse_case, write_native_case
 from dnr.exchange import improve
@@ -62,7 +63,7 @@ def test_newton_matches_gauss_seidel_on_the_flow_forest(size, seed):
         assert result.converged
         assert set(result.buses) == island.buses
         for bus_id, v in zip(result.buses, oracle.v.tolist()):
-            delta = abs(newton.voltage(bus_id) - v)
+            delta = abs(voltage(newton, bus_id) - v)
             assert delta <= 1e-6, f"bus {bus_id} disagrees by {delta:.2e}"
 
 

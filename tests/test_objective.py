@@ -285,13 +285,5 @@ class TestOrdering:
 
     def test_equal_reports_tie_without_a_branch_key(self):
         a, b = _report(5.0), _report(5.0)
-        assert sort_key(a) == sort_key(b)
+        assert sort_key(a) == sort_key(b) == (False, 5.0)
         assert not sort_key(a) < sort_key(b)
-
-    def test_branch_key_is_the_last_resort(self):
-        a, b = _report(5.0), _report(5.0)
-        assert sort_key(a, (1, 4)) < sort_key(b, (1, 5))
-        assert sort_key(a, branch_key=(1, 5)) > sort_key(b, branch_key=(1, 4))
-        # the branch key never overrides the objective or feasibility
-        assert sort_key(_report(4.0), (9, 9)) < sort_key(_report(5.0), (1, 1))
-        assert sort_key(_report(9.0), (9, 9)) < sort_key(_report(1.0, feasible=False), (1, 1))

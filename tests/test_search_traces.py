@@ -21,23 +21,22 @@ from dnr.model import NetworkCase
 
 TRACES = DATA_DIR / "search_traces.json"
 COUNTS = ("evaluations", "config_hits", "surrogate_hits")
-IEEE14_ROOTS = ((1,), (1, 2), (1, 3), (2, 6), (1, 2, 3))
+IEEE14_ROOTS = {
+    f"ieee14-roots-{'-'.join(map(str, roots))}": roots
+    for roots in ((1,), (1, 2), (1, 3), (2, 6), (1, 2, 3))
+}
+# the generator's (seed, roots, buses, ties), as the benchmark's workloads use them
 FEEDERS = {"feeder-3x200-seed1": (1, 3, 200, 12), "feeder-1x1000-seed1": (1, 1, 1000, 12)}
-CASES = [
-    *(f"ieee14-roots-{'-'.join(map(str, roots))}" for roots in IEEE14_ROOTS),
-    "baran-wu-33",
-    *FEEDERS,
-]
+CASES = [*IEEE14_ROOTS, "baran-wu-33", *FEEDERS]
 
 
 def _case(name: str) -> NetworkCase:
-    if name == "baran-wu-33":
-        return parse_case((DATA_DIR / "baran_wu_33.json").read_text())
+    if name in IEEE14_ROOTS:
+        return parse_case((DATA_DIR / "ieee14.cdf").read_text(), fmt="cdf", roots=IEEE14_ROOTS[name])
     if name in FEEDERS:
         text, _ = bench_feeders().generate(*FEEDERS[name])
         return parse_case(text, fmt="json")
-    roots = tuple(int(r) for r in name.removeprefix("ieee14-roots-").split("-"))
-    return parse_case((DATA_DIR / "ieee14.cdf").read_text(), fmt="cdf", roots=roots)
+    return parse_case((DATA_DIR / "baran_wu_33.json").read_text())
 
 
 def _entry(trace: SearchTrace) -> dict:

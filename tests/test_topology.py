@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from conftest import enumerate_radial, oracle_is_radial, oracle_spanning_forest, two_bus_case
+from dnr.exchange import _sides
 from dnr.model import (
     Branch,
     Bus,
@@ -32,6 +33,13 @@ def _uniform_weights(case: NetworkCase) -> dict[int, float]:
     return {b.id: 1.0 for b in case.branches}
 
 
+def _pinned_closed(case: NetworkCase, branch_id: int) -> NetworkCase:
+    """The case with one branch no longer switchable, so held at its default state, closed."""
+    return dataclasses.replace(case, branches=tuple(
+        dataclasses.replace(b, switchable=False) if b.id == branch_id else b for b in case.branches
+    ))
+
+
 class TestSpanningForest:
     def test_ieee14_two_trees(self, ieee14_case, ieee14_forest):
         assert len(ieee14_forest.config.closed) == 12
@@ -53,11 +61,11 @@ class TestSpanningForest:
         result = build_spanning_forest(triangle_case, {1: 3.0, 2: 2.0, 3: 1.0})
         assert result.config.closed == frozenset({1, 2})
         assert result.config.open_ids == {3}
-        assert result.insertion_order == ((1, 3.0), (2, 2.0))
 
     def test_equal_weights_fall_to_lower_ids(self, triangle_case):
+        # branches 1 (1-2) and 2 (1-3) tie out of the root, then 2 and 3 (2-3)
         result = build_spanning_forest(triangle_case, _uniform_weights(triangle_case))
-        assert result.insertion_order == ((1, 1.0), (2, 1.0))
+        assert result.config.closed == frozenset({1, 2})
 
     def test_missing_weights_rejected(self, triangle_case):
         with pytest.raises(KeyError):
@@ -176,7 +184,7 @@ class TestFundamentalLoop:
         loop = fundamental_loop(triangle_case, config, 3)
         assert loop.branch_ids == (1, 2)
         assert not loop.inter_feeder
-        assert [loop.hop_distance(i) for i in range(2)] == [0, 0]
+        assert loop.sides() == ((1, 2), (2, 1))
 
     def test_closed_branch_is_not_a_loop_seed(self, triangle_case):
         config = make_config(triangle_case, {1, 2})
@@ -189,7 +197,7 @@ class TestFundamentalLoop:
         assert loop.inter_feeder
         assert loop.branch_ids == (3, 2, 1)
         assert loop.u_side_count == 1
-        assert [loop.hop_distance(i) for i in range(3)] == [0, 0, 1]
+        assert loop.sides() == ((3,), (2, 1))
 
     def test_ieee14_intra_island_loop_is_a_real_cycle(self, ieee14_case, ieee14_forest):
         config = ieee14_forest.config
@@ -218,45 +226,88 @@ class TestFundamentalLoop:
                 assert open_id not in loop.branch_ids
 
 
+def _hop_ranked(loop) -> list[int]:
+    """The loop's branch ids by walk length from its open branch, lower id on ties."""
+    ids, k = loop.branch_ids, loop.u_side_count
+
+    def hops(position: int) -> int:
+        if loop.inter_feeder:
+            return k - 1 - position if position < k else position - k
+        return min(position, len(ids) - 1 - position)
+
+    return [b for _, b in sorted((hops(pos), b) for pos, b in enumerate(ids))]
+
+
+def _four_bus_tie(tie_from: int, tie_to: int) -> NetworkCase:
+    """Roots 1 and 2 feed buses 3 and 4 by branches 1 and 2; tie 3 joins the given ends."""
+    return NetworkCase(
+        100.0,
+        (
+            Bus(1, BusKind.FEEDER, v_setpoint=1.0),
+            Bus(2, BusKind.FEEDER, v_setpoint=1.0),
+            Bus(3, p_load=10.0, q_load=2.0),
+            Bus(4, p_load=10.0, q_load=2.0),
+        ),
+        (
+            Branch(1, 1, 3, r=0.01, x=0.02),
+            Branch(2, 2, 4, r=0.01, x=0.02),
+            Branch(3, tie_from, tie_to, r=0.01, x=0.02, default_state=SwitchState.OPEN),
+        ),
+        roots=(1, 2),
+    )
+
+
 class TestAdjacentSwitches:
-    """A tie's loop branches, nearest the tie first (FundamentalLoop.nearest_first)."""
+    """A loop's two sides (FundamentalLoop.sides) and the side its walk starts on (exchange._sides)."""
 
     def test_triangle_order(self, triangle_case):
-        config = make_config(triangle_case, {1, 2})
-        assert fundamental_loop(triangle_case, config, 3).nearest_first() == (1, 2)
+        loop = fundamental_loop(triangle_case, make_config(triangle_case, {1, 2}), 3)
+        assert loop.sides() == ((1, 2), (2, 1))
+        assert _sides(triangle_case, loop) == ([1, 2], [2, 1])  # both first switches 0 hops out
 
     def test_two_branch_tie_returns_both_nearest_first(self):
-        case = NetworkCase(
-            100.0,
-            (
-                Bus(1, BusKind.FEEDER, v_setpoint=1.0),
-                Bus(2, BusKind.FEEDER, v_setpoint=1.0),
-                Bus(3, p_load=10.0, q_load=2.0),
-                Bus(4, p_load=10.0, q_load=2.0),
-            ),
-            (
-                Branch(1, 1, 3, r=0.01, x=0.02),
-                Branch(2, 2, 4, r=0.01, x=0.02),
-                Branch(3, 3, 4, r=0.01, x=0.02, default_state=SwitchState.OPEN),
-            ),
-            roots=(1, 2),
-        )
-        config = make_config(case, {1, 2})
-        assert fundamental_loop(case, config, 3).nearest_first() == (1, 2)  # both at hop 0, id order
+        case = _four_bus_tie(3, 4)
+        loop = fundamental_loop(case, make_config(case, {1, 2}), 3)
+        assert loop.sides() == ((1,), (2,))
+        assert _sides(case, loop) == ([1], [2])
+        # the tie turned round: its from-end's side is now branch 2's, and
+        # the lower id still goes first
+        case = _four_bus_tie(4, 3)
+        loop = fundamental_loop(case, make_config(case, {1, 2}), 3)
+        assert loop.sides() == ((2,), (1,))
+        assert _sides(case, loop) == ([1], [2])
 
     def test_ring_gives_all_five_ordered_by_hops(self, ring6_case):
-        config = make_config(ring6_case, {1, 2, 4, 5, 6})  # branch 3 open
-        assert fundamental_loop(ring6_case, config, 3).nearest_first() == (2, 4, 1, 5, 6)
+        loop = fundamental_loop(ring6_case, make_config(ring6_case, {1, 2, 4, 5, 6}), 3)
+        assert loop.sides() == ((2, 1, 6, 5, 4), (4, 5, 6, 1, 2))
+        assert _sides(ring6_case, loop) == ([2, 1, 6, 5, 4], [4, 5, 6, 1, 2])
+        assert _hop_ranked(loop) == [2, 4, 1, 5, 6]
 
-    def test_matches_loop_hop_ranking(self, six_bus_case):
-        for closed in enumerate_radial(six_bus_case):
-            config = make_config(six_bus_case, closed)
-            for open_id in sorted(config.open_ids):
-                loop = fundamental_loop(six_bus_case, config, open_id)
-                ranked = sorted(
-                    (loop.hop_distance(pos), bid)
-                    for pos, bid in enumerate(loop.branch_ids)
-                )
-                assert loop.nearest_first() == tuple(
-                    bid for _, bid in ranked
-                )
+    def test_a_root_at_the_from_end_leaves_that_side_empty(self, six_bus_case):
+        # branch 1 (1-3) open, bus 3 fed from root 2 by branches 6 (3-4) and 2 (2-4)
+        loop = fundamental_loop(six_bus_case, make_config(six_bus_case, {2, 3, 5, 6}), 1)
+        assert loop.inter_feeder and loop.u_side_count == 0
+        assert loop.sides() == ((), (6, 2))
+        assert _sides(six_bus_case, loop) == ([6, 2], [])
+
+    def test_a_side_keeps_only_its_switches(self, five_bus_tworoot):
+        loop = fundamental_loop(five_bus_tworoot, make_config(five_bus_tworoot, {1, 2, 3}), 4)
+        assert _sides(five_bus_tworoot, loop) == ([2, 1], [3])  # 2 before 3 at 0 hops
+        pinned = _pinned_closed(five_bus_tworoot, 2)
+        assert _sides(pinned, loop) == ([3], [1])  # 3 at 0 hops before 1 at 1
+        pinned = _pinned_closed(pinned, 3)
+        assert _sides(pinned, loop) == ([1], [])
+
+    def test_matches_loop_hop_ranking(self, six_bus_case, ring6_case):
+        # each case as it is, and with each branch in turn pinned closed
+        for case in (six_bus_case, ring6_case):
+            for pinned in (case, *(_pinned_closed(case, b) for b in sorted(case.branch_by_id))):
+                for closed in enumerate_radial(case):
+                    config = make_config(case, closed)
+                    for open_id in sorted(config.open_ids):
+                        loop = fundamental_loop(case, config, open_id)
+                        switches = [b for b in _hop_ranked(loop) if pinned.branch_by_id[b].switchable]
+                        first, second = _sides(pinned, loop)
+                        assert first[:1] == switches[:1], (sorted(closed), open_id)
+                        assert sorted({*first, *second}) == sorted(switches)
+                        assert second == [] or first != []
