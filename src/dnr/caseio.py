@@ -257,7 +257,7 @@ def _switchable(entry: dict) -> bool:
 def _parse_native(text: str) -> NetworkCase:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the second from nesting past the recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         buses = tuple(

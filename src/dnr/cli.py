@@ -22,12 +22,6 @@ from .powerflow import SolverOptions, solve_all_islands, solve_network
 def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("case", help="path to a case file")
     parser.add_argument(
-        "--format",
-        choices=("auto", "cdf", "json"),
-        default="auto",
-        help="input format (default: JSON when the text opens with { or [, CDF otherwise)",
-    )
-    parser.add_argument(
         "--roots",
         type=_root_list,
         default=None,
@@ -37,8 +31,6 @@ def _add_case_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta-t", type=_finite_above(0.0), default=None, metavar="HOURS",
-                        help="study interval length in hours, positive and finite (default 1.0)")
     parser.add_argument("--tolerance", type=_finite_above(0.0), default=1e-8,
                         help="power-flow mismatch tolerance in pu")
     parser.add_argument("--max-iter", type=_integer_from(1), default=30,
@@ -102,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconfigure", help="search switch settings that cut losses")
     _add_case_arguments(p_rec)
     _add_solver_arguments(p_rec)
+    p_rec.add_argument("--delta-t", type=_finite_above(0.0), default=None, metavar="HOURS",
+                       help="study interval length in hours, positive and finite (default 1.0)")
     p_rec.add_argument("--no-surrogate", action="store_true",
                        help="disable the linear ranking model")
     p_rec.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
@@ -124,7 +118,6 @@ def _load_case(args: argparse.Namespace, validate: bool = True):
         raise ParseError(f"cannot read case file {path}: {exc.strerror}") from None
     return parse_case(
         text,
-        fmt=args.format,
         roots=args.roots,
         delta_t_hours=getattr(args, "delta_t", None),
         validate=validate,

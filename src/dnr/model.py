@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -207,6 +208,11 @@ def all_closed_config(case: NetworkCase) -> Configuration:
     return make_config(case, closed)
 
 
+# ids are compiled into int64 arrays; `_pi_stamp` divides by the tap's square, which must be a normal float
+_ID_LIMIT = 2**63
+_TAP_MIN, _TAP_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+
 def validate_case(case: NetworkCase) -> list[Violation]:
     """Structural checks; an empty list means the case is usable."""
     violations: list[Violation] = []
@@ -275,10 +281,13 @@ def validate_case(case: NetworkCase) -> list[Violation]:
             violations.append(
                 Violation("bad_rating", f"branch {branch.id} has a non-positive MVA rating", branch_id=branch.id)
             )
-        if branch.tap_ratio <= 0.0:
-            violations.append(
-                Violation("bad_tap", f"branch {branch.id} has a non-positive tap ratio", branch_id=branch.id)
-            )
+        if not _TAP_MIN <= branch.tap_ratio <= _TAP_MAX:
+            message = f"branch {branch.id} tap ratio {branch.tap_ratio} is outside [{_TAP_MIN:.2g}, {_TAP_MAX:.2g}]"
+            violations.append(Violation("bad_tap", message, branch_id=branch.id))
+    for kind, ids in (("bus", seen_buses), ("branch", seen_branches)):
+        if ids and not (-_ID_LIMIT <= min(ids) and max(ids) < _ID_LIMIT):
+            message = f"{kind} ids span [{min(ids)}, {max(ids)}], wider than a 64-bit integer holds"
+            violations.append(Violation("bad_id", message))
 
     if not case.roots:
         violations.append(Violation("no_roots", "case declares no feeder roots"))

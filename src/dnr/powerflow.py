@@ -404,8 +404,6 @@ def _newton_step(
 @dataclass
 class _IslandSetup:
     order: list[int]  # bus ids
-    buses: np.ndarray  # the same buses as compiled positions
-    branches: np.ndarray  # compiled positions of the island's branches
     ybus: sparse.csc_matrix
     slack: int  # position
     pv: list[int]  # positions, shrinks as limits bind
@@ -422,7 +420,7 @@ class _IslandSetup:
 def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     ybus, order = build_admittance(case, island)
     compiled = _compiled_case(case)
-    buses, branches = island.bus_positions, island.branch_positions
+    buses = island.bus_positions
     slack = order.index(island.root)
     regulated = compiled.regulated[buses]
     regulated[slack] = False
@@ -432,8 +430,6 @@ def _classify(case: NetworkCase, island: Island) -> _IslandSetup:
     vset[slack] = compiled.setpoint[buses[slack]]
     return _IslandSetup(
         order,
-        buses,
-        branches,
         ybus,
         slack,
         np.flatnonzero(regulated).tolist(),
@@ -514,8 +510,8 @@ def _finish(
     slack_p = float(scalc[setup.slack].real * base + root_bus.p_load)
     slack_q = float(scalc[setup.slack].imag * base + root_bus.q_load)
     voltages = np.empty(_compiled_case(case).bus_ids.size, dtype=complex)  # read at the island's buses only
-    voltages[setup.buses] = v
-    ends, power, loss_mw = branch_flows(case, setup.branches, voltages, sending)
+    voltages[island.bus_positions] = v
+    ends, power, loss_mw = branch_flows(case, island.branch_positions, voltages, sending)
     result = IslandResult(island.root, tuple(setup.order), converged, iterations, max_mismatch, loss_mw, slack_p, slack_q)
     return IslandPart(v, power, ends, (result,))
 

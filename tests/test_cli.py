@@ -84,6 +84,17 @@ class TestArgumentHandling:
             main(["powerflow", str(cdf_path), "--roots", "1,two"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [("validate", "--format", "json"), ("powerflow", "--format", "cdf"), ("powerflow", "--delta-t", "0.5")],
+    )
+    def test_removed_flags_are_usage_errors(self, cdf_path, capsys, command, flag, value):
+        # the format is read from the text, and powerflow prints nothing the interval scales
+        with pytest.raises(SystemExit) as err:
+            main([command, str(cdf_path), flag, value])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_clean_case_reports_ok(self, cdf_path, capsys):
@@ -156,6 +167,24 @@ def _set(owner: str | None, field: str, value):
     return args
 
 
+def _renumbered_load(bus_id: int):
+    """The two-bus native case with its load bus, and the line that ends there, renumbered."""
+    def args(tmp_path: Path) -> list[str]:
+        payload = _native_payload()
+        payload["buses"][-1]["id"] = payload["branches"][-1]["to_bus"] = bus_id
+        return [_native(tmp_path, payload)]
+    return args
+
+
+def _text(text: str):
+    """A case file holding `text`."""
+    def args(tmp_path: Path) -> list[str]:
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        return [str(path)]
+    return args
+
+
 def _flags(*flags: str):
     """The two-bus native case with these command-line flags."""
     def args(tmp_path: Path) -> list[str]:
@@ -192,6 +221,13 @@ class TestInputBoundary:
             pytest.param(_set("branches", "switchable", "no"), 2, "branch 1 switchable 'no'", id="text-switchable"),
             pytest.param(_set(None, "base_mva", 0), 1, "bad_base", id="zero-base"),
             pytest.param(_set("branches", "tap_ratio", 0), 1, "bad_tap", id="zero-tap"),
+            # the π-model divides by the tap's square, which 1e-300 takes to zero
+            pytest.param(_set("branches", "tap_ratio", 1e-300), 1, "bad_tap", id="vanishing-tap"),
+            pytest.param(_cdf(19, 76, 82, "1e-300"), 1, "bad_tap", id="cdf-vanishing-tap"),
+            # ids are compiled into 64-bit integer arrays
+            pytest.param(_set("branches", "id", 2**63), 1, "bad_id", id="branch-id-past-64-bits"),
+            pytest.param(_renumbered_load(2**63), 1, "bad_id", id="bus-id-past-64-bits"),
+            pytest.param(_text("[" * 10_000 + "]" * 10_000), 2, "invalid JSON", id="json-nested-past-recursion-limit"),
             pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
             pytest.param(_set(None, "roots", [1, 1]), 1, "duplicate_root", id="duplicate-root"),
             pytest.param(_cdf(4, 40, 49, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-load"),
@@ -200,6 +236,7 @@ class TestInputBoundary:
             pytest.param(_cdf(4, 0, 4, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-bus-id"),
             pytest.param(_flags("--model-in", "m.json"), 2, "unrecognized arguments", id="model-in-flag"),
             pytest.param(_flags("--model-out", "m.json"), 2, "unrecognized arguments", id="model-out-flag"),
+            pytest.param(_flags("--format", "json"), 2, "unrecognized arguments", id="format-flag"),
             pytest.param(_flags("--tolerance", "inf"), 2, "--tolerance", id="infinite-tolerance"),
             pytest.param(_flags("--tolerance", "nan"), 2, "--tolerance", id="nan-tolerance"),
             pytest.param(_flags("--tolerance", "-1"), 2, "--tolerance", id="negative-tolerance"),
@@ -303,10 +340,10 @@ class TestPowerflow:
         assert rc == 1
         assert first.startswith("island 1: 2 buses, DID NOT CONVERGE in 5 iterations")
 
-    def test_format_override_beats_extension(self, tmp_path, capsys, ieee14_text):
-        path = tmp_path / "ieee14.dat"  # unknown suffix, explicit format
+    def test_an_unknown_suffix_is_read_from_the_text(self, tmp_path, capsys, ieee14_text):
+        path = tmp_path / "ieee14.dat"  # a suffix that names no format
         path.write_text(ieee14_text)
-        rc = main(["powerflow", str(path), "--format", "cdf"])
+        rc = main(["powerflow", str(path)])
         assert rc == 0
         assert "total loss:" in capsys.readouterr().out
 
@@ -336,10 +373,6 @@ class TestReconfigure:
             assert main(["reconfigure", str(tmp_path / name), "--stable"]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
-        # --format still overrides what the text says
-        assert main(["validate", str(misnamed), "--format", "json"]) == 2
-        assert main(["validate", str(tmp_path / "native.json"), "--format", "cdf"]) == 2
-        assert capsys.readouterr().err.count("error:") == 2
 
     def test_stable_runs_are_byte_identical(self, cdf_path, stable_report, capsys):
         # stdout and --out carry the same bytes, and reruns reproduce them

@@ -149,6 +149,27 @@ class TestValidateCase:
             case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
             assert {v.code for v in validate_case(case)} == {"bad_interval"}
 
+    def test_taps_and_ids_must_fit_the_arithmetic(self):
+        # the π-model divides by the tap's square, which must be a normal
+        # float, and ids are compiled into int64 arrays
+        def line_case(tap=1.0, branch_id=1, bus_id=2):
+            buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(bus_id))
+            return NetworkCase(100.0, buses, (Branch(branch_id, 1, bus_id, r=0.01, x=0.02, tap_ratio=tap),), (1,))
+
+        for tap in (1e-150, 1e150):
+            case = line_case(tap=tap)
+            assert validate_case(case) == []
+            assert np.isfinite(model._pi_stamp(case.branches[0])).all()
+        for tap in (1e-300, 1e-155, 1e155, 1e300, -1.0, float("inf"), float("nan")):
+            assert [v.code for v in validate_case(line_case(tap=tap))] == ["bad_tap"]
+        for fits in (2**63 - 1, -(2**63)):
+            for case in (line_case(branch_id=fits), line_case(bus_id=fits)):
+                assert validate_case(case) == []
+                assert is_radial(case, default_config(case))
+        for past in (2**63, -(2**63) - 1):
+            for case in (line_case(branch_id=past), line_case(bus_id=past)):
+                assert [v.code for v in validate_case(case)] == ["bad_id"]
+
     def test_a_regulated_setpoint_must_be_positive(self):
         line = (Branch(1, 1, 2, r=0.01, x=0.02),)
         for setpoint in (-1.0, 0.0, float("nan")):
