@@ -236,7 +236,8 @@ def _numbers(entry: dict, fields: tuple[str, ...], kind: str) -> dict[str, float
             numbers[name] = None
             continue
         try:
-            number = float(value)
+            # JSON's true and false would otherwise read as 1.0 and 0.0
+            number = math.nan if value is True or value is False else float(value)
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
@@ -244,6 +245,17 @@ def _numbers(entry: dict, fields: tuple[str, ...], kind: str) -> dict[str, float
             raise ValueError(f"{owner} {name} {value!r} is not a finite number")
         numbers[name] = number
     return numbers
+
+
+def _whole(entry, name, kind: str) -> int:
+    """`entry[name]`, an id, as a whole number: int() would truncate a fraction and read true as 1."""
+    value = entry[name]
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        owner = f"{kind} {entry['id']}" if name != "id" and "id" in entry else kind
+        raise ValueError(f"{owner} {name} {value!r} is not a whole number")
+    return int(value)
 
 
 def _switchable(entry: dict) -> bool:
@@ -262,7 +274,7 @@ def _parse_native(text: str) -> NetworkCase:
     try:
         buses = tuple(
             Bus(
-                id=int(entry["id"]),
+                id=_whole(entry, "id", "bus"),
                 kind=BusKind(entry.get("kind", "load")),
                 **_numbers(entry, _BUS_FIELDS, "bus"),
             )
@@ -270,9 +282,9 @@ def _parse_native(text: str) -> NetworkCase:
         )
         branches = tuple(
             Branch(
-                id=int(entry["id"]),
-                from_bus=int(entry["from_bus"]),
-                to_bus=int(entry["to_bus"]),
+                id=_whole(entry, "id", "branch"),
+                from_bus=_whole(entry, "from_bus", "branch"),
+                to_bus=_whole(entry, "to_bus", "branch"),
                 default_state=SwitchState(entry.get("default_state", "closed")),
                 **_numbers(entry, _BRANCH_NUMBERS, "branch"),
                 switchable=_switchable(entry),
@@ -284,7 +296,7 @@ def _parse_native(text: str) -> NetworkCase:
             base_mva=settings["base_mva"],
             buses=buses,
             branches=branches,
-            roots=tuple(int(r) for r in payload["roots"]),
+            roots=tuple(_whole({"root": root}, "root", "case") for root in payload["roots"]),
             delta_t_hours=settings.get("delta_t_hours", 1.0),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -1,16 +1,16 @@
 """Branch-exchange local search over radial configurations.
 
 One move closes an open switch and opens a closed switch on the loop that
-closure would create, so radiality survives every step.  A walk slides the
-open point along one loop, which has two sides: the switches met walking
-from either end of the open branch.  It starts on the side whose first
-switch is nearer (fewer hops, then the lower id), stays on a side while its
-moves are accepted, turns to the other side after a miss (a rejected move,
-or a side with nothing left to try), and stops after two misses in a row.
-Passes of walks repeat until no move is accepted.  A final exhaustive sweep
-certifies that no single exchange improves the result, which the walks
-alone cannot promise.  `reconfigure` runs the whole method, from the
-all-closed flow to the score.
+closure would create, so radiality survives every step.  A pass gives each
+open switch's loop one try: the exchange that the loss-change estimate of
+Civanlar et al. (IEEE TPWRD 1988) ranks best.  The estimate holds every
+bus's current at its flat-voltage value, I = -conj(S), and gives the change
+in the loss sum of r |I|^2 of opening each loop branch in closed form
+(`topology.loss_changes`); the incumbent's currents are computed once per
+accepted move.  Passes repeat until no move is accepted.  A final
+exhaustive sweep certifies that no single exchange improves the result,
+which the estimate alone cannot promise.  `reconfigure` runs the whole
+method, from the all-closed flow to the score.
 """
 from __future__ import annotations
 
@@ -21,7 +21,14 @@ from .model import Configuration, NetworkCase, all_closed_config, is_radial
 from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands, solve_network
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
-from .topology import FundamentalLoop, build_spanning_forest, fundamental_loop, weights_from_flow
+from .topology import (
+    FlatCurrents,
+    build_spanning_forest,
+    flat_currents,
+    fundamental_loop,
+    loss_changes,
+    weights_from_flow,
+)
 
 
 class RejectReason(Enum):
@@ -110,21 +117,6 @@ class _Scored:
     features: tuple[float, ...] | None  # its surrogate sample's features, when samples are kept
 
 
-def _sides(case: NetworkCase, loop: FundamentalLoop) -> tuple[list[int], list[int]]:
-    """The switchable ids of each of the loop's sides, nearest first.
-
-    The side whose first switch is nearer the open branch, by (hops, id),
-    goes first; an empty side goes last.
-    """
-    u, v = (
-        [(hops, b) for hops, b in enumerate(ids) if case.branch_by_id[b].switchable]
-        for ids in loop.sides()
-    )
-    if not u or (v and v[0] < u[0]):
-        u, v = v, u
-    return [b for _, b in u], [b for _, b in v]
-
-
 class _Search:
     """One search's state: its trace, and what lives only while it runs."""
 
@@ -139,6 +131,10 @@ class _Search:
         # features and objective of every scored configuration, for surrogate
         # fits; kept only when the surrogate is on, since nothing else reads them
         self.samples: list[tuple[tuple[float, ...], float]] = []
+        # the estimate's picks, per open switch, for the configuration they were made in
+        self.incumbent: Configuration | None = None
+        self.currents: FlatCurrents | None = None
+        self.picks: dict[int, int | None] = {}
 
     def score(self, config: Configuration) -> _Scored:
         """Evaluate one configuration, count it and keep its surrogate sample if the surrogate is on.
@@ -184,33 +180,38 @@ class _Search:
         self.log(close_id, open_id, key, scored, better)
         return (candidate, scored.key) if better else None
 
+    def pick(self, config: Configuration, switch: int) -> int | None:
+        """The switchable branch on `switch`'s loop that the estimate ranks best, by (change, id).
+
+        None when the loop has no switchable branch.  The currents are
+        computed once per configuration, and each loop's pick once per
+        configuration and switch.
+        """
+        if config is not self.incumbent:
+            self.incumbent, self.currents, self.picks = config, flat_currents(self.case, config), {}
+        if switch not in self.picks:
+            loop = fundamental_loop(self.case, config, switch)
+            changes = loss_changes(self.case, self.currents, switch, loop)
+            switchable = self.case.branch_by_id
+            self.picks[switch] = min(
+                ((change, b) for change, b in zip(changes.tolist(), loop.branch_ids) if switchable[b].switchable),
+                default=(None, None),
+            )[1]
+        return self.picks[switch]
+
     def walk_loop(
         self, config: Configuration, key: _Key, switch: int
     ) -> tuple[Configuration, _Key]:
-        """Slide the open point of one loop while the incumbent keeps improving.
+        """Try the one exchange on `switch`'s loop that the estimate ranks best.
 
-        The loop is fixed once `switch` is chosen: its branches stay the
-        cycle (or root-to-root path) whichever of them is open.  The walk
-        tries the next untried switch on the current side, starting on the
-        side `_sides` puts first.  An accepted move stays on that side; a
-        rejected move, or a side with nothing left to try, is a miss and
-        turns to the other side.  Two misses in a row end the walk.
+        The estimate ranks every switchable branch of the loop by the loss
+        change of opening it in exchange for closing `switch`; only the best
+        one is scored, once per pass.  It returns the exchange's result if
+        accepted, the incumbent otherwise.
         """
-        loop = fundamental_loop(self.case, config, switch)
-        sides = [iter(ids) for ids in _sides(self.case, loop)]
-        tried: set[int] = set()
-        side = misses = 0
-        while misses < 2:
-            target = next((b for b in sides[side] if b not in tried), None)
-            if target is not None:
-                tried.add(target)
-                accepted = self.attempt(config, key, switch, target)
-                if accepted is not None:
-                    config, key = accepted
-                    switch, misses = target, 0
-                    continue
-            misses += 1
-            side = 1 - side
+        target = self.pick(config, switch)
+        if target is not None and (accepted := self.attempt(config, key, switch, target)) is not None:
+            return accepted
         return config, key
 
     def full_sweep(
@@ -246,9 +247,9 @@ class _Search:
             return open_ids
         first_moves: dict[int, Configuration] = {}
         for switch in open_ids:
-            nearest, _ = _sides(self.case, fundamental_loop(self.case, config, switch))
-            if nearest:
-                first_moves[switch] = config.with_exchange(switch, nearest[0])
+            target = self.pick(config, switch)
+            if target is not None:
+                first_moves[switch] = config.with_exchange(switch, target)
         scoreable = list(first_moves)
         ranked_configs = rank_candidates(model, self.case, [first_moves[s] for s in scoreable])
         positions = {cfg: i for i, cfg in enumerate(ranked_configs)}
@@ -273,7 +274,7 @@ def improve(
     of rather than refused; within a feasibility class the objective strictly
     falls, keeping the accepted trace monotone.  After a pass with no accepted
     move, the exhaustive sweep either certifies local optimality or supplies
-    the improvement the walks missed.
+    an improvement the estimate's picks missed.
 
     `model` warm-starts the surrogate's ranking until the search history
     can fit its own; the parameter goes when the surrogate does.
@@ -295,7 +296,7 @@ def improve(
         key_at_pass_start = key
         for switch in search.order_switches(config, model):
             if switch in config.closed:
-                continue  # an earlier walk in this pass closed it
+                continue  # an earlier move in this pass closed it
             config, key = search.walk_loop(config, key, switch)
         if key < key_at_pass_start:
             continue

@@ -208,16 +208,18 @@ def all_closed_config(case: NetworkCase) -> Configuration:
     return make_config(case, closed)
 
 
-# ids are compiled into int64 arrays; `_pi_stamp` divides by the tap's square, which must be a normal float
+# ids are compiled into int64 arrays; `_pi_stamp` divides by the tap's square and by
+# r^2 + x^2, and `_compile` divides loads by the base: each must be a normal float
 _ID_LIMIT = 2**63
-_TAP_MIN, _TAP_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+_NORMAL_MIN = sys.float_info.min
+_TAP_MIN, _TAP_MAX = math.sqrt(_NORMAL_MIN), math.sqrt(sys.float_info.max)
 
 
 def validate_case(case: NetworkCase) -> list[Violation]:
     """Structural checks; an empty list means the case is usable."""
     violations: list[Violation] = []
-    if not case.base_mva > 0.0:
-        violations.append(Violation("bad_base", f"system base {case.base_mva} MVA is not positive"))
+    if not case.base_mva >= _NORMAL_MIN:
+        violations.append(Violation("bad_base", f"system base {case.base_mva} MVA is not a positive normal float"))
     if not 0.0 < case.delta_t_hours < math.inf:
         # a non-positive interval flips the objective's sign: the search would maximize losses
         violations.append(
@@ -273,10 +275,9 @@ def validate_case(case: NetworkCase) -> list[Violation]:
             violations.append(
                 Violation("negative_resistance", f"branch {branch.id} has r < 0", branch_id=branch.id)
             )
-        if branch.r == 0.0 and branch.x == 0.0:
-            violations.append(
-                Violation("zero_impedance", f"branch {branch.id} has r = x = 0", branch_id=branch.id)
-            )
+        if not branch.r * branch.r + branch.x * branch.x >= _NORMAL_MIN:
+            message = f"branch {branch.id} has r = {branch.r}, x = {branch.x}: r^2 + x^2 is not a normal float"
+            violations.append(Violation("zero_impedance", message, branch_id=branch.id))
         if branch.mva_limit is not None and branch.mva_limit <= 0.0:
             violations.append(
                 Violation("bad_rating", f"branch {branch.id} has a non-positive MVA rating", branch_id=branch.id)

@@ -5,6 +5,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # callers also look ForestIndex, forest_index and islands up on this module
 from .model import (  # noqa: F401
     Configuration,
@@ -36,28 +38,19 @@ class ForestBuildResult:
 class FundamentalLoop:
     """Closed branches completing a cycle (or root-to-root path) with an open branch.
 
-    For a cycle the ids run from the open branch's from-side around to its
-    to-side, so both list ends touch the open branch.  For an inter-feeder
-    path they run root-to-root and the open branch sits between positions
-    u_side_count-1 and u_side_count.
+    The open branch runs from u to v.  The first `u_side_count` ids are u's
+    side of the loop, the rest v's side.  For a cycle, u's side runs from u
+    up to the two ends' nearest common ancestor and v's side from there down
+    to v, so both list ends touch the open branch; the path shared above
+    the ancestor is no part of the loop.  For an inter-feeder path, u's side
+    runs from u's root down to u and v's side from v up to its root, so the
+    open branch sits between the two sides, and a side is empty when its
+    end is a root.
     """
 
     branch_ids: tuple[int, ...]
     inter_feeder: bool
     u_side_count: int
-
-    def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The branch ids walked from the open branch's from-end and from its to-end, nearest first.
-
-        Either walk goes all the way round a cycle.  An inter-feeder path
-        splits at the open branch, and a side is empty when its end of the
-        open branch is a root.
-        """
-        ids = self.branch_ids
-        if not self.inter_feeder:
-            return ids, ids[::-1]
-        k = self.u_side_count
-        return ids[:k][::-1], ids[k:]
 
 
 def path_to_root(index: ForestIndex, bus: int) -> list[int]:
@@ -148,4 +141,76 @@ def fundamental_loop(case: NetworkCase, config: Configuration, open_branch: int)
     while shared < min(len(up), len(vp)) and up[-1 - shared] == vp[-1 - shared]:
         shared += 1
     cycle = compiled.branch_ids[up[: len(up) - shared] + vp[: len(vp) - shared][::-1]].tolist()
-    return FundamentalLoop(tuple(cycle), inter_feeder=False, u_side_count=len(cycle))
+    return FundamentalLoop(tuple(cycle), inter_feeder=False, u_side_count=len(up) - shared)
+
+
+@dataclass(frozen=True, eq=False)
+class FlatCurrents:
+    """A radial configuration's branch currents with every bus at 1 pu, over compiled bus positions.
+
+    Each bus draws I = -conj(S) for its net per-unit injection S, and a root
+    draws nothing.  `through[b]` sums I over bus b's subtree: the current in
+    b's parent branch, flowing away from the root (at a root, its island's
+    total).  `drop[b]` sums r * through over the branches from b's root
+    down to b, 0 at a root.  The configuration's loss in pu is then about
+    the sum of r * |through|^2 over its closed branches.
+    """
+
+    index: ForestIndex
+    through: np.ndarray
+    drop: np.ndarray
+
+
+def _levels(parent: np.ndarray) -> list[np.ndarray]:
+    """Bus positions by depth below their root, roots first: depths by pointer jumping."""
+    depth = (parent >= 0).astype(np.intp)
+    up = parent.copy()
+    while (below := np.flatnonzero(up >= 0)).size:
+        depth[below] += depth[up[below]]
+        up[below] = up[up[below]]
+    order = np.argsort(depth, kind="stable")
+    return np.split(order, np.searchsorted(depth[order], np.arange(1, depth.max(initial=0) + 1)))
+
+
+def flat_currents(case: NetworkCase, config: Configuration) -> FlatCurrents:
+    """The flat-voltage currents of a radial configuration: one pass leaves-first, one root-down."""
+    compiled = _compiled_case(case)
+    index = forest_index(case, config)
+    parent, r = index.parent, compiled.resistance[index.parent_branch]
+    through = -np.conj(compiled.injection)
+    through[compiled.root_positions] = 0.0
+    levels = _levels(parent)
+    for level in reversed(levels[1:]):
+        np.add.at(through, parent[level], through[level])
+    drop = np.zeros_like(through)
+    for level in levels[1:]:
+        drop[level] = drop[parent[level]] + r[level] * through[level]
+    return FlatCurrents(index, through, drop)
+
+
+def loss_changes(
+    case: NetworkCase, currents: FlatCurrents, open_branch: int, loop: FundamentalLoop
+) -> np.ndarray:
+    """The change in flat-current loss (pu) of closing `open_branch` and opening each loop branch, in loop order.
+
+    Civanlar's branch-exchange formula: opening loop branch o cuts off the
+    part D below it, with current I_D = `through` at o's child end, and the
+    open branch then feeds D from its other end.  The loss changes by
+    2 Re{I_D conj(E_feed - E_in)} + R_loop |I_D|^2, where E is `drop` at the
+    end that will feed D and at the end inside it, and R_loop sums the r of
+    the open branch and of every loop branch.  Only the loop's currents
+    change, each by I_D, so this is exactly the difference of the two
+    configurations' flat-current losses.
+    """
+    compiled = _compiled_case(case)
+    positions = compiled.branch_ids.searchsorted(np.array(loop.branch_ids, dtype=np.int64))
+    ends = compiled.ends[positions]
+    child = np.where(currents.index.parent_branch[ends[:, 0]] == positions, ends[:, 0], ends[:, 1])
+    moved = currents.through[child]
+    tie = compiled.branch_ids.searchsorted(open_branch)
+    u, v = compiled.ends[tie]
+    # on u's side D holds u and is fed from v; on v's side the reverse
+    to_v = currents.drop[v] - currents.drop[u]
+    bracket = np.where(np.arange(positions.size) < loop.u_side_count, to_v, -to_v)
+    r_loop = compiled.resistance[tie] + compiled.resistance[positions].sum()
+    return 2.0 * (moved * bracket.conj()).real + r_loop * (moved.real**2 + moved.imag**2)

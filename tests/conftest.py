@@ -379,6 +379,33 @@ def oracle_is_radial(case: NetworkCase, closed_ids) -> bool:
     return all(len(set(comp) & roots) == 1 for comp in nx.connected_components(graph))
 
 
+def oracle_flat_loss(case: NetworkCase, closed_ids) -> float:
+    """Sum of r |J|^2 (pu) over a radial configuration's closed branches, every bus at 1 pu.
+
+    Each non-root bus draws -conj(S) for its net per-unit injection S, and
+    J is the draw of every bus that cutting the branch parts from its root:
+    networkx components, one branch removed at a time.
+    """
+    draw = {
+        bus.id: 0j if bus.id in case.roots
+        else -complex(bus.p_gen - bus.p_load, bus.q_gen - bus.q_load).conjugate() / case.base_mva
+        for bus in case.buses
+    }
+    graph = nx.Graph()
+    graph.add_nodes_from(case.bus_by_id)
+    graph.add_edges_from((case.branch_by_id[b].from_bus, case.branch_by_id[b].to_bus) for b in closed_ids)
+    loss = 0.0
+    for branch_id in closed_ids:
+        branch = case.branch_by_id[branch_id]
+        graph.remove_edge(branch.from_bus, branch.to_bus)
+        part = nx.node_connected_component(graph, branch.to_bus)
+        if part & set(case.roots):
+            part = nx.node_connected_component(graph, branch.from_bus)
+        graph.add_edge(branch.from_bus, branch.to_bus)
+        loss += branch.r * abs(sum(draw[bus] for bus in part)) ** 2
+    return loss
+
+
 def oracle_featurize(case: NetworkCase, config: Configuration) -> tuple[float, ...]:
     """surrogate.featurize by scalar loops over a breadth-first walk of dicts.
 

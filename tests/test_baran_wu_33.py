@@ -48,4 +48,4 @@ def test_reconfigure_reaches_the_published_optimum(case):
     assert abs(result.solution.total_loss_mw * 1000.0 - 139.55) < 0.01
     bus, v = _lowest_voltage(result.solution)
     assert bus == 32 and abs(v - 0.9378) < 1e-4
-    assert (result.trace.evaluations, result.trace.config_hits) == (77, 16)
+    assert (result.trace.evaluations, result.trace.config_hits) == (64, 7)

@@ -167,6 +167,15 @@ def _set(owner: str | None, field: str, value):
     return args
 
 
+def _baran_wu_33(owner: str | None, index: int | None = None, **fields):
+    """The Baran & Wu 33-bus native case with fields of the case, or of one bus or branch, changed."""
+    def args(tmp_path: Path) -> list[str]:
+        payload = json.loads((DATA_DIR / "baran_wu_33.json").read_text())
+        (payload if owner is None else payload[owner][index]).update(fields)
+        return [_native(tmp_path, payload)]
+    return args
+
+
 def _renumbered_load(bus_id: int):
     """The two-bus native case with its load bus, and the line that ends there, renumbered."""
     def args(tmp_path: Path) -> list[str]:
@@ -228,6 +237,19 @@ class TestInputBoundary:
             pytest.param(_set("branches", "id", 2**63), 1, "bad_id", id="branch-id-past-64-bits"),
             pytest.param(_renumbered_load(2**63), 1, "bad_id", id="bus-id-past-64-bits"),
             pytest.param(_text("[" * 10_000 + "]" * 10_000), 2, "invalid JSON", id="json-nested-past-recursion-limit"),
+            # an id is not truncated: 37.5 would read as 37, and 36.9 as a second 36
+            pytest.param(_baran_wu_33("branches", 36, id=37.5), 2, "branch id 37.5 is not a whole number",
+                         id="fractional-branch-id"),
+            pytest.param(_baran_wu_33("branches", 36, id=36.9), 2, "branch id 36.9 is not a whole number",
+                         id="fractional-branch-id-below-another"),
+            pytest.param(_baran_wu_33("branches", 3, to_bus=5.5), 2, "branch 4 to_bus 5.5 is not a whole number",
+                         id="fractional-branch-end"),
+            pytest.param(_set(None, "roots", [True]), 2, "case root True is not a whole number", id="boolean-root"),
+            pytest.param(_baran_wu_33("branches", 3, tap_ratio=True), 2, "branch 4 tap_ratio True is not a finite",
+                         id="boolean-tap"),
+            # the π-model divides by r^2 + x^2, and the loads are divided by the base
+            pytest.param(_baran_wu_33("branches", 3, r=1e-320, x=0), 1, "zero_impedance", id="subnormal-impedance"),
+            pytest.param(_baran_wu_33(None, base_mva=1e-320), 1, "bad_base", id="subnormal-base"),
             pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
             pytest.param(_set(None, "roots", [1, 1]), 1, "duplicate_root", id="duplicate-root"),
             pytest.param(_cdf(4, 40, 49, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-load"),
@@ -413,7 +435,7 @@ class TestReconfigure:
         accepted = [m for m in trace["moves"] if m["accepted"]]
         assert len(accepted) == report["search"]["moves_accepted"]
         # the memo counts are the trace's alone, so the report's bytes do not move with them
-        assert (trace["config_hits"], trace["island_solves"], trace["island_hits"]) == (21, 39, 17)
+        assert (trace["config_hits"], trace["island_solves"], trace["island_hits"]) == (10, 36, 14)
         assert not {"config_hits", "island_solves", "island_hits"} & set(report["search"])
 
     def test_no_surrogate_matches_default_answer(self, cdf_path, stable_report, capsys):

@@ -207,12 +207,12 @@ class TestImproveIeee14:
             else:
                 assert move.rejected_reason is not None
         assert trace.evaluations >= len(trace.accepted_moves)
-        # 21 evaluations repeat a configuration and are answered whole by the
-        # search's configuration memo; each of the 31 distinct ones is radial
+        # 10 evaluations repeat a configuration and are answered whole by the
+        # search's configuration memo; each of the 28 distinct ones is radial
         # with two islands, solved or answered by the island memo up to the
         # first that diverged, and 6 diverged at the island fed from bus 1
-        assert (trace.evaluations, trace.config_hits) == (52, 21)
-        assert trace.island_solves + trace.island_hits == 2 * 31 - 6
+        assert (trace.evaluations, trace.config_hits) == (38, 10)
+        assert trace.island_solves + trace.island_hits == 2 * 28 - 6
 
     @pytest.mark.parametrize("roots", [(1,), (1, 3)], ids=["1", "1,3"])
     def test_ieee14_search_ends_one_exchange_optimal(self, ieee14_text, roots):
@@ -276,21 +276,26 @@ class TestImproveGuards:
 
 
 @pytest.fixture(scope="module")
-def two_runs(ieee14_case, ieee14_forest):
+def two_runs(ieee14_text):
+    # fed from bus 1 alone, the search runs long enough for the surrogate to
+    # fit and reorder; fed from buses 1 and 2 it ends before the first fit
+    case = parse_case(ieee14_text, fmt="cdf", roots=(1,))
+    start = _forest_config(case)
     runs = {}
     for label, opts in (
         ("none", SearchOptions(use_surrogate=False)),
         ("rank", SearchOptions()),
     ):
-        runs[label] = improve(ieee14_case, ieee14_forest.config, options=opts)
+        runs[label] = improve(case, start, options=opts)
     return runs
 
 
 class TestSurrogateNeutrality:
-    def test_final_objective_identical(self, ieee14_case, two_runs):
+    def test_final_objective_identical(self, ieee14_text, two_runs):
+        case = parse_case(ieee14_text, fmt="cdf", roots=(1,))
         values = {}
         for label, (config, _) in two_runs.items():
-            result = evaluate_candidate(ieee14_case, config)
+            result = evaluate_candidate(case, config)
             assert not isinstance(result, Rejection)
             values[label] = result.fo_value
         assert values["rank"] == pytest.approx(values["none"], abs=1e-9)
@@ -314,10 +319,10 @@ class TestSurrogateOff:
         assert calls == []
         # the configuration and trace the search gave while it still featurized every scored candidate
         assert sorted(config.open_ids) == [1, 5, 6, 7, 9, 16, 19, 20]
-        assert (trace.evaluations, len(trace.moves), trace.island_solves, trace.island_hits) == (52, 51, 39, 17)
-        assert trace.config_hits == 21
+        assert (trace.evaluations, len(trace.moves), trace.island_solves, trace.island_hits) == (38, 37, 36, 14)
+        assert trace.config_hits == 10
         reasons = [move.rejected_reason for move in trace.moves]
-        assert [reasons.count(reason) for reason in RejectReason] == [26, 5, 18]
+        assert [reasons.count(reason) for reason in RejectReason] == [20, 2, 13]
         accepted = [
             (m.close_branch, m.open_branch, m.fo_before.hex(), m.fo_after.hex()) for m in trace.moves if m.accepted
         ]
@@ -373,7 +378,7 @@ class TestSingleScoringPath:
             if move.accepted:
                 incumbent = candidate
         assert sorted(sorted(c.closed) for c in calls) == sorted(sorted(closed) for closed in met)
-        assert trace.evaluations - trace.config_hits == len(met) == 31
+        assert trace.evaluations - trace.config_hits == len(met) == 28
 
     def test_surrogate_samples_are_those_of_scoring_every_evaluation_afresh(self, ieee14_case, ieee14_forest):
         # each evaluation, repeats included, adds the sample that scoring its
@@ -386,7 +391,7 @@ class TestSingleScoringPath:
             report = outcome.report if isinstance(outcome, Rejection) else outcome
             if report is not None:
                 expected.append((featurize(ieee14_case, config), report.fo_value))
-        assert len(samples) == 34
+        assert len(samples) == 25
         assert [([x.hex() for x in f], fo.hex()) for f, fo in samples] == [
             ([x.hex() for x in f], fo.hex()) for f, fo in expected
         ]
@@ -411,8 +416,8 @@ class TestIslandMemo:
         solved = _counted_solves(monkeypatch)
         traces = [improve(ieee14_case, ieee14_forest.config)[1] for _ in range(2)]
         # a memo that outlived its search would leave the second nothing to solve
-        assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(52, 39, 17)] * 2
-        assert len(solved) == 78 and len(set(solved[:39])) == 39 and solved[39:] == solved[:39]
+        assert [(t.evaluations, t.island_solves, t.island_hits) for t in traces] == [(38, 36, 14)] * 2
+        assert len(solved) == 72 and len(set(solved[:36])) == 36 and solved[36:] == solved[:36]
 
     def test_a_memo_answers_for_its_first_case_only(self, ieee14_case, ieee14_search):
         final = ieee14_search[0]
@@ -494,9 +499,11 @@ class TestReconfigure:
         with pytest.raises(InitialInfeasibleError, match="initial configuration rejected: power flow diverged"):
             exchange.reconfigure(case)
 
-    def test_options_reach_the_search_and_every_solve(self, ieee14_case):
-        assert exchange.reconfigure(ieee14_case).trace.surrogate_hits == 8
-        unranked = exchange.reconfigure(ieee14_case, SearchOptions(use_surrogate=False))
+    def test_options_reach_the_search_and_every_solve(self, ieee14_text, ieee14_case):
+        # fed from bus 1 alone, the search's surrogate fits and reorders
+        fed_from_1 = parse_case(ieee14_text, fmt="cdf", roots=(1,))
+        assert exchange.reconfigure(fed_from_1).trace.surrogate_hits == 13
+        unranked = exchange.reconfigure(fed_from_1, SearchOptions(use_surrogate=False))
         assert unranked.trace.surrogate_hits == 0
         starved = SearchOptions(solver_options=SolverOptions(max_iterations=1))
         with pytest.raises(InitialInfeasibleError, match="all-closed"):

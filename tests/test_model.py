@@ -144,10 +144,24 @@ class TestValidateCase:
         tapped = (Branch(1, 1, 2, r=0.01, x=0.02, tap_ratio=0.0),)
         plain = (Branch(1, 1, 2, r=0.01, x=0.02),)
         assert {v.code for v in validate_case(NetworkCase(0.0, buses, plain, (1,)))} == {"bad_base"}
+        # loads are divided by the base, which must be a normal float
+        assert {v.code for v in validate_case(NetworkCase(1e-320, buses, plain, (1,)))} == {"bad_base"}
+        assert validate_case(NetworkCase(1e-3, buses, plain, (1,))) == []
         assert {v.code for v in validate_case(NetworkCase(100.0, buses, tapped, (1,)))} == {"bad_tap"}
         for hours in (-1.0, 0.0, float("inf"), float("nan")):
             case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
             assert {v.code for v in validate_case(case)} == {"bad_interval"}
+
+    def test_a_series_impedance_must_be_invertible(self):
+        # the π-model divides by r^2 + x^2, which must be a normal float
+        buses = (Bus(1, BusKind.FEEDER, v_setpoint=1.0), Bus(2))
+        for r, x in ((1e-150, 0.0), (0.0, 1e-150), (1e-3, 0.0)):
+            case = NetworkCase(100.0, buses, (Branch(1, 1, 2, r=r, x=x),), (1,))
+            assert validate_case(case) == []
+            assert np.isfinite(model._pi_stamp(case.branches[0])).all()
+        for r, x in ((1e-320, 0.0), (0.0, 1e-320), (1e-160, 1e-160), (0.0, 0.0), (float("nan"), 0.1)):
+            case = NetworkCase(100.0, buses, (Branch(1, 1, 2, r=r, x=x),), (1,))
+            assert [v.code for v in validate_case(case)] == ["zero_impedance"], (r, x)
 
     def test_taps_and_ids_must_fit_the_arithmetic(self):
         # the π-model divides by the tap's square, which must be a normal

@@ -737,14 +737,14 @@ class TestCompiledLayers:
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
-        assert len(islands) == 40  # 39 radial islands and the meshed network
+        assert len(islands) == 37  # 36 radial islands and the meshed network
         for island in islands.values():
             _assert_admittance_matches_oracle(ieee14_case, island)
-        # 42 solves: 39 distinct search islands, the meshed network and the
+        # 39 solves: 36 distinct search islands, the meshed network and the
         # final solve's two; an island the search's memo answers is neither
         # solved nor given flows again, so each solve computes flows once
-        assert len(ieee14_recorded["solves"]) == 42
-        assert len(ieee14_recorded["flows"]) == 42
+        assert len(ieee14_recorded["solves"]) == 39
+        assert len(ieee14_recorded["flows"]) == 39
         for branch_ids, voltages, sending in ieee14_recorded["flows"]:
             _assert_flows_match_oracle(ieee14_case, branch_ids, voltages, sending)
 
@@ -824,17 +824,17 @@ class TestJacobianPattern:
         # a bus that clamps and is released returns to a split the solve
         # already has a pattern for, so a solve builds fewer than one per switch
         solves = ieee14_recorded["solves"]
-        assert sum(work.jacobians for work in solves) == 240
-        assert sum(work.jacobians for work in solves if work.converged) == 121
+        assert sum(work.jacobians for work in solves) == 214
+        assert sum(work.jacobians for work in solves if work.converged) == 115
         for work in solves:
             assert len(work.patterns) == len(work.splits), work.island
-        assert sum(len(work.patterns) for work in solves) == 75
+        assert sum(len(work.patterns) for work in solves) == 68
         search = solves[1:-2]  # without the meshed solve and the final solve's two islands
-        assert sum(w.iterations for w in search if w.converged) == 134
-        assert sum(w.iterations for w in search if not w.converged) == 119
+        assert sum(w.iterations for w in search if w.converged) == 127
+        assert sum(w.iterations for w in search if not w.converged) == 99
         # every IEEE-14 system has at most _DENSE_MAX unknowns and is filled
         # dense, so the one sparse matrix a solve builds is its Ybus
-        assert ieee14_recorded["sparse"] == len(solves) == 42
+        assert ieee14_recorded["sparse"] == len(solves) == 39
         for work in solves:
             assert all(p.order.size <= _DENSE_MAX and p.jacobian is None for p in work.patterns), work.island
         assert sum(work.switches for work in solves) > sum(len(work.splits) - 1 for work in solves)
@@ -912,9 +912,9 @@ class TestDenseFill:
     array, with every bit of the CSC fill it replaces."""
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
-        # 39 radial islands and the meshed network, at the flat start and the solution
+        # 36 radial islands and the meshed network, at the flat start and the solution
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
-        assert len(islands) == 40
+        assert len(islands) == 37
         lone = []
         for island in islands.values():
             setup = _classify(ieee14_case, island)
@@ -1044,7 +1044,7 @@ class TestLeavesFirst:
     def test_every_radial_ieee14_search_island(self, ieee14_case, ieee14_recorded):
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
         radial = [isl for isl in islands.values() if len(isl.branches) == len(isl.buses) - 1]
-        assert len(radial) == 39
+        assert len(radial) == 36
         for island in radial:
             _assert_leaves_first_without_fill(ieee14_case, island)
 
@@ -1061,7 +1061,7 @@ class TestNewtonStep:
     larger systems through the leaves-first SuperLU factor."""
 
     def test_every_ieee14_search_island(self, ieee14_case, ieee14_recorded):
-        # 39 radial islands and the meshed network
+        # 36 radial islands and the meshed network
         islands = {(isl.root, isl.branches): isl for isl in ieee14_recorded["admittance"]}
         for island in islands.values():
             _assert_step_solves_the_dense_system(ieee14_case, island)

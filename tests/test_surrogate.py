@@ -159,7 +159,7 @@ class TestFit:
             model.predict(samples[0][0])
 
     def test_search_history_fit_is_sane(self, ieee14_case, ieee14_history):
-        assert len(ieee14_history) == 34  # 52 evaluations, 18 of them diverged
+        assert len(ieee14_history) == 25  # 38 evaluations, 13 of them diverged
         model = fit(ieee14_case, ieee14_history)
         assert model.trained
         assert len(model.coefficients) == 9

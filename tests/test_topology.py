@@ -6,15 +6,26 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_radial, oracle_is_radial, oracle_spanning_forest, two_bus_case
-from dnr.exchange import _sides
+from conftest import (
+    DATA_DIR,
+    enumerate_radial,
+    oracle_flat_loss,
+    oracle_is_radial,
+    oracle_spanning_forest,
+    random_radial_feeder,
+    two_bus_case,
+)
+from dnr.caseio import parse_case
+from dnr.exchange import _Search, SearchOptions
 from dnr.model import (
     Branch,
     Bus,
     BusKind,
     NetworkCase,
     SwitchState,
+    default_config,
     is_radial,
     make_config,
 )
@@ -22,8 +33,10 @@ from dnr.powerflow import NotConvergedError, solve_all_islands, solve_network
 from dnr.topology import (
     UnreachableError,
     build_spanning_forest,
+    flat_currents,
     forest_index,
     fundamental_loop,
+    loss_changes,
     path_to_root,
     weights_from_flow,
 )
@@ -184,7 +197,7 @@ class TestFundamentalLoop:
         loop = fundamental_loop(triangle_case, config, 3)
         assert loop.branch_ids == (1, 2)
         assert not loop.inter_feeder
-        assert loop.sides() == ((1, 2), (2, 1))
+        assert loop.u_side_count == 1  # branch 1 feeds the tie's from-end, bus 2
 
     def test_closed_branch_is_not_a_loop_seed(self, triangle_case):
         config = make_config(triangle_case, {1, 2})
@@ -196,8 +209,7 @@ class TestFundamentalLoop:
         loop = fundamental_loop(five_bus_tworoot, config, 4)
         assert loop.inter_feeder
         assert loop.branch_ids == (3, 2, 1)
-        assert loop.u_side_count == 1
-        assert loop.sides() == ((3,), (2, 1))
+        assert loop.u_side_count == 1  # branch 3 feeds the tie's from-end, bus 4
 
     def test_ieee14_intra_island_loop_is_a_real_cycle(self, ieee14_case, ieee14_forest):
         config = ieee14_forest.config
@@ -226,18 +238,6 @@ class TestFundamentalLoop:
                 assert open_id not in loop.branch_ids
 
 
-def _hop_ranked(loop) -> list[int]:
-    """The loop's branch ids by walk length from its open branch, lower id on ties."""
-    ids, k = loop.branch_ids, loop.u_side_count
-
-    def hops(position: int) -> int:
-        if loop.inter_feeder:
-            return k - 1 - position if position < k else position - k
-        return min(position, len(ids) - 1 - position)
-
-    return [b for _, b in sorted((hops(pos), b) for pos, b in enumerate(ids))]
-
-
 def _four_bus_tie(tie_from: int, tie_to: int) -> NetworkCase:
     """Roots 1 and 2 feed buses 3 and 4 by branches 1 and 2; tie 3 joins the given ends."""
     return NetworkCase(
@@ -257,57 +257,148 @@ def _four_bus_tie(tie_from: int, tie_to: int) -> NetworkCase:
     )
 
 
+def _root_path(case: NetworkCase, config, bus: int) -> set[int]:
+    """Ids of the branches from a bus up to its root."""
+    positions = path_to_root(forest_index(case, config), sorted(case.bus_by_id).index(bus))
+    ids = sorted(case.branch_by_id)
+    return {ids[p] for p in positions}
+
+
 class TestAdjacentSwitches:
-    """A loop's two sides (FundamentalLoop.sides) and the side its walk starts on (exchange._sides)."""
+    """A loop's switches on each side of its open branch: `u_side_count` puts
+    the from-end's (u's) side first, then the to-end's (v's), and the
+    estimate picks only among switchable branches."""
 
     def test_triangle_order(self, triangle_case):
         loop = fundamental_loop(triangle_case, make_config(triangle_case, {1, 2}), 3)
-        assert loop.sides() == ((1, 2), (2, 1))
-        assert _sides(triangle_case, loop) == ([1, 2], [2, 1])  # both first switches 0 hops out
+        assert (loop.branch_ids, loop.u_side_count) == ((1, 2), 1)
 
     def test_two_branch_tie_returns_both_nearest_first(self):
+        # each branch is next to the tie; the one at its from-end goes first
         case = _four_bus_tie(3, 4)
         loop = fundamental_loop(case, make_config(case, {1, 2}), 3)
-        assert loop.sides() == ((1,), (2,))
-        assert _sides(case, loop) == ([1], [2])
-        # the tie turned round: its from-end's side is now branch 2's, and
-        # the lower id still goes first
+        assert loop.inter_feeder and (loop.branch_ids, loop.u_side_count) == ((1, 2), 1)
         case = _four_bus_tie(4, 3)
         loop = fundamental_loop(case, make_config(case, {1, 2}), 3)
-        assert loop.sides() == ((2,), (1,))
-        assert _sides(case, loop) == ([1], [2])
+        assert loop.inter_feeder and (loop.branch_ids, loop.u_side_count) == ((2, 1), 1)
 
-    def test_ring_gives_all_five_ordered_by_hops(self, ring6_case):
+    def test_ring_cycle_splits_at_the_root(self, ring6_case):
+        # tie 3 runs from bus 3 (fed by 2, 1) to bus 4 (fed by 4, 5, 6)
         loop = fundamental_loop(ring6_case, make_config(ring6_case, {1, 2, 4, 5, 6}), 3)
-        assert loop.sides() == ((2, 1, 6, 5, 4), (4, 5, 6, 1, 2))
-        assert _sides(ring6_case, loop) == ([2, 1, 6, 5, 4], [4, 5, 6, 1, 2])
-        assert _hop_ranked(loop) == [2, 4, 1, 5, 6]
+        assert (loop.branch_ids, loop.u_side_count) == ((2, 1, 6, 5, 4), 2)
+
+    def test_a_cycle_through_a_root_at_the_from_end_has_no_u_side(self, ring6_case):
+        loop = fundamental_loop(ring6_case, make_config(ring6_case, {2, 3, 4, 5, 6}), 1)
+        assert not loop.inter_feeder
+        assert (loop.branch_ids, loop.u_side_count) == ((6, 5, 4, 3, 2), 0)
+
+    def test_a_cycle_leaves_out_the_path_above_its_apex(self, six_bus_case):
+        # root 2 stands alone; root 1 feeds bus 3 by branch 1, and bus 3 feeds
+        # tie 5's from-end by branch 3 and its to-end by branches 6 and 4
+        loop = fundamental_loop(six_bus_case, make_config(six_bus_case, {1, 3, 4, 6}), 5)
+        assert not loop.inter_feeder
+        assert (loop.branch_ids, loop.u_side_count) == ((3, 6, 4), 1)
 
     def test_a_root_at_the_from_end_leaves_that_side_empty(self, six_bus_case):
         # branch 1 (1-3) open, bus 3 fed from root 2 by branches 6 (3-4) and 2 (2-4)
         loop = fundamental_loop(six_bus_case, make_config(six_bus_case, {2, 3, 5, 6}), 1)
-        assert loop.inter_feeder and loop.u_side_count == 0
-        assert loop.sides() == ((), (6, 2))
-        assert _sides(six_bus_case, loop) == ([6, 2], [])
+        assert loop.inter_feeder
+        assert (loop.branch_ids, loop.u_side_count) == ((6, 2), 0)
 
     def test_a_side_keeps_only_its_switches(self, five_bus_tworoot):
-        loop = fundamental_loop(five_bus_tworoot, make_config(five_bus_tworoot, {1, 2, 3}), 4)
-        assert _sides(five_bus_tworoot, loop) == ([2, 1], [3])  # 2 before 3 at 0 hops
-        pinned = _pinned_closed(five_bus_tworoot, 2)
-        assert _sides(pinned, loop) == ([3], [1])  # 3 at 0 hops before 1 at 1
-        pinned = _pinned_closed(pinned, 3)
-        assert _sides(pinned, loop) == ([1], [])
+        # tie 4's loop is 3 on u's side, 2 and 1 on v's; 3 and 1 estimate the
+        # same change, so with 2 pinned closed the lower id goes first
+        picks = []
+        case = five_bus_tworoot
+        for pinned in (None, 2, 3, 1):
+            case = case if pinned is None else _pinned_closed(case, pinned)
+            picks.append(_Search(case, SearchOptions()).pick(make_config(case, {1, 2, 3}), 4))
+        assert picks == [2, 1, 1, None]
 
-    def test_matches_loop_hop_ranking(self, six_bus_case, ring6_case):
-        # each case as it is, and with each branch in turn pinned closed
+    def test_every_split_follows_the_two_root_paths(
+        self, six_bus_case, ring6_case, parallel_case, five_bus_tworoot
+    ):
+        for case in (six_bus_case, ring6_case, parallel_case, five_bus_tworoot):
+            for closed in enumerate_radial(case):
+                config = make_config(case, closed)
+                for open_id in sorted(config.open_ids):
+                    loop = fundamental_loop(case, config, open_id)
+                    branch = case.branch_by_id[open_id]
+                    up = _root_path(case, config, branch.from_bus)
+                    vp = _root_path(case, config, branch.to_bus)
+                    k = loop.u_side_count
+                    assert set(loop.branch_ids[:k]) == up - vp, (sorted(closed), open_id)
+                    assert set(loop.branch_ids[k:]) == vp - up, (sorted(closed), open_id)
+
+
+def _with_ties(case: NetworkCase, seed: int, ties: int) -> NetworkCase:
+    """The case with `ties` more branches, open, each joining two random buses not yet joined."""
+    rng = random.Random(seed)
+    joined = {frozenset((b.from_bus, b.to_bus)) for b in case.branches}
+    added = []
+    while len(added) < ties:
+        ends = frozenset(rng.sample(sorted(case.bus_by_id), 2))
+        if ends not in joined:
+            joined.add(ends)
+            u, v = sorted(ends, reverse=rng.random() < 0.5)
+            r, x = rng.uniform(0.005, 0.05), rng.uniform(0.0, 0.1)
+            added.append(Branch(len(case.branches) + len(added) + 1, u, v, r=r, x=x, default_state=SwitchState.OPEN))
+    return dataclasses.replace(case, branches=case.branches + tuple(added))
+
+
+def _assert_estimates_are_exact(case: NetworkCase, config) -> None:
+    """Every exchange's estimate against the oracle's two flat-current losses; each pick is their argmin.
+
+    The estimate must equal the candidate's loss less the incumbent's, to
+    1e-9 of the incumbent's loss, and the search's pick must be the
+    switchable branch with the lowest (estimate, id), which is also the
+    lowest by the oracle's losses.
+    """
+    currents = flat_currents(case, config)
+    base = oracle_flat_loss(case, config.closed)
+    search = _Search(case, SearchOptions())
+    for open_id in sorted(config.open_ids):
+        loop = fundamental_loop(case, config, open_id)
+        changes = loss_changes(case, currents, open_id, loop).tolist()
+        exact = [oracle_flat_loss(case, (config.closed - {b}) | {open_id}) - base for b in loop.branch_ids]
+        assert changes == pytest.approx(exact, rel=1e-9, abs=1e-9 * base), (sorted(config.closed), open_id)
+        switchable = [i for i, b in enumerate(loop.branch_ids) if case.branch_by_id[b].switchable]
+        pick = search.pick(config, open_id)
+        if not switchable:
+            assert pick is None
+            continue
+        assert pick == min((changes[i], loop.branch_ids[i]) for i in switchable)[1]
+        assert exact[loop.branch_ids.index(pick)] <= min(exact[i] for i in switchable) + 1e-9 * base
+
+
+class TestLossChanges:
+    """Civanlar's closed form against the whole-forest flat-current loss of each candidate."""
+
+    def test_every_exchange_of_every_small_configuration(
+        self, triangle_case, six_bus_case, ring6_case, parallel_case, five_bus_tworoot
+    ):
+        for case in (triangle_case, six_bus_case, ring6_case, parallel_case, five_bus_tworoot):
+            for closed in enumerate_radial(case):
+                _assert_estimates_are_exact(case, make_config(case, closed))
+
+    def test_a_pick_is_always_switchable(self, six_bus_case, ring6_case):
         for case in (six_bus_case, ring6_case):
-            for pinned in (case, *(_pinned_closed(case, b) for b in sorted(case.branch_by_id))):
-                for closed in enumerate_radial(case):
-                    config = make_config(case, closed)
-                    for open_id in sorted(config.open_ids):
-                        loop = fundamental_loop(case, config, open_id)
-                        switches = [b for b in _hop_ranked(loop) if pinned.branch_by_id[b].switchable]
-                        first, second = _sides(pinned, loop)
-                        assert first[:1] == switches[:1], (sorted(closed), open_id)
-                        assert sorted({*first, *second}) == sorted(switches)
-                        assert second == [] or first != []
+            for pinned in (_pinned_closed(case, b) for b in sorted(case.branch_by_id)):
+                for closed in enumerate_radial(pinned):
+                    _assert_estimates_are_exact(pinned, make_config(pinned, closed))
+
+    def test_baran_wu_33_from_its_ties_and_from_its_optimum(self):
+        case = parse_case((DATA_DIR / "baran_wu_33.json").read_text())
+        _assert_estimates_are_exact(case, make_config(case, set(range(1, 33))))
+        _assert_estimates_are_exact(case, make_config(case, set(range(1, 38)) - {7, 9, 14, 32, 37}))
+
+    def test_ieee14_from_the_flow_forest_and_from_the_answer(self, ieee14_case, ieee14_forest, ieee14_search):
+        _assert_estimates_are_exact(ieee14_case, ieee14_forest.config)
+        _assert_estimates_are_exact(ieee14_case, ieee14_search[0])
+
+    @pytest.mark.parametrize("buses, roots, ties", [(12, 1, 3), (16, 3, 4)])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_generated_feeders_with_random_ties(self, buses, roots, ties, seed):
+        case = _with_ties(random_radial_feeder(seed, buses, roots), seed, ties)
+        _assert_estimates_are_exact(case, default_config(case))
