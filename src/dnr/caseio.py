@@ -231,15 +231,16 @@ def _numbers(entry: dict, fields: tuple[str, ...], kind: str) -> dict[str, float
     for name in fields:
         if name not in entry:
             continue
-        value = entry[name]
-        if value is None and name in _NULLABLE:
-            numbers[name] = None
-            continue
-        try:
-            # JSON's true and false would otherwise read as 1.0 and 0.0
-            number = math.nan if value is True or value is False else float(value)
-        except (TypeError, ValueError):
-            number = math.nan
+        value = number = entry[name]
+        if type(value) is not float:  # a JSON real needs no conversion
+            if value is None and name in _NULLABLE:
+                numbers[name] = None
+                continue
+            try:
+                # JSON's true and false would otherwise read as 1.0 and 0.0
+                number = math.nan if value is True or value is False else float(value)
+            except (TypeError, ValueError):
+                number = math.nan
         if not math.isfinite(number):
             owner = f"{kind} {entry['id']}" if "id" in entry else kind
             raise ValueError(f"{owner} {name} {value!r} is not a finite number")
