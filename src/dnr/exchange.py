@@ -192,9 +192,9 @@ class _Search:
         if switch not in self.picks:
             loop = fundamental_loop(self.case, config, switch)
             changes = loss_changes(self.case, self.currents, switch, loop)
-            switchable = self.case.branch_by_id
+            branches = self.case.branch_by_id
             self.picks[switch] = min(
-                ((change, b) for change, b in zip(changes.tolist(), loop.branch_ids) if switchable[b].switchable),
+                ((change, b) for change, b in zip(changes.tolist(), loop.branch_ids) if branches[b].switchable),
                 default=(None, None),
             )[1]
         return self.picks[switch]
