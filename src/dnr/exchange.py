@@ -7,17 +7,27 @@ Civanlar et al. (IEEE TPWRD 1988) ranks best.  The estimate holds every
 bus's current at its flat-voltage value, I = -conj(S), and gives the change
 in the loss sum of r |I|^2 of opening each loop branch in closed form
 (`topology.loss_changes`); the incumbent's currents are computed once per
-accepted move.  Passes repeat until no move is accepted.  A final
-exhaustive sweep certifies that no single exchange improves the result,
-which the estimate alone cannot promise.  `reconfigure` runs the whole
-method, from the all-closed flow to the score.
+accepted move, and each candidate's forest is derived from the
+incumbent's (`model.exchange_forest`), not walked.  Passes repeat until no
+move is accepted.  A final exhaustive sweep certifies that no single
+exchange improves the result, which the estimate alone cannot promise.
+`reconfigure` runs the whole method, from the all-closed flow to the score.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Configuration, NetworkCase, all_closed_config, is_radial
+from .model import (
+    Configuration,
+    ForestIndex,
+    NetworkCase,
+    _forests,
+    all_closed_config,
+    exchange_forest,
+    forest_index,
+    is_radial,
+)
 from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands, solve_network
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
@@ -131,10 +141,42 @@ class _Search:
         # features and objective of every scored configuration, for surrogate
         # fits; kept only when the surrogate is on, since nothing else reads them
         self.samples: list[tuple[tuple[float, ...], float]] = []
-        # the estimate's picks, per open switch, for the configuration they were made in
+        # the incumbent and its forest, which the search keeps itself and
+        # derives each candidate's forest from; the estimate's picks, per
+        # open switch, were made in it
         self.incumbent: Configuration | None = None
+        self.forest: ForestIndex | None = None
         self.currents: FlatCurrents | None = None
         self.picks: dict[int, int | None] = {}
+
+    def hold(self, config: Configuration, forest: ForestIndex | None = None) -> None:
+        """Make `config` the incumbent, with its forest (looked up unless given), and enter that in the forest memo.
+
+        Every layer reads a forest through the memo, from which the
+        candidates' forests may have pushed the incumbent's out.
+        """
+        if config is not self.incumbent:
+            self.incumbent, self.currents, self.picks = config, None, {}
+            self.forest = forest_index(self.case, config) if forest is None else forest
+        _forests.keep(self.forest, self.case, config.closed)
+
+    def exchange(
+        self, config: Configuration, close_id: int, open_id: int
+    ) -> tuple[Configuration, ForestIndex | None]:
+        """`config` with one exchange made, and the candidate's forest, derived from `config`'s.
+
+        The forest goes into the forest memo, where the radiality gate, the
+        island memo, the sending ends and the features read it, so no layer
+        walks the candidate.  A candidate the search has scored before is
+        answered from its first score, and gets no forest (None).
+        """
+        self.hold(config)
+        candidate = config.with_exchange(close_id, open_id)
+        if candidate.open_ids in self.scored:
+            return candidate, None
+        forest = exchange_forest(self.case, self.forest, close_id, open_id)
+        _forests.keep(forest, self.case, candidate.closed)
+        return candidate, forest
 
     def score(self, config: Configuration) -> _Scored:
         """Evaluate one configuration, count it and keep its surrogate sample if the surrogate is on.
@@ -171,14 +213,17 @@ class _Search:
     def attempt(
         self, config: Configuration, key: _Key, close_id: int, open_id: int
     ) -> tuple[Configuration, _Key] | None:
-        """Try one exchange against the incumbent; log it either way."""
-        candidate = config.with_exchange(close_id, open_id)
+        """Try one exchange against the incumbent; log it either way, and hold the candidate if it is better."""
+        candidate, forest = self.exchange(config, close_id, open_id)
         scored = self.score(candidate)
         # a scored-but-infeasible candidate can still better an infeasible
         # incumbent; anything unscorable cannot
         better = scored.key is not None and scored.key < key
         self.log(close_id, open_id, key, scored, better)
-        return (candidate, scored.key) if better else None
+        if not better:
+            return None
+        self.hold(candidate, forest)
+        return candidate, scored.key
 
     def pick(self, config: Configuration, switch: int) -> int | None:
         """The switchable branch on `switch`'s loop that the estimate ranks best, by (change, id).
@@ -187,8 +232,9 @@ class _Search:
         computed once per configuration, and each loop's pick once per
         configuration and switch.
         """
-        if config is not self.incumbent:
-            self.incumbent, self.currents, self.picks = config, flat_currents(self.case, config), {}
+        self.hold(config)
+        if self.currents is None:
+            self.currents = flat_currents(self.case, config)
         if switch not in self.picks:
             loop = fundamental_loop(self.case, config, switch)
             changes = loss_changes(self.case, self.currents, switch, loop)
@@ -218,26 +264,28 @@ class _Search:
         self, config: Configuration, key: _Key
     ) -> tuple[Configuration, _Key] | None:
         """Evaluate every single exchange; apply the best strict improvement."""
-        best: tuple[tuple, Configuration, int, int, _Scored] | None = None
+        best: tuple[tuple, Configuration, ForestIndex, int, int, _Scored] | None = None
         for switch in sorted(config.open_ids):
             if not self.case.branch_by_id[switch].switchable:
                 continue
+            self.hold(config)
             loop = fundamental_loop(self.case, config, switch)
             for target in loop.branch_ids:
                 if not self.case.branch_by_id[target].switchable:
                     continue
-                candidate = config.with_exchange(switch, target)
+                candidate, forest = self.exchange(config, switch, target)
                 scored = self.score(candidate)
                 if scored.key is not None and scored.key < key:
                     rank = (*scored.key, tuple(sorted(candidate.open_ids)))
                     if best is None or rank < best[0]:
-                        best = (rank, candidate, switch, target, scored)
+                        best = (rank, candidate, forest, switch, target, scored)
                     continue
                 self.log(switch, target, key, scored, False)
         if best is None:
             return None
-        _, candidate, switch, target, scored = best
+        _, candidate, forest, switch, target, scored = best
         self.log(switch, target, key, scored, True)
+        self.hold(candidate, forest)
         return candidate, scored.key
 
     def order_switches(self, config: Configuration, model: LinearModel) -> list[int]:
@@ -249,7 +297,7 @@ class _Search:
         for switch in open_ids:
             target = self.pick(config, switch)
             if target is not None:
-                first_moves[switch] = config.with_exchange(switch, target)
+                first_moves[switch] = self.exchange(config, switch, target)[0]
         scoreable = list(first_moves)
         ranked_configs = rank_candidates(model, self.case, [first_moves[s] for s in scoreable])
         positions = {cfg: i for i, cfg in enumerate(ranked_configs)}
@@ -304,6 +352,7 @@ def improve(
         if swept is None:
             break  # certified: no single exchange improves
         config, key = swept
+    search.hold(config)  # for the caller's final solve
     search.trace.island_solves, search.trace.island_hits = search.memo.solves, search.memo.hits
     return config, search.trace
 

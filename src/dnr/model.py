@@ -132,7 +132,7 @@ class Configuration:
             raise ConfigurationError(f"unknown branch id {branch_id}")
         return SwitchState.CLOSED if branch_id in self.closed else SwitchState.OPEN
 
-    @property
+    @cached_property
     def open_ids(self) -> frozenset[int]:
         return self.branch_ids - self.closed
 
@@ -348,7 +348,8 @@ class ForestIndex:
     hangs from, and `parent_branch`, the branch joining them (both -1 at a
     root); `path_r`, the resistance of its path to the root, summed from
     the root down.  `closed` lists the closed branches ascending, and
-    `islands` holds one tree per root, in root order.
+    `islands` holds one tree per root, in root order.  `as_lists`, made on
+    the first `exchange_forest` from this forest, holds its tree as lists.
     """
 
     root: np.ndarray
@@ -357,6 +358,13 @@ class ForestIndex:
     path_r: np.ndarray
     closed: np.ndarray
     islands: tuple[Island, ...]
+
+    @cached_property
+    def as_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """`(parent, parent_branch, starts, hanging)`: bus b's children are `hanging[starts[b]:starts[b + 1]]`."""
+        hanging = np.argsort(self.parent, kind="stable")[len(self.islands) :]  # the roots' -1 sort first
+        starts = np.searchsorted(self.parent[hanging], np.arange(self.parent.size + 1))
+        return self.parent.tolist(), self.parent_branch.tolist(), starts.tolist(), hanging.tolist()
 
 
 class CaseMemo:
@@ -376,11 +384,18 @@ class CaseMemo:
         key = (id(case), *args)
         entry = self._entries.pop(key, None)
         if entry is None:
-            entry = (case, build(case, *args))
-            if len(self._entries) >= self._size:
-                del self._entries[next(iter(self._entries))]  # least recently used
+            value = build(case, *args)
+            self.keep(value, case, *args)
+            return value
         self._entries[key] = entry
         return entry[1]
+
+    def keep(self, value, case: NetworkCase, *args) -> None:
+        """Hold `value` as the result for these arguments, the most recently used."""
+        key = (id(case), *args)
+        if self._entries.pop(key, None) is None and len(self._entries) >= self._size:
+            del self._entries[next(iter(self._entries))]  # least recently used
+        self._entries[key] = (case, value)
 
 
 def _adjacency(case: NetworkCase) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -540,9 +555,14 @@ def _compiled_case(case: NetworkCase) -> _CompiledCase:
     return _compiled.lookup(_compile, case)
 
 
-# an entry holds about 75 KB at 1000 buses, with its key's closed set;
-# eight keep a search's incumbent across the loops of a full sweep
-_forests = CaseMemo(8)
+# an entry holds about 105 KB at 1000 buses, with its key's closed set.  A
+# search keeps its incumbent's forest itself and enters each candidate's just
+# before the layers read it; sixteen entries also hold the first moves of a
+# pass, one per open switch, while the surrogate ranks them.  At eight, a
+# reconfiguration of bench/feeders.py's generate(1, 1, 1000, 12) missed 6 of
+# 292 lookups, and of IEEE-14 fed from buses 1 and 3 6 of 182; at sixteen it
+# misses 1 and 2, the walk of the start and of one first move scored before
+_forests = CaseMemo(16)
 
 
 def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
@@ -552,7 +572,9 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
     root per tree.  Every topology question (`is_radial`, `forest_index`,
     `islands`) is a view on this one walk, and the last few
     results are memoised, so a configuration scored by several layers is
-    walked once.  The result is shared between callers, which only read it.
+    walked once; a search enters the forests it derives from its
+    incumbent's (`exchange_forest`) there too, so those are never walked.
+    The result is shared between callers, which only read it.
     """
     if config.branch_ids is not case.branch_ids and config.branch_ids != case.branch_ids:
         raise ConfigurationError("configuration does not cover this case's branches")
@@ -598,19 +620,102 @@ def _walk(case: NetworkCase, closed: frozenset[int]) -> ForestIndex | None:
         parts = (Island(case.roots[0], compiled.all_buses, closed, compiled.bus_positions, positions),)
     else:
         branch_root = root[compiled.ends[positions, 0]]
-        parts = []
-        for rank, root_id in enumerate(case.roots):
-            buses = np.flatnonzero(root == rank)
-            branches = positions[branch_root == rank]
-            parts.append(Island(
-                root_id,
-                frozenset(compiled.bus_ids[buses].tolist()),
-                frozenset(compiled.branch_ids[branches].tolist()),
-                buses,
-                branches,
-            ))
-        parts = tuple(parts)
+        parts = tuple(_island(case, compiled, rank, root, positions, branch_root) for rank in range(len(case.roots)))
     return ForestIndex(root, parent, parent_branch, path_r, positions, parts)
+
+
+def _island(
+    case: NetworkCase,
+    compiled: _CompiledCase,
+    rank: int,
+    root: np.ndarray,
+    positions: np.ndarray,
+    branch_root: np.ndarray,
+) -> Island:
+    """The island of `case.roots[rank]`: the buses of that root, and the closed `positions` whose from end is."""
+    buses = np.flatnonzero(root == rank)
+    branches = positions[branch_root == rank]
+    return Island(
+        case.roots[rank],
+        frozenset(compiled.bus_ids[buses].tolist()),
+        frozenset(compiled.branch_ids[branches].tolist()),
+        buses,
+        branches,
+    )
+
+
+def _swapped(positions: np.ndarray, out: int, into: int) -> np.ndarray:
+    """Ascending `positions`, which hold `out` and not `into`, with `out` replaced by `into`."""
+    swapped = positions.copy()
+    swapped[positions.searchsorted(out)] = into
+    swapped.sort(kind="stable")
+    return swapped
+
+
+def exchange_forest(
+    case: NetworkCase, index: ForestIndex, close_branch: int, open_branch: int
+) -> ForestIndex | None:
+    """The forest after closing `close_branch` and opening `open_branch` in the radial forest `index`.
+
+    Opening the branch cuts off D, the subtree below it, and the exchange is
+    radial exactly when D holds one end of `close_branch` (None otherwise,
+    as `_walk` gives): D then hangs from the other end, and the path inside
+    D from its end up to the opened branch turns over (Civanlar et al.,
+    IEEE TPWRD 1988).  Only D's buses change.  Their `path_r` is summed
+    again from the root down, each bus's from its new parent's, so that
+    every sum adds the terms `_walk`'s does in the same order and has its
+    bits.  The islands of the other roots are reused as they are.
+    """
+    compiled = _compiled_case(case)
+    cut = int(compiled.branch_ids.searchsorted(open_branch))
+    tie = int(compiled.branch_ids.searchsorted(close_branch))
+    parent_of, branch_of, starts, hanging = index.as_lists
+    child = next((bus for bus in compiled.ends[cut].tolist() if branch_of[bus] == cut), None)
+    ends = compiled.ends[tie].tolist()
+    if child is None or tie in (branch_of[ends[0]], branch_of[ends[1]]):
+        raise ConfigurationError(f"branch {close_branch} must be open and branch {open_branch} closed")
+    below = [child]
+    for bus in below:  # breadth first, reading the list as it grows
+        below.extend(hanging[starts[bus] : starts[bus + 1]])
+    inside = set(below)
+    if (ends[0] in inside) == (ends[1] in inside):
+        return None  # a cycle in D, or D cut off and a cycle or root-to-root path outside it
+    end, feeder = ends if ends[0] in inside else ends[::-1]
+    # the path from D's end of the tie up to the opened branch: each of its
+    # buses now hangs from the one before it, and D's other buses from the
+    # same parent as before; so the path, then the others breadth first, is
+    # root-down in the new tree
+    path = [end]
+    while path[-1] != child:
+        path.append(parent_of[path[-1]])
+    on_path = set(path)
+    rest = [bus for bus in below if bus not in on_path]
+    new_parent = [feeder, *path[:-1], *(parent_of[bus] for bus in rest)]
+    new_branch = [tie, *(branch_of[bus] for bus in path[:-1]), *(branch_of[bus] for bus in rest)]
+    order = path + rest
+    sums = {feeder: index.path_r[feeder].item()}
+    for bus, above, r in zip(order, new_parent, compiled.resistance[new_branch].tolist()):
+        sums[bus] = sums[above] + r
+    parent, parent_branch, path_r = index.parent.copy(), index.parent_branch.copy(), index.path_r.copy()
+    parent[path] = new_parent[: len(path)]
+    parent_branch[path] = new_branch[: len(path)]
+    path_r[order] = [sums[bus] for bus in order]
+    closed = _swapped(index.closed, cut, tie)
+    root, islands = index.root, list(index.islands)
+    was, now = int(root[child]), int(root[feeder])
+    if was == now:  # D stays in its island, whose buses do not change
+        island = islands[now]
+        # the one island of a single root holds every closed branch, as in `_walk`
+        positions = closed if len(islands) == 1 else _swapped(island.branch_positions, cut, tie)
+        branches = (island.branches - {open_branch}) | {close_branch}
+        islands[now] = Island(island.root, island.buses, branches, island.bus_positions, positions)
+    else:
+        root = root.copy()
+        root[below] = now
+        branch_root = root[compiled.ends[closed, 0]]
+        for rank in (was, now):
+            islands[rank] = _island(case, compiled, rank, root, closed, branch_root)
+    return ForestIndex(root, parent, parent_branch, path_r, closed, tuple(islands))
 
 
 def is_radial(case: NetworkCase, config: Configuration) -> bool:

@@ -488,6 +488,17 @@ class TestReconfigure:
         assert dict(result.solution.flows) == dict(solution.flows)
         assert result.objective.fo_value == evaluate_fo(case, config, solution).fo_value
 
+    @pytest.mark.parametrize("case_file, roots", [("ieee14.cdf", (1, 2)), ("baran_wu_33.json", None)])
+    def test_only_the_start_walks_the_whole_network(self, case_file, roots, monkeypatch):
+        # every candidate's forest, the answer's too, is derived from its
+        # incumbent's, and the final solve and score read the answer's
+        case = parse_case((DATA_DIR / case_file).read_text(), roots=roots)
+        walks = []
+        walk = model._walk
+        monkeypatch.setattr(model, "_walk", lambda *args: walks.append(args) or walk(*args))
+        result = exchange.reconfigure(case)
+        assert [closed for _, closed in walks] == [result.start.closed]
+
     def test_a_diverged_all_closed_flow_raises(self):
         case = parse_case((DATA_DIR / "two_bus_collapse.json").read_text())
         with pytest.raises(InitialInfeasibleError, match="all-closed power flow did not converge"):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_radial, oracle_is_radial, random_radial_feeder
-from dnr import model
+from conftest import DATA_DIR, bench_feeders, enumerate_radial, oracle_is_radial, random_radial_feeder
+from dnr import exchange, model, topology
+from dnr.caseio import parse_case
 from dnr.model import (
     Branch,
     Bus,
@@ -21,6 +22,7 @@ from dnr.model import (
     SwitchState,
     all_closed_config,
     default_config,
+    exchange_forest,
     forest,
     islands,
     is_radial,
@@ -352,6 +354,106 @@ class TestForestMemo:
             islands(case, config)
         assert not is_radial(case, config)
         assert len(walks) == 1
+
+
+def _assert_same_forest(derived, walked) -> None:
+    """Equal forests: array for array with their dtypes, `path_r` by its bits, and island for island."""
+    for name in ("root", "parent", "parent_branch", "path_r", "closed"):
+        mine, theirs = getattr(derived, name), getattr(walked, name)
+        assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
+    assert len(derived.islands) == len(walked.islands)
+    for mine, theirs in zip(derived.islands, walked.islands):
+        assert (mine.root, mine.buses, mine.branches) == (theirs.root, theirs.buses, theirs.branches)
+        for name in ("bus_positions", "branch_positions"):
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (mine.root, name)
+
+
+def _search_case(name: str) -> NetworkCase:
+    """IEEE-14 from `roots`, the 33-bus case, or a seeded feeder of the benchmark's generator."""
+    kind, _, spec = name.partition(":")
+    if kind == "ieee14":
+        roots = tuple(int(root) for root in spec.split(","))
+        return parse_case((DATA_DIR / "ieee14.cdf").read_text(), fmt="cdf", roots=roots)
+    if kind == "baran-wu-33":
+        return parse_case((DATA_DIR / "baran_wu_33.json").read_text())
+    seed, roots, buses = (int(part) for part in spec.split(","))
+    return parse_case(bench_feeders().generate(seed, roots, buses, 12)[0], fmt="json")
+
+
+class TestExchangeForest:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ieee14:1,2",
+            "ieee14:1,3",
+            "ieee14:2,6",
+            "baran-wu-33",
+            *(f"feeder:{seed},3,200" for seed in range(1, 6)),
+            *(f"feeder:{seed},1,1000" for seed in range(1, 6)),
+        ],
+    )
+    def test_every_candidate_of_a_search_equals_its_walk(self, name, monkeypatch):
+        case = _search_case(name)
+        derived = []
+
+        def recorded(case, index, close_id, open_id):
+            result = exchange_forest(case, index, close_id, open_id)
+            derived.append((index, close_id, open_id, result))
+            return result
+
+        monkeypatch.setattr(exchange, "exchange_forest", recorded)
+        exchange.reconfigure(case)
+        branch_ids = model._compiled_case(case).branch_ids
+        assert derived
+        for index, close_id, open_id, result in derived:
+            closed = (frozenset(branch_ids[index.closed].tolist()) - {open_id}) | {close_id}
+            _assert_same_forest(result, model._walk(case, closed))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        buses=st.integers(4, 30),
+        roots=st.sampled_from([1, 3]),
+        ties=st.integers(1, 6),
+        steps=st.integers(1, 6),
+    )
+    def test_random_exchanges_match_the_walk_and_the_graph_oracle(self, seed, buses, roots, ties, steps):
+        # a seeded radial feeder with open ties between random buses; each step
+        # closes a random tie and opens a closed branch off its loop, which
+        # must not be radial, and one on it, which must be and is walked from
+        case = random_radial_feeder(seed, buses, roots)
+        rng = np.random.default_rng(seed)
+        added = []
+        for number in range(len(case.branches) + 1, len(case.branches) + ties + 1):
+            u, v = rng.choice(sorted(case.bus_by_id), 2, replace=False).tolist()
+            added.append(Branch(number, u, v, r=0.01 * number, x=0.02, default_state=SwitchState.OPEN))
+        case = dataclasses.replace(case, branches=case.branches + tuple(added))
+        config = default_config(case)
+        index = forest(case, config)
+        for _ in range(steps):
+            close_id = int(rng.choice(sorted(config.open_ids)))
+            loop = set(topology.fundamental_loop(case, config, close_id).branch_ids)
+            off = sorted(config.closed - loop)
+            if off:
+                open_id = int(rng.choice(off))
+                assert not oracle_is_radial(case, config.with_exchange(close_id, open_id).closed)
+                assert exchange_forest(case, index, close_id, open_id) is None
+            if not loop:
+                continue  # a tie joining two roots directly
+            open_id = int(rng.choice(sorted(loop)))
+            candidate = config.with_exchange(close_id, open_id)
+            assert oracle_is_radial(case, candidate.closed)
+            derived = exchange_forest(case, index, close_id, open_id)
+            _assert_same_forest(derived, model._walk(case, candidate.closed))
+            config, index = candidate, derived
+
+    def test_an_exchange_must_close_an_open_branch_and_open_a_closed_one(self, ring6_case):
+        config = make_config(ring6_case, {2, 3, 4, 5, 6})
+        index = forest(ring6_case, config)
+        for close_id, open_id in ((2, 3), (1, 1)):
+            with pytest.raises(ConfigurationError):
+                exchange_forest(ring6_case, index, close_id, open_id)
 
 
 class TestIslands:
