@@ -8,7 +8,7 @@ bus's current at its flat-voltage value, I = -conj(S), and gives the change
 in the loss sum of r |I|^2 of opening each loop branch in closed form
 (`topology.loss_changes`); the incumbent's currents are computed once per
 accepted move, and each candidate's forest is derived from the
-incumbent's (`model.exchange_forest`), not walked.  Passes repeat until no
+incumbent's (`model.exchanged`), not walked.  Passes repeat until no
 move is accepted.  A final exhaustive sweep certifies that no single
 exchange improves the result, which the estimate alone cannot promise.
 `reconfigure` runs the whole method, from the all-closed flow to the score.
@@ -18,16 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import (
-    Configuration,
-    ForestIndex,
-    NetworkCase,
-    _forests,
-    all_closed_config,
-    exchange_forest,
-    forest_index,
-    is_radial,
-)
+from .model import Configuration, NetworkCase, all_closed_config, exchanged, is_radial
 from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands, solve_network
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
@@ -141,42 +132,11 @@ class _Search:
         # features and objective of every scored configuration, for surrogate
         # fits; kept only when the surrogate is on, since nothing else reads them
         self.samples: list[tuple[tuple[float, ...], float]] = []
-        # the incumbent and its forest, which the search keeps itself and
-        # derives each candidate's forest from; the estimate's picks, per
-        # open switch, were made in it
+        # the configuration the estimate's currents and its picks, per open
+        # switch, were made in
         self.incumbent: Configuration | None = None
-        self.forest: ForestIndex | None = None
         self.currents: FlatCurrents | None = None
         self.picks: dict[int, int | None] = {}
-
-    def hold(self, config: Configuration, forest: ForestIndex | None = None) -> None:
-        """Make `config` the incumbent, with its forest (looked up unless given), and enter that in the forest memo.
-
-        Every layer reads a forest through the memo, from which the
-        candidates' forests may have pushed the incumbent's out.
-        """
-        if config is not self.incumbent:
-            self.incumbent, self.currents, self.picks = config, None, {}
-            self.forest = forest_index(self.case, config) if forest is None else forest
-        _forests.keep(self.forest, self.case, config.closed)
-
-    def exchange(
-        self, config: Configuration, close_id: int, open_id: int
-    ) -> tuple[Configuration, ForestIndex | None]:
-        """`config` with one exchange made, and the candidate's forest, derived from `config`'s.
-
-        The forest goes into the forest memo, where the radiality gate, the
-        island memo, the sending ends and the features read it, so no layer
-        walks the candidate.  A candidate the search has scored before is
-        answered from its first score, and gets no forest (None).
-        """
-        self.hold(config)
-        candidate = config.with_exchange(close_id, open_id)
-        if candidate.open_ids in self.scored:
-            return candidate, None
-        forest = exchange_forest(self.case, self.forest, close_id, open_id)
-        _forests.keep(forest, self.case, candidate.closed)
-        return candidate, forest
 
     def score(self, config: Configuration) -> _Scored:
         """Evaluate one configuration, count it and keep its surrogate sample if the surrogate is on.
@@ -213,8 +173,8 @@ class _Search:
     def attempt(
         self, config: Configuration, key: _Key, close_id: int, open_id: int
     ) -> tuple[Configuration, _Key] | None:
-        """Try one exchange against the incumbent; log it either way, and hold the candidate if it is better."""
-        candidate, forest = self.exchange(config, close_id, open_id)
+        """Try one exchange against the incumbent; log it either way, and return the candidate if it is better."""
+        candidate = exchanged(self.case, config, close_id, open_id)
         scored = self.score(candidate)
         # a scored-but-infeasible candidate can still better an infeasible
         # incumbent; anything unscorable cannot
@@ -222,7 +182,6 @@ class _Search:
         self.log(close_id, open_id, key, scored, better)
         if not better:
             return None
-        self.hold(candidate, forest)
         return candidate, scored.key
 
     def pick(self, config: Configuration, switch: int) -> int | None:
@@ -232,9 +191,8 @@ class _Search:
         computed once per configuration, and each loop's pick once per
         configuration and switch.
         """
-        self.hold(config)
-        if self.currents is None:
-            self.currents = flat_currents(self.case, config)
+        if config is not self.incumbent:
+            self.incumbent, self.currents, self.picks = config, flat_currents(self.case, config), {}
         if switch not in self.picks:
             loop = fundamental_loop(self.case, config, switch)
             changes = loss_changes(self.case, self.currents, switch, loop)
@@ -245,47 +203,30 @@ class _Search:
             )[1]
         return self.picks[switch]
 
-    def walk_loop(
-        self, config: Configuration, key: _Key, switch: int
-    ) -> tuple[Configuration, _Key]:
-        """Try the one exchange on `switch`'s loop that the estimate ranks best.
-
-        The estimate ranks every switchable branch of the loop by the loss
-        change of opening it in exchange for closing `switch`; only the best
-        one is scored, once per pass.  It returns the exchange's result if
-        accepted, the incumbent otherwise.
-        """
-        target = self.pick(config, switch)
-        if target is not None and (accepted := self.attempt(config, key, switch, target)) is not None:
-            return accepted
-        return config, key
-
     def full_sweep(
         self, config: Configuration, key: _Key
     ) -> tuple[Configuration, _Key] | None:
         """Evaluate every single exchange; apply the best strict improvement."""
-        best: tuple[tuple, Configuration, ForestIndex, int, int, _Scored] | None = None
+        best: tuple[tuple, Configuration, int, int, _Scored] | None = None
         for switch in sorted(config.open_ids):
             if not self.case.branch_by_id[switch].switchable:
                 continue
-            self.hold(config)
             loop = fundamental_loop(self.case, config, switch)
             for target in loop.branch_ids:
                 if not self.case.branch_by_id[target].switchable:
                     continue
-                candidate, forest = self.exchange(config, switch, target)
+                candidate = exchanged(self.case, config, switch, target)
                 scored = self.score(candidate)
                 if scored.key is not None and scored.key < key:
                     rank = (*scored.key, tuple(sorted(candidate.open_ids)))
                     if best is None or rank < best[0]:
-                        best = (rank, candidate, forest, switch, target, scored)
+                        best = (rank, candidate, switch, target, scored)
                     continue
                 self.log(switch, target, key, scored, False)
         if best is None:
             return None
-        _, candidate, forest, switch, target, scored = best
+        _, candidate, switch, target, scored = best
         self.log(switch, target, key, scored, True)
-        self.hold(candidate, forest)
         return candidate, scored.key
 
     def order_switches(self, config: Configuration, model: LinearModel) -> list[int]:
@@ -297,7 +238,7 @@ class _Search:
         for switch in open_ids:
             target = self.pick(config, switch)
             if target is not None:
-                first_moves[switch] = self.exchange(config, switch, target)[0]
+                first_moves[switch] = exchanged(self.case, config, switch, target)
         scoreable = list(first_moves)
         ranked_configs = rank_candidates(model, self.case, [first_moves[s] for s in scoreable])
         positions = {cfg: i for i, cfg in enumerate(ranked_configs)}
@@ -345,14 +286,15 @@ def improve(
         for switch in search.order_switches(config, model):
             if switch in config.closed:
                 continue  # an earlier move in this pass closed it
-            config, key = search.walk_loop(config, key, switch)
+            target = search.pick(config, switch)
+            if target is not None and (accepted := search.attempt(config, key, switch, target)) is not None:
+                config, key = accepted
         if key < key_at_pass_start:
             continue
         swept = search.full_sweep(config, key)
         if swept is None:
             break  # certified: no single exchange improves
         config, key = swept
-    search.hold(config)  # for the caller's final solve
     search.trace.island_solves, search.trace.island_hits = search.memo.solves, search.memo.hits
     return config, search.trace
 

@@ -555,13 +555,15 @@ def _compiled_case(case: NetworkCase) -> _CompiledCase:
     return _compiled.lookup(_compile, case)
 
 
-# an entry holds about 105 KB at 1000 buses, with its key's closed set.  A
-# search keeps its incumbent's forest itself and enters each candidate's just
-# before the layers read it; sixteen entries also hold the first moves of a
-# pass, one per open switch, while the surrogate ranks them.  At eight, a
-# reconfiguration of bench/feeders.py's generate(1, 1, 1000, 12) missed 6 of
-# 292 lookups, and of IEEE-14 fed from buses 1 and 3 6 of 182; at sixteen it
-# misses 1 and 2, the walk of the start and of one first move scored before
+# an entry holds about 70 KB at 1000 buses, with its key's closed set, which
+# a single root's island shares.  Each derivation (`exchanged`) reads the
+# incumbent's forest, which makes it the most recently used entry, and a
+# search enters one candidate between two derivations, so the incumbent
+# stays.  Sixteen entries hold it and up to 15 first moves of a pass, one per
+# open switch, while the surrogate ranks them.  At eight, a reconfiguration
+# of bench/feeders.py's generate(1, 1, 1000, 12) missed 14 of 399 lookups,
+# and of IEEE-14 fed from buses 1 and 3 17 of 254; at sixteen each misses 1,
+# the walk of its start
 _forests = CaseMemo(16)
 
 
@@ -572,8 +574,9 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
     root per tree.  Every topology question (`is_radial`, `forest_index`,
     `islands`) is a view on this one walk, and the last few
     results are memoised, so a configuration scored by several layers is
-    walked once; a search enters the forests it derives from its
-    incumbent's (`exchange_forest`) there too, so those are never walked.
+    walked once; `exchanged` enters each forest it derives from a radial
+    configuration's (`exchange_forest`) there too, so a search, which holds
+    no forest itself, walks only its start.
     The result is shared between callers, which only read it.
     """
     if config.branch_ids is not case.branch_ids and config.branch_ids != case.branch_ids:
@@ -653,7 +656,7 @@ def _swapped(positions: np.ndarray, out: int, into: int) -> np.ndarray:
 
 
 def exchange_forest(
-    case: NetworkCase, index: ForestIndex, close_branch: int, open_branch: int
+    case: NetworkCase, index: ForestIndex, close_branch: int, open_branch: int, closed_ids: frozenset[int]
 ) -> ForestIndex | None:
     """The forest after closing `close_branch` and opening `open_branch` in the radial forest `index`.
 
@@ -665,6 +668,8 @@ def exchange_forest(
     again from the root down, each bus's from its new parent's, so that
     every sum adds the terms `_walk`'s does in the same order and has its
     bits.  The islands of the other roots are reused as they are.
+    `closed_ids`, those of the exchange's result, are the one island's
+    branches when the case has a single root, shared as `_walk` shares them.
     """
     compiled = _compiled_case(case)
     cut = int(compiled.branch_ids.searchsorted(open_branch))
@@ -706,8 +711,9 @@ def exchange_forest(
     if was == now:  # D stays in its island, whose buses do not change
         island = islands[now]
         # the one island of a single root holds every closed branch, as in `_walk`
-        positions = closed if len(islands) == 1 else _swapped(island.branch_positions, cut, tie)
-        branches = (island.branches - {open_branch}) | {close_branch}
+        single = len(islands) == 1
+        positions = closed if single else _swapped(island.branch_positions, cut, tie)
+        branches = closed_ids if single else (island.branches - {open_branch}) | {close_branch}
         islands[now] = Island(island.root, island.buses, branches, island.bus_positions, positions)
     else:
         root = root.copy()
@@ -716,6 +722,22 @@ def exchange_forest(
         for rank in (was, now):
             islands[rank] = _island(case, compiled, rank, root, closed, branch_root)
     return ForestIndex(root, parent, parent_branch, path_r, closed, tuple(islands))
+
+
+def exchanged(case: NetworkCase, config: Configuration, close_branch: int, open_branch: int) -> Configuration:
+    """The radial `config` with one exchange made, its forest derived from `config`'s and memoised.
+
+    The candidate's forest (None when it is not radial) enters the forest
+    memo, where every layer that scores the candidate reads it, so none
+    walks it.  The derivation reads `config`'s forest from the memo, which
+    makes that the most recently used entry: a search that derives each
+    candidate from its incumbent, one candidate at a time, keeps the
+    incumbent's forest there.
+    """
+    candidate = config.with_exchange(close_branch, open_branch)
+    derived = exchange_forest(case, forest_index(case, config), close_branch, open_branch, candidate.closed)
+    _forests.keep(derived, case, candidate.closed)
+    return candidate
 
 
 def is_radial(case: NetworkCase, config: Configuration) -> bool:

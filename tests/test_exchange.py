@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     DATA_DIR,
     assert_one_exchange_optimal,
+    bench_feeders,
     fresh_outcome,
     outcome_fields,
     scaled_loads,
@@ -488,11 +489,29 @@ class TestReconfigure:
         assert dict(result.solution.flows) == dict(solution.flows)
         assert result.objective.fo_value == evaluate_fo(case, config, solution).fo_value
 
-    @pytest.mark.parametrize("case_file, roots", [("ieee14.cdf", (1, 2)), ("baran_wu_33.json", None)])
+    @pytest.mark.parametrize(
+        "case_file, roots",
+        [
+            ("ieee14.cdf", (1, 2)),
+            ("baran_wu_33.json", None),
+            ("ieee14.cdf", (1, 3)),
+            ("ieee14.cdf", (2, 6, 8)),
+            ("ieee14.cdf", (2, 3, 6, 8)),
+            # bench/feeders.py's generate(seed, roots, buses, 12)
+            ("feeder:1,3,200", None),
+            ("feeder:1,1,1000", None),
+        ],
+    )
     def test_only_the_start_walks_the_whole_network(self, case_file, roots, monkeypatch):
-        # every candidate's forest, the answer's too, is derived from its
-        # incumbent's, and the final solve and score read the answer's
-        case = parse_case((DATA_DIR / case_file).read_text(), roots=roots)
+        # every candidate's forest, a first move's and the answer's too, is
+        # derived from its incumbent's, and the final solve and score read
+        # the answer's
+        kind, _, spec = case_file.partition(":")
+        if kind == "feeder":
+            text = bench_feeders().generate(*(int(part) for part in spec.split(",")), 12)[0]
+        else:
+            text = (DATA_DIR / case_file).read_text()
+        case = parse_case(text, roots=roots)
         walks = []
         walk = model._walk
         monkeypatch.setattr(model, "_walk", lambda *args: walks.append(args) or walk(*args))

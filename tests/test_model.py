@@ -397,17 +397,18 @@ class TestExchangeForest:
         case = _search_case(name)
         derived = []
 
-        def recorded(case, index, close_id, open_id):
-            result = exchange_forest(case, index, close_id, open_id)
-            derived.append((index, close_id, open_id, result))
+        def recorded(case, index, close_id, open_id, closed_ids):
+            result = exchange_forest(case, index, close_id, open_id, closed_ids)
+            derived.append((index, close_id, open_id, closed_ids, result))
             return result
 
-        monkeypatch.setattr(exchange, "exchange_forest", recorded)
+        monkeypatch.setattr(model, "exchange_forest", recorded)
         exchange.reconfigure(case)
         branch_ids = model._compiled_case(case).branch_ids
         assert derived
-        for index, close_id, open_id, result in derived:
+        for index, close_id, open_id, closed_ids, result in derived:
             closed = (frozenset(branch_ids[index.closed].tolist()) - {open_id}) | {close_id}
+            assert closed_ids == closed
             _assert_same_forest(result, model._walk(case, closed))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -437,15 +438,18 @@ class TestExchangeForest:
             off = sorted(config.closed - loop)
             if off:
                 open_id = int(rng.choice(off))
-                assert not oracle_is_radial(case, config.with_exchange(close_id, open_id).closed)
-                assert exchange_forest(case, index, close_id, open_id) is None
+                off_loop = config.with_exchange(close_id, open_id).closed
+                assert not oracle_is_radial(case, off_loop)
+                assert exchange_forest(case, index, close_id, open_id, off_loop) is None
             if not loop:
                 continue  # a tie joining two roots directly
             open_id = int(rng.choice(sorted(loop)))
             candidate = config.with_exchange(close_id, open_id)
             assert oracle_is_radial(case, candidate.closed)
-            derived = exchange_forest(case, index, close_id, open_id)
+            derived = exchange_forest(case, index, close_id, open_id, candidate.closed)
             _assert_same_forest(derived, model._walk(case, candidate.closed))
+            if roots == 1:  # the one island shares the closed set, as the walk's does
+                assert derived.islands[0].branches is candidate.closed
             config, index = candidate, derived
 
     def test_an_exchange_must_close_an_open_branch_and_open_a_closed_one(self, ring6_case):
@@ -453,7 +457,7 @@ class TestExchangeForest:
         index = forest(ring6_case, config)
         for close_id, open_id in ((2, 3), (1, 1)):
             with pytest.raises(ConfigurationError):
-                exchange_forest(ring6_case, index, close_id, open_id)
+                exchange_forest(ring6_case, index, close_id, open_id, config.closed)
 
 
 class TestIslands:
