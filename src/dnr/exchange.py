@@ -6,10 +6,11 @@ open switch's loop one try: the exchange that the loss-change estimate of
 Civanlar et al. (IEEE TPWRD 1988) ranks best.  The estimate holds every
 bus's current at its flat-voltage value, I = -conj(S), and gives the change
 in the loss sum of r |I|^2 of opening each loop branch in closed form
-(`topology.loss_changes`); the incumbent's currents are computed once per
-accepted move, and each candidate's forest is derived from the
-incumbent's (`model.exchanged`), not walked.  Passes repeat until no
-move is accepted.  A final exhaustive sweep certifies that no single
+(`topology.loss_changes`); the currents are computed once per incumbent
+given to `_Search.pick`.  Each candidate is made with
+`Configuration.with_exchange`, so its forest is derived from the
+incumbent's when a layer first asks for it, not walked.  Passes repeat
+until no move is accepted.  A final exhaustive sweep certifies that no single
 exchange improves the result, which the estimate alone cannot promise.
 `reconfigure` runs the whole method, from the all-closed flow to the score.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Configuration, NetworkCase, all_closed_config, exchanged, is_radial
+from .model import Configuration, NetworkCase, all_closed_config, is_radial
 from .objective import IslandMemo, ObjectiveReport, evaluate_fo, sort_key
 from .powerflow import PowerFlowSolution, SolverOptions, solve_all_islands, solve_network
 from .surrogate import LinearModel, featurize, fit, rank_candidates, untrained_model
@@ -115,7 +116,7 @@ class _Scored:
     key: _Key | None  # None when the configuration could not be scored
     reason: RejectReason | None  # None when it passed every check
     detail: str
-    features: tuple[float, ...] | None  # its surrogate sample's features, when samples are kept
+    features: tuple[float, ...] | None  # its surrogate features, when the surrogate is on
 
 
 class _Search:
@@ -174,7 +175,7 @@ class _Search:
         self, config: Configuration, key: _Key, close_id: int, open_id: int
     ) -> tuple[Configuration, _Key] | None:
         """Try one exchange against the incumbent; log it either way, and return the candidate if it is better."""
-        candidate = exchanged(self.case, config, close_id, open_id)
+        candidate = config.with_exchange(close_id, open_id)
         scored = self.score(candidate)
         # a scored-but-infeasible candidate can still better an infeasible
         # incumbent; anything unscorable cannot
@@ -215,7 +216,7 @@ class _Search:
             for target in loop.branch_ids:
                 if not self.case.branch_by_id[target].switchable:
                     continue
-                candidate = exchanged(self.case, config, switch, target)
+                candidate = config.with_exchange(switch, target)
                 scored = self.score(candidate)
                 if scored.key is not None and scored.key < key:
                     rank = (*scored.key, tuple(sorted(candidate.open_ids)))
@@ -238,11 +239,15 @@ class _Search:
         for switch in open_ids:
             target = self.pick(config, switch)
             if target is not None:
-                first_moves[switch] = exchanged(self.case, config, switch, target)
+                first_moves[switch] = config.with_exchange(switch, target)
         scoreable = list(first_moves)
-        ranked_configs = rank_candidates(model, self.case, [first_moves[s] for s in scoreable])
-        positions = {cfg: i for i, cfg in enumerate(ranked_configs)}
-        reordered = sorted(scoreable, key=lambda s: positions[first_moves[s]])
+        features = []
+        for move in first_moves.values():
+            # a first move scored before is ranked by the features its evaluation
+            # kept, so its forest, which the memo may have dropped, is not derived again
+            kept = self.scored.get(move.open_ids)
+            features.append(featurize(self.case, move) if kept is None or kept.features is None else kept.features)
+        reordered = [scoreable[i] for i in rank_candidates(model, features)]
         reordered += [s for s in open_ids if s not in first_moves]
         self.trace.surrogate_hits += sum(
             1 for before, after in zip(open_ids, reordered) if before != after

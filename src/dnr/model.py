@@ -122,10 +122,16 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Open/closed state for every branch of a case."""
+    """Open/closed state for every branch of a case.
+
+    `made_by` is `(closed, close_branch, open_branch)` when `with_exchange`
+    made the configuration from the one with that closed set, else None.
+    Only `with_exchange` sets it; equality, hashing and `replace` ignore it.
+    """
 
     branch_ids: frozenset[int]
     closed: frozenset[int]
+    made_by: tuple[frozenset[int], int, int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def state(self, branch_id: int) -> SwitchState:
         if branch_id not in self.branch_ids:
@@ -145,8 +151,9 @@ class Configuration:
             raise ConfigurationError(f"branch {close_branch} is already closed")
         if open_branch not in self.closed:
             raise ConfigurationError(f"branch {open_branch} is already open")
-        closed = (self.closed - {open_branch}) | {close_branch}
-        return Configuration(self.branch_ids, frozenset(closed))
+        made = Configuration(self.branch_ids, (self.closed - {open_branch}) | {close_branch})
+        object.__setattr__(made, "made_by", (self.closed, close_branch, open_branch))
+        return made
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,9 @@ def all_closed_config(case: NetworkCase) -> Configuration:
 
 
 # ids are compiled into int64 arrays; `_pi_stamp` divides by the tap's square and by
-# r^2 + x^2, and `_compile` divides loads by the base: each must be a normal float
+# r^2 + x^2, and `_compile` divides loads by the base: each must be a normal float.
+# The objective multiplies a per-unit loss by the base and the interval, so the
+# interval is held to the tap's range, where a product of two such numbers is normal
 _ID_LIMIT = 2**63
 _NORMAL_MIN = sys.float_info.min
 _TAP_MIN, _TAP_MAX = math.sqrt(_NORMAL_MIN), math.sqrt(sys.float_info.max)
@@ -220,11 +229,10 @@ def validate_case(case: NetworkCase) -> list[Violation]:
     violations: list[Violation] = []
     if not case.base_mva >= _NORMAL_MIN:
         violations.append(Violation("bad_base", f"system base {case.base_mva} MVA is not a positive normal float"))
-    if not 0.0 < case.delta_t_hours < math.inf:
+    if not _TAP_MIN <= case.delta_t_hours <= _TAP_MAX:
         # a non-positive interval flips the objective's sign: the search would maximize losses
-        violations.append(
-            Violation("bad_interval", f"study interval {case.delta_t_hours} h is not positive and finite")
-        )
+        message = f"study interval {case.delta_t_hours} h is outside [{_TAP_MIN:.2g}, {_TAP_MAX:.2g}]"
+        violations.append(Violation("bad_interval", message))
 
     seen_buses: set[int] = set()
     for bus in case.buses:
@@ -370,32 +378,25 @@ class ForestIndex:
 class CaseMemo:
     """The last `size` results of a function of a case, least recently used out.
 
-    Keys are `(id(case), *args)`.  Each entry holds its case, so the id
-    cannot be reused while the entry lives.  Nothing is cached on the case,
-    which callers may keep many of.
+    Keys are `(id(case), key)`.  Each entry holds its case, so the id cannot
+    be reused while the entry lives.  Nothing is cached on the case, which
+    callers may keep many of.
     """
 
     def __init__(self, size: int):
         self._size = size
         self._entries: dict[tuple, tuple[NetworkCase, object]] = {}
 
-    def lookup(self, build, case: NetworkCase, *args):
-        """`build(case, *args)`, computed on the first lookup of these arguments."""
-        key = (id(case), *args)
-        entry = self._entries.pop(key, None)
+    def lookup(self, case: NetworkCase, key, build):
+        """The value for `key` in `case`, from `build()` on its first lookup."""
+        memo_key = (id(case), key)
+        entry = self._entries.pop(memo_key, None)
         if entry is None:
-            value = build(case, *args)
-            self.keep(value, case, *args)
-            return value
-        self._entries[key] = entry
+            entry = (case, build())  # which may look up other keys
+            if len(self._entries) >= self._size:
+                del self._entries[next(iter(self._entries))]  # least recently used
+        self._entries[memo_key] = entry
         return entry[1]
-
-    def keep(self, value, case: NetworkCase, *args) -> None:
-        """Hold `value` as the result for these arguments, the most recently used."""
-        key = (id(case), *args)
-        if self._entries.pop(key, None) is None and len(self._entries) >= self._size:
-            del self._entries[next(iter(self._entries))]  # least recently used
-        self._entries[key] = (case, value)
 
 
 def _adjacency(case: NetworkCase) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -552,18 +553,17 @@ _compiled = CaseMemo(2)
 
 def _compiled_case(case: NetworkCase) -> _CompiledCase:
     """The case's compiled form, built on first use and memoised."""
-    return _compiled.lookup(_compile, case)
+    return _compiled.lookup(case, None, lambda: _compile(case))
 
 
 # an entry holds about 70 KB at 1000 buses, with its key's closed set, which
-# a single root's island shares.  Each derivation (`exchanged`) reads the
-# incumbent's forest, which makes it the most recently used entry, and a
-# search enters one candidate between two derivations, so the incumbent
-# stays.  Sixteen entries hold it and up to 15 first moves of a pass, one per
-# open switch, while the surrogate ranks them.  At eight, a reconfiguration
-# of bench/feeders.py's generate(1, 1, 1000, 12) missed 14 of 399 lookups,
-# and of IEEE-14 fed from buses 1 and 3 17 of 254; at sixteen each misses 1,
-# the walk of its start
+# a single root's island shares.  Each miss builds one forest: a search's
+# first walks its start, and each later one derives a new candidate.
+# Sixteen entries hold the incumbent and up to 15 first moves of a pass, one
+# per open switch, while the surrogate ranks them.  A reconfiguration of
+# bench/feeders.py's generate(1, 1, 1000, 12) misses 80 of 365 lookups at
+# sixteen or eight entries and 86 of 371 at four; of IEEE-14 fed from buses 1
+# and 3, 43 of 216 at sixteen and 44 of 217 at eight
 _forests = CaseMemo(16)
 
 
@@ -572,16 +572,27 @@ def forest(case: NetworkCase, config: Configuration) -> ForestIndex | None:
 
     Radial means the closed branches form a spanning forest with exactly one
     root per tree.  Every topology question (`is_radial`, `forest_index`,
-    `islands`) is a view on this one walk, and the last few
-    results are memoised, so a configuration scored by several layers is
-    walked once; `exchanged` enters each forest it derives from a radial
-    configuration's (`exchange_forest`) there too, so a search, which holds
-    no forest itself, walks only its start.
+    `islands`) is a view on this one forest, and the last few results are
+    memoised by closed set, so a configuration scored by several layers is
+    built once, on first use.  A configuration that `with_exchange` made
+    from a radial one is derived from that one's forest (`exchange_forest`),
+    which is walked if it is not memoised; any other is walked.  So a search
+    that makes each candidate from its incumbent walks only its start.
     The result is shared between callers, which only read it.
     """
     if config.branch_ids is not case.branch_ids and config.branch_ids != case.branch_ids:
         raise ConfigurationError("configuration does not cover this case's branches")
-    return _forests.lookup(_walk, case, config.closed)
+    return _forests.lookup(case, config.closed, lambda: _build(case, config))
+
+
+def _build(case: NetworkCase, config: Configuration) -> ForestIndex | None:
+    """`config`'s forest, derived from the forest `made_by` names when that is radial, else walked."""
+    if config.made_by is not None:
+        closed, close_branch, open_branch = config.made_by
+        made_from = _forests.lookup(case, closed, lambda: _walk(case, closed))
+        if made_from is not None:
+            return exchange_forest(case, made_from, close_branch, open_branch, config.closed)
+    return _walk(case, config.closed)
 
 
 def _walk(case: NetworkCase, closed: frozenset[int]) -> ForestIndex | None:
@@ -722,22 +733,6 @@ def exchange_forest(
         for rank in (was, now):
             islands[rank] = _island(case, compiled, rank, root, closed, branch_root)
     return ForestIndex(root, parent, parent_branch, path_r, closed, tuple(islands))
-
-
-def exchanged(case: NetworkCase, config: Configuration, close_branch: int, open_branch: int) -> Configuration:
-    """The radial `config` with one exchange made, its forest derived from `config`'s and memoised.
-
-    The candidate's forest (None when it is not radial) enters the forest
-    memo, where every layer that scores the candidate reads it, so none
-    walks it.  The derivation reads `config`'s forest from the memo, which
-    makes that the most recently used entry: a search that derives each
-    candidate from its incumbent, one candidate at a time, keeps the
-    incumbent's forest there.
-    """
-    candidate = config.with_exchange(close_branch, open_branch)
-    derived = exchange_forest(case, forest_index(case, config), close_branch, open_branch, candidate.closed)
-    _forests.keep(derived, case, candidate.closed)
-    return candidate
 
 
 def is_radial(case: NetworkCase, config: Configuration) -> bool:

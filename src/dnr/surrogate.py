@@ -77,12 +77,9 @@ def fit(case: NetworkCase, samples: list[tuple[tuple[float, ...], float]]) -> Li
     return LinearModel(tuple(float(c) for c in coef))
 
 
-def rank_candidates(
-    model: LinearModel, case: NetworkCase, configs: list[Configuration]
-) -> list[Configuration]:
-    """Stable sort by predicted objective; the sentinel keeps the given order."""
+def rank_candidates(model: LinearModel, features: list[tuple[float, ...]]) -> list[int]:
+    """Positions in `features`, stably sorted by predicted objective; the sentinel keeps the given order."""
     if not model.trained:
-        return list(configs)
-    scored = [model.predict(featurize(case, config)) for config in configs]
-    order = sorted(range(len(configs)), key=lambda i: (scored[i], i))
-    return [configs[i] for i in order]
+        return list(range(len(features)))
+    predicted = [model.predict(row) for row in features]
+    return sorted(range(len(features)), key=lambda i: (predicted[i], i))

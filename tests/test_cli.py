@@ -251,6 +251,9 @@ class TestInputBoundary:
             pytest.param(_baran_wu_33("branches", 3, r=1e-320, x=0), 1, "zero_impedance", id="subnormal-impedance"),
             pytest.param(_baran_wu_33(None, base_mva=1e-320), 1, "bad_base", id="subnormal-base"),
             pytest.param(_set(None, "delta_t_hours", -1), 1, "bad_interval", id="negative-interval"),
+            # the objective multiplies each loss by the base and the interval
+            pytest.param(_set(None, "delta_t_hours", 1e308), 1, "bad_interval", id="overflowing-interval"),
+            pytest.param(_set(None, "delta_t_hours", 1e-320), 1, "bad_interval", id="subnormal-interval"),
             pytest.param(_set(None, "roots", [1, 1]), 1, "duplicate_root", id="duplicate-root"),
             pytest.param(_cdf(4, 40, 49, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-load"),
             pytest.param(_cdf(19, 19, 29, "nan"), 2, "bad numeric field 'nan'", id="cdf-nan-resistance"),
@@ -272,6 +275,8 @@ class TestInputBoundary:
             pytest.param(_flags("--delta-t", "inf"), 2, "--delta-t", id="infinite-interval-flag"),
             pytest.param(_flags("--delta-t", "-1"), 2, "--delta-t", id="negative-interval-flag"),
             pytest.param(_flags("--delta-t", "0"), 2, "--delta-t", id="zero-interval-flag"),
+            pytest.param(_flags("--delta-t", "1e308"), 1, "bad_interval", id="overflowing-interval-flag"),
+            pytest.param(_flags("--delta-t", "1e-320"), 1, "bad_interval", id="subnormal-interval-flag"),
             pytest.param(_flags("--roots", "1,1"), 1, "duplicate_root", id="duplicate-root-flag"),
             pytest.param(_flags("--roots", ","), 2, "--roots", id="empty-roots-flag"),
             pytest.param(_unwritable("--out", "missing/r.json"), 2, "is not a directory", id="out-missing-directory"),
@@ -448,16 +453,20 @@ class TestReconfigure:
         assert report["search"]["surrogate_hits"] == 0
 
     def test_delta_t_scales_the_objective(self, cdf_path, tmp_path, capsys):
-        values = {}
-        for hours in ("1.0", "2.0"):
+        values, open_switches = {}, {}
+        # 1e154 is near the top of the accepted range
+        for hours in ("1.0", "2.0", "1e154"):
             out_path = tmp_path / f"report{hours}.json"
             rc = main([
                 "reconfigure", str(cdf_path), "--roots", "1,2", "--stable",
                 "--delta-t", hours, "--out", str(out_path),
             ])
             assert rc == 0
-            values[hours] = json.loads(out_path.read_text())["objective"]["fo_value_mwh"]
+            report = json.loads(out_path.read_text())
+            values[hours], open_switches[hours] = report["objective"]["fo_value_mwh"], report["open_switches"]
         assert values["2.0"] == pytest.approx(2.0 * values["1.0"], abs=1e-9)
+        assert values["1e154"] == pytest.approx(1e154 * values["1.0"], rel=1e-12)
+        assert open_switches["1e154"] == open_switches["2.0"] == open_switches["1.0"]
 
     @pytest.mark.parametrize("hours", ["-1", "0"])
     def test_non_positive_interval_is_refused(self, cdf_path, capsys, hours):

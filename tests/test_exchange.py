@@ -505,18 +505,23 @@ class TestReconfigure:
     def test_only_the_start_walks_the_whole_network(self, case_file, roots, monkeypatch):
         # every candidate's forest, a first move's and the answer's too, is
         # derived from its incumbent's, and the final solve and score read
-        # the answer's
+        # the answer's.  A forest is derived when some layer first asks for
+        # it: a candidate the configuration memo answers derives none, and a
+        # first move scored before is ranked by the features it kept, so no
+        # closed set is derived twice
         kind, _, spec = case_file.partition(":")
         if kind == "feeder":
             text = bench_feeders().generate(*(int(part) for part in spec.split(",")), 12)[0]
         else:
             text = (DATA_DIR / case_file).read_text()
         case = parse_case(text, roots=roots)
-        walks = []
-        walk = model._walk
+        walks, derived = [], []
+        walk, derive = model._walk, model.exchange_forest
         monkeypatch.setattr(model, "_walk", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(model, "exchange_forest", lambda *args: derived.append(args[-1]) or derive(*args))
         result = exchange.reconfigure(case)
         assert [closed for _, closed in walks] == [result.start.closed]
+        assert derived and len(set(derived)) == len(derived)
 
     def test_a_diverged_all_closed_flow_raises(self):
         case = parse_case((DATA_DIR / "two_bus_collapse.json").read_text())

@@ -150,7 +150,8 @@ class TestValidateCase:
         assert {v.code for v in validate_case(NetworkCase(1e-320, buses, plain, (1,)))} == {"bad_base"}
         assert validate_case(NetworkCase(1e-3, buses, plain, (1,))) == []
         assert {v.code for v in validate_case(NetworkCase(100.0, buses, tapped, (1,)))} == {"bad_tap"}
-        for hours in (-1.0, 0.0, float("inf"), float("nan")):
+        # the objective multiplies each loss by the base and the interval
+        for hours in (-1.0, 0.0, float("inf"), float("nan"), 1e308, 1e-320):
             case = NetworkCase(100.0, buses, plain, (1,), delta_t_hours=hours)
             assert {v.code for v in validate_case(case)} == {"bad_interval"}
 
@@ -458,6 +459,65 @@ class TestExchangeForest:
         for close_id, open_id in ((2, 3), (1, 1)):
             with pytest.raises(ConfigurationError):
                 exchange_forest(ring6_case, index, close_id, open_id, config.closed)
+
+
+class TestForestOnFirstUse:
+    """`with_exchange` records the exchange, and `forest` derives from it on a memo miss."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> tuple[list, list]:
+        walks, derived = [], []
+        walk, derive = model._walk, model.exchange_forest
+        monkeypatch.setattr(model, "_walk", lambda *args: walks.append(args[1]) or walk(*args))
+        monkeypatch.setattr(model, "exchange_forest", lambda *args: derived.append(args[-1]) or derive(*args))
+        return walks, derived
+
+    def test_an_exchange_derives_from_its_parents_forest(self, ring6_case, monkeypatch):
+        case = dataclasses.replace(ring6_case)  # a case no other test has memoised
+        config = make_config(case, {1, 2, 3, 4, 5})
+        forest(case, config)
+        candidate = config.with_exchange(6, 3)
+        assert candidate.made_by == (config.closed, 6, 3)
+        walks, derived = self._counted(monkeypatch)
+        index = forest(case, candidate)
+        assert (walks, derived) == ([], [candidate.closed])
+        assert forest(case, candidate) is index  # a repeat derives nothing
+        assert (walks, derived) == ([], [candidate.closed])
+        _assert_same_forest(index, model._walk(case, candidate.closed))
+
+    def test_a_parent_forest_not_memoised_is_walked_once(self, ring6_case, monkeypatch):
+        config = make_config(ring6_case, {1, 2, 3, 4, 5})
+        forest(ring6_case, config)
+        candidate = config.with_exchange(6, 3)
+        case = dataclasses.replace(ring6_case)  # the parent's forest is memoised for ring6_case only
+        walks, derived = self._counted(monkeypatch)
+        index = forest(case, candidate)
+        assert (walks, derived) == ([config.closed], [candidate.closed])
+        _assert_same_forest(index, model._walk(case, candidate.closed))
+
+    def test_an_exchange_from_a_non_radial_configuration_is_walked(self, ring6_case, monkeypatch):
+        case = dataclasses.replace(ring6_case)
+        config = make_config(case, {1, 2, 3, 4})  # a bus short of a tree
+        candidate = config.with_exchange(5, 1)
+        walks, derived = self._counted(monkeypatch)
+        assert forest(case, candidate) is None
+        assert (walks, derived) == ([config.closed, candidate.closed], [])
+
+    def test_an_equal_configuration_shares_the_entry_and_records_nothing(self, ring6_case, monkeypatch):
+        case = dataclasses.replace(ring6_case)
+        candidate = make_config(case, {1, 2, 3, 4, 5}).with_exchange(6, 3)
+        index = forest(case, candidate)
+        walks, derived = self._counted(monkeypatch)
+        for same in (make_config(case, candidate.closed), dataclasses.replace(candidate)):
+            assert same.made_by is None
+            assert same == candidate and hash(same) == hash(candidate)
+            assert forest(case, same) is index
+        assert (walks, derived) == ([], [])
+
+    def test_made_by_cannot_be_passed_in(self, ring6_case):
+        closed = frozenset({1, 2, 3, 4, 5})
+        with pytest.raises(TypeError):
+            model.Configuration(ring6_case.branch_ids, closed, made_by=(closed, 6, 3))
 
 
 class TestIslands:

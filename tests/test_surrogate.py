@@ -191,13 +191,13 @@ class TestRankCandidates:
         model = LinearModel((0.0, 0.0, 0.0, 1.0, 0.0))
         detour = make_config(triangle_case, {1, 3})
         direct = make_config(triangle_case, {1, 2})
-        assert rank_candidates(model, triangle_case, [detour, direct]) == [direct, detour]
+        features = [featurize(triangle_case, config) for config in (detour, direct)]
+        assert rank_candidates(model, features) == [1, 0]
 
     def test_sentinel_keeps_given_order(self, six_bus_case):
-        configs = [make_config(six_bus_case, c) for c in enumerate_radial(six_bus_case)]
-        configs.reverse()
-        ranked = rank_candidates(untrained_model(), six_bus_case, configs)
-        assert ranked == configs
+        features = [featurize(six_bus_case, make_config(six_bus_case, c)) for c in enumerate_radial(six_bus_case)]
+        features.reverse()
+        assert rank_candidates(untrained_model(), features) == list(range(len(features)))
 
     def test_trained_toy_model_puts_the_true_best_first(self, triangle_case):
         per_config = []
@@ -210,9 +210,9 @@ class TestRankCandidates:
         samples = [(fv, fo) for _, fv, fo in per_config] * 2
         model = fit(triangle_case, samples)
         assert model.trained
-        ranked = rank_candidates(model, triangle_case, [c for c, _, _ in per_config])
-        true_fo = {config: fo for config, _, fo in per_config}
-        assert true_fo[ranked[0]] == pytest.approx(min(true_fo.values()), rel=1e-9)
+        ranked = rank_candidates(model, [fv for _, fv, _ in per_config])
+        true_fo = [fo for _, _, fo in per_config]
+        assert true_fo[ranked[0]] == pytest.approx(min(true_fo), rel=1e-9)
 
     def test_ranking_invariant_under_positive_affine_rescale(self, six_bus_case):
         samples = _scored_samples(six_bus_case, 10)
@@ -222,17 +222,14 @@ class TestRankCandidates:
         shifted = [2.5 * c for c in shifted]
         shifted[0] += 7.0  # const feature is always 1, so this adds 7 to every score
         rescaled = LinearModel(tuple(shifted))
-        configs = [make_config(six_bus_case, c) for c in enumerate_radial(six_bus_case)]
-        assert rank_candidates(base, six_bus_case, configs) == rank_candidates(
-            rescaled, six_bus_case, configs
-        )
+        features = [featurize(six_bus_case, make_config(six_bus_case, c)) for c in enumerate_radial(six_bus_case)]
+        assert rank_candidates(base, features) == rank_candidates(rescaled, features)
 
     def test_stable_on_score_ties(self, twin_case):
         # the two feeders are identical, so symmetric configs score identically
         model = LinearModel((0.0,) * 9)
-        config = make_config(twin_case, {1, 2})
-        ranked = rank_candidates(model, twin_case, [config, config])
-        assert ranked == [config, config]
+        features = featurize(twin_case, make_config(twin_case, {1, 2}))
+        assert rank_candidates(model, [features, features]) == [0, 1]
 
 
 class TestWarmStart:
